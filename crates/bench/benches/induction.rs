@@ -81,46 +81,11 @@ fn induction_presort(c: &mut Criterion) {
     }
 }
 
-/// SPRINT-style intra-attribute split search (the numeric boundary-cut
-/// scan and the nominal count-matrix accumulation shard across the
-/// pool *inside* every tree node) against the serial split search.
-/// Per-attribute fan-out is pinned to one thread on both sides so the
-/// measured gap is the intra-node parallelism alone — the axis that
-/// keeps scaling once workers outnumber attributes. Outputs are
-/// byte-identical at every thread count (pinned by the dq_mining
-/// `parallel_induction` test and dq_core's `split_threads` test);
-/// the same-run `reference` sibling makes the speedup a ratio that
-/// survives runner-speed changes.
-fn induction_split_parallel(c: &mut Criterion) {
-    let fixture = quis_fixture(50_000, 42);
-    let mut group = c.benchmark_group("induction/parallel/quis-50k");
-    group.throughput(Throughput::Elements(50_000));
-    group.sample_size(10);
-    let reference = Auditor::new(AuditConfig { threads: 1.into(), ..AuditConfig::default() });
-    group.bench_with_input(BenchmarkId::from_parameter("reference"), &reference, |b, a| {
-        b.iter(|| a.induce(&fixture.dirty).expect("fixture tables are auditable"))
-    });
-    for &split in &[2usize, 4] {
-        let auditor = Auditor::new(AuditConfig {
-            threads: 1.into(),
-            split_threads: split.into(),
-            ..AuditConfig::default()
-        });
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("split-{split}")),
-            &auditor,
-            |b, a| b.iter(|| a.induce(&fixture.dirty).expect("fixture tables are auditable")),
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     induction_baseline,
     induction_quis,
     induction_presort,
-    induction_thread_scaling,
-    induction_split_parallel
+    induction_thread_scaling
 );
 criterion_main!(benches);

@@ -3,10 +3,9 @@
 //! Three input shapes share one command:
 //!
 //! * a CSV file streams through [`dq_table::CsvChunkReader`] in
-//!   `--chunk-rows` batches into
-//!   [`dq_core::Auditor::detect_stream_partial`], so a file (much)
-//!   larger than RAM audits at O(chunk) memory with a report
-//!   byte-identical to the in-memory path;
+//!   `--chunk-rows` batches, so a file (much) larger than RAM audits
+//!   at O(chunk) memory with a report byte-identical to the in-memory
+//!   path;
 //! * a *directory* as `--input` is opened as a
 //!   [`dq_table::PagedTable`] spill (the `dq generate --paged-dirty`
 //!   output) and scanned page by page — a torn or partially-committed
@@ -18,6 +17,10 @@
 //!   [`dq_serve::client::post_with_retry`] — queue-full `503`s back
 //!   off and retry (honoring `Retry-After`), a *draining* server fails
 //!   immediately with a distinct error, because it will not come back.
+//!
+//! Both local shapes run one loop: [`dq_core::AuditEngine::scan_batch`]
+//! per batch, then [`dq_core::AuditEngine::report_from_parts`] over
+//! the accumulated parts.
 //!
 //! A mid-stream failure (a bad CSV cell three million rows in) does
 //! not discard the scan: the report and corrections files are written
@@ -31,8 +34,8 @@
 //!   file (1-based line number, the typed parse error, the raw line)
 //!   instead of aborting the scan; `--max-bad-rows N` bounds the
 //!   budget, and overflowing it exits with the distinct code 3;
-//! * `--checkpoint DIR` journals the scan cursor and spills findings +
-//!   per-row confidences to binary sidecars at every
+//! * `--checkpoint DIR` journals the scan cursor and spills the
+//!   loop's findings + per-row confidences to binary sidecars at every
 //!   `--checkpoint-every`-batch boundary, so `--resume` continues a
 //!   killed audit with a final report byte-identical to an
 //!   uninterrupted one.
@@ -41,8 +44,7 @@ use crate::args::{CliError, Flags};
 use crate::checkpoint::{config_fingerprint, jerr, start_job, Start};
 use crate::io_util::{load_schema, say, write_file};
 use dq_core::{
-    corrections_to_csv, propose_corrections, AuditConfig, AuditEngine, AuditError, Auditor,
-    Finding, StructureModel,
+    corrections_to_csv, propose_corrections, AuditEngine, AuditError, Finding, StructureModel,
 };
 use dq_job::{fnv1a, resume_file, CheckpointDir, CountingWriter, Journal, Watermark};
 use dq_serve::client::{post_with_retry, RetryPolicy, Unavailable};
@@ -122,23 +124,39 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         )));
     }
 
-    if let Some(ckpt_dir) = checkpoint {
-        return checkpointed(
-            &flags, schema, model, model_path, input, chunk_rows, threads, top, &ckpt_dir, resume,
-            every,
-        );
-    }
+    let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
+    let mut scan = match &checkpoint {
+        None => Scan { engine, findings: Vec::new(), confidences: Vec::new(), checkpoint: None },
+        Some(dir) => {
+            let config = detect_fingerprint(model_path, chunk_rows, input)?;
+            match Checkpoint::open(dir, resume, every, config, engine)? {
+                Some(scan) => scan,
+                None => {
+                    say!("checkpoint {}: job is already done — nothing to resume", dir.display());
+                    return Ok(());
+                }
+            }
+        }
+    };
 
-    let auditor = Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() });
     let t0 = Instant::now();
     // A directory is a paged spill; a file is a CSV stream. Opening the
     // spill validates its manifest first, so a torn commit (crash
     // mid-`finish`) fails here with the manifest's own error rather
-    // than auditing a partial relation.
-    let (report, stream_error, quarantined) = if Path::new(input).is_dir() {
+    // than auditing a partial relation. A resumed scan seeks past the
+    // rows its checkpoint already holds.
+    let cursor = scan.confidences.len();
+    let (batch_rows, batch_unit, stream_error, quarantined) = if Path::new(input).is_dir() {
         let paged = PagedTable::open(input, schema.clone()).map_err(|e| format!("{input}: {e}"))?;
-        let (report, error) = auditor.detect_stream_partial(&model, paged.batches());
-        (report, error, Vec::new())
+        let page_rows = paged.page_rows();
+        if cursor % page_rows != 0 {
+            return Err(CliError::Runtime(format!(
+                "cursor {cursor} is not a page boundary of {input} ({page_rows}-row pages); the \
+                 checkpoint does not belong to this spill — refusing to resume"
+            )));
+        }
+        let error = scan.drain(paged.batches_from(cursor / page_rows))?;
+        (page_rows, "page", error, Vec::new())
     } else {
         let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
         let mut batches = CsvChunkReader::new(schema.clone(), BufReader::new(file), chunk_rows)
@@ -146,11 +164,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         if quarantine.is_some() {
             batches = batches.with_quarantine(max_bad_rows.unwrap_or(usize::MAX));
         }
-        let (report, error) = auditor.detect_stream_partial(&model, &mut batches);
-        (report, error, batches.take_quarantined())
+        batches.skip_data_rows(cursor).map_err(|e| format!("{input}: {e}"))?;
+        let error = scan.drain(&mut batches)?;
+        (chunk_rows, "chunk", error, batches.take_quarantined())
     };
     let secs = t0.elapsed().as_secs_f64();
 
+    // The accumulated parts move into the report: at a million rows a
+    // copy of the confidences alone would be megabytes of peak memory.
+    let Scan { engine, findings, confidences, checkpoint: mut ckpt } = scan;
+    let report = engine.report_from_parts(findings, confidences);
     // Flush what was audited even when the stream failed mid-way: a
     // partial report over millions of clean rows beats an empty file.
     if let Some(path) = flags.get("report") {
@@ -166,12 +189,14 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = &quarantine {
         write_file(path, &render_dead_letters(&quarantined))?;
     }
+    if let (Some(ckpt), None) = (&mut ckpt, &stream_error) {
+        ckpt.commit(report.n_rows(), report.findings.len(), true)?;
+    }
 
     say!(
-        "scanned {} rows in {secs:.2}s ({} per chunk{}): {} suspicious rows, {} findings at \
-         min confidence {}",
+        "scanned {} rows in {secs:.2}s ({batch_rows} per {batch_unit}{}): {} suspicious rows, \
+         {} findings at min confidence {}",
         report.n_rows(),
-        chunk_rows,
         if stream_error.is_some() { ", PARTIAL — the stream failed" } else { "" },
         report.n_suspicious(),
         report.findings.len(),
@@ -194,11 +219,67 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 quarantined.len(),
             )))
         }
-        Some(e) => Err(CliError::Runtime(format!(
-            "{input}: {e} (the report covers the {} complete rows before the failure)",
-            report.n_rows()
-        ))),
+        Some(e) => {
+            let resume_hint = match &checkpoint {
+                Some(dir) => format!("; the checkpoint in {} resumes from there", dir.display()),
+                None => String::new(),
+            };
+            Err(CliError::Runtime(format!(
+                "{input}: {e} (the report covers the {} complete rows before the \
+                 failure{resume_hint})",
+                report.n_rows()
+            )))
+        }
         None => Ok(()),
+    }
+}
+
+/// The one local scan loop: [`AuditEngine::scan_batch`] per batch,
+/// accumulating the parts [`AuditEngine::report_from_parts`] turns
+/// into the report, and spilling them to the optional checkpoint.
+struct Scan {
+    engine: AuditEngine,
+    findings: Vec<Finding>,
+    confidences: Vec<f64>,
+    checkpoint: Option<Checkpoint>,
+}
+
+impl Scan {
+    /// Drain `batches` into the accumulated parts. Returns the stream
+    /// error, if any: the complete batches before it stay scanned (and,
+    /// checkpointed, committed — the resume point is the failure's
+    /// doorstep, not the last periodic commit).
+    fn drain(&mut self, mut batches: impl BatchSource) -> Result<Option<AuditError>, CliError> {
+        if let Some(rows) = batches.row_count_hint() {
+            self.confidences.reserve(rows.saturating_sub(self.confidences.len()));
+        }
+        loop {
+            match batches.next_batch() {
+                Ok(Some(batch)) => {
+                    // One confidence per scanned row: the count so far
+                    // is the batch's global row offset.
+                    let (findings, confidences) =
+                        self.engine.scan_batch(&batch, self.confidences.len());
+                    if let Some(ckpt) = &mut self.checkpoint {
+                        ckpt.spill(
+                            &findings,
+                            &confidences,
+                            self.confidences.len() + confidences.len(),
+                            self.findings.len() + findings.len(),
+                        )?;
+                    }
+                    self.findings.extend(findings);
+                    self.confidences.extend(confidences);
+                }
+                Ok(None) => return Ok(None),
+                Err(e) => {
+                    if let Some(ckpt) = &mut self.checkpoint {
+                        ckpt.commit(self.confidences.len(), self.findings.len(), false)?;
+                    }
+                    return Ok(Some(e.into()));
+                }
+            }
+        }
     }
 }
 
@@ -262,7 +343,10 @@ fn encode_finding(f: &Finding, out: &mut Vec<u8>) {
     out.extend_from_slice(&f.support.to_bits().to_le_bytes());
 }
 
-fn decode_findings(bytes: &[u8]) -> Result<Vec<Finding>, String> {
+/// Decode a committed `findings.bin` prefix. Every record must name an
+/// attribute of the `n_attrs`-attribute schema and a row below the
+/// journaled `cursor` — anything else is corruption, never a finding.
+fn decode_findings(bytes: &[u8], n_attrs: usize, cursor: usize) -> Result<Vec<Finding>, String> {
     if bytes.len() % FINDING_RECORD != 0 {
         return Err(format!(
             "{} bytes is not a whole number of {FINDING_RECORD}-byte records",
@@ -273,9 +357,20 @@ fn decode_findings(bytes: &[u8]) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::with_capacity(bytes.len() / FINDING_RECORD);
     for record in 0..bytes.len() / FINDING_RECORD {
         let base = record * FINDING_RECORD;
+        let (row, attr) = (u64_at(base), u64_at(base + 8));
+        if attr >= n_attrs as u64 {
+            return Err(format!(
+                "finding record {record} names attribute {attr} of a {n_attrs}-attribute schema"
+            ));
+        }
+        if row >= cursor as u64 {
+            return Err(format!(
+                "finding record {record} names row {row}, past the {cursor} journaled rows"
+            ));
+        }
         findings.push(Finding {
-            row: u64_at(base) as usize,
-            attr: u64_at(base + 8) as usize,
+            row: row as usize,
+            attr: attr as usize,
             observed: decode_value(bytes[base + 16], u64_at(base + 17))?,
             proposed: decode_value(bytes[base + 25], u64_at(base + 26))?,
             confidence: f64::from_bits(u64_at(base + 34)),
@@ -305,240 +400,160 @@ fn committed_sidecar(path: &Path, watermark: u64) -> Result<Vec<u8>, CliError> {
     Ok(bytes)
 }
 
-/// The checkpointed scan state shared by the CSV and paged input
-/// shapes.
-struct ScanState {
-    engine: AuditEngine,
-    findings: Vec<Finding>,
-    confidences: Vec<f64>,
-    rows_scanned: usize,
-    findings_out: CountingWriter<File>,
-    confidence_out: CountingWriter<File>,
-    journal: Journal,
-    ckpt: CheckpointDir,
-    every: usize,
-}
-
-impl ScanState {
-    fn commit(&mut self, done: bool) -> Result<(), CliError> {
-        let dir = self.ckpt.dir().display().to_string();
-        self.findings_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
-        self.confidence_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
-        self.journal.cursor_rows = self.rows_scanned as u64;
-        self.journal.set_counter("findings", self.findings.len() as u64);
-        self.journal.set_output("findings.bin", Watermark::Bytes(self.findings_out.count()));
-        self.journal.set_output("confidence.bits", Watermark::Bytes(self.confidence_out.count()));
-        self.journal.done = done;
-        self.ckpt.save(&self.journal).map_err(jerr)
-    }
-
-    /// Drain `batches`, spilling findings and confidences as they
-    /// accumulate and committing every `every` batches. Returns the
-    /// stream error, if any — complete batches before it are already
-    /// committed.
-    fn scan(&mut self, mut batches: impl BatchSource) -> Result<Option<AuditError>, CliError> {
-        let mut record_buf = Vec::new();
-        let mut since_commit = 0usize;
-        loop {
-            match batches.next_batch() {
-                Ok(Some(batch)) => {
-                    let (findings, confidences) = self.engine.scan_batch(&batch, self.rows_scanned);
-                    self.rows_scanned += batch.n_rows();
-                    record_buf.clear();
-                    for f in &findings {
-                        encode_finding(f, &mut record_buf);
-                    }
-                    self.findings_out
-                        .write_all(&record_buf)
-                        .map_err(|e| CliError::Runtime(format!("findings.bin: {e}")))?;
-                    record_buf.clear();
-                    for c in &confidences {
-                        record_buf.extend_from_slice(&c.to_bits().to_le_bytes());
-                    }
-                    self.confidence_out
-                        .write_all(&record_buf)
-                        .map_err(|e| CliError::Runtime(format!("confidence.bits: {e}")))?;
-                    self.findings.extend(findings);
-                    self.confidences.extend(confidences);
-                    since_commit += 1;
-                    if since_commit >= self.every {
-                        self.commit(false)?;
-                        since_commit = 0;
-                    }
-                }
-                Ok(None) => return Ok(None),
-                // Commit the complete batches scanned so far: the
-                // resume point is the failure's doorstep, not the last
-                // periodic commit.
-                Err(e) => {
-                    self.commit(false)?;
-                    return Ok(Some(e.into()));
-                }
-            }
-        }
-    }
-}
-
-/// `dq detect --checkpoint`: scan with a journal, spilling incremental
-/// state to `findings.bin` + `confidence.bits` sidecars in the
-/// checkpoint directory, and assemble the final report from the
-/// accumulated parts — byte-identical to an uninterrupted scan.
-#[allow(clippy::too_many_arguments)]
-fn checkpointed(
-    flags: &Flags,
-    schema: std::sync::Arc<dq_table::Schema>,
-    model: StructureModel,
-    model_path: &str,
-    input: &str,
-    chunk_rows: usize,
-    threads: Option<usize>,
-    top: usize,
-    ckpt_dir: &Path,
-    resume: bool,
-    every: usize,
-) -> Result<(), CliError> {
-    // The model bytes ARE the config: a model retrained between
-    // incarnations changes every confidence, so its content hash (not
-    // its path) anchors the fingerprint. `--threads`/`--top` are
-    // excluded — they never change the scan's bytes.
+/// The config fingerprint of a checkpointed detect. The model bytes
+/// ARE the config: a model retrained between incarnations changes
+/// every confidence, so its content hash (not its path) anchors the
+/// fingerprint. `--threads`/`--top` are excluded — they never change
+/// the scan's bytes.
+fn detect_fingerprint(model_path: &str, chunk_rows: usize, input: &str) -> Result<u64, CliError> {
     let model_bytes = std::fs::read(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    let config = config_fingerprint(&[
+    Ok(config_fingerprint(&[
         ("stage", "detect".to_string()),
         ("model", format!("{:016x}", fnv1a(&model_bytes))),
         ("chunk-rows", chunk_rows.to_string()),
         ("paged", Path::new(input).is_dir().to_string()),
-    ]);
-    let ckpt = CheckpointDir::create(ckpt_dir).map_err(jerr)?;
-    let journal = match start_job(&ckpt, resume, "detect", config, schema.fingerprint())? {
-        Start::Fresh => Journal::new("detect", config, schema.fingerprint()),
-        Start::Resume(journal) => journal,
-        Start::AlreadyDone => {
-            say!("checkpoint {}: job is already done — nothing to resume", ckpt_dir.display());
-            return Ok(());
-        }
-    };
-    let resuming = journal.cursor_rows > 0 || journal.output("findings.bin").is_some();
-    let findings_path = ckpt.dir().join("findings.bin");
-    let confidence_path = ckpt.dir().join("confidence.bits");
+    ]))
+}
 
-    let cursor = journal.cursor_rows as usize;
-    let (findings, confidences, findings_out, confidence_out);
-    if resuming {
-        let bytes_watermark = |name: &str| -> Result<u64, CliError> {
-            match journal.output(name) {
-                Some(Watermark::Bytes(n)) => Ok(n),
-                _ => Err(CliError::Runtime(format!(
-                    "journal has no byte watermark for sidecar `{name}`; refusing to resume"
-                ))),
+/// `dq detect --checkpoint` state riding on the scan loop: the journal
+/// of the scan cursor plus the `findings.bin` + `confidence.bits`
+/// sidecars the accumulated parts spill to, so a resumed audit's final
+/// report is byte-identical to an uninterrupted one.
+struct Checkpoint {
+    journal: Journal,
+    ckpt: CheckpointDir,
+    findings_out: CountingWriter<File>,
+    confidence_out: CountingWriter<File>,
+    every: usize,
+    since_commit: usize,
+    record_buf: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// Open the checkpoint directory and build the scan that continues
+    /// from it: a fresh journal, or — with `--resume` — the committed
+    /// parts restored from the sidecars. `None` means the journal says
+    /// the job is already done. Either way the (cursor-zero or
+    /// restored-state) journal is committed before scanning, so a
+    /// crash anywhere after this can resume.
+    fn open(
+        dir: &Path,
+        resume: bool,
+        every: usize,
+        config: u64,
+        engine: AuditEngine,
+    ) -> Result<Option<Scan>, CliError> {
+        let schema = engine.schema().clone();
+        let ckpt = CheckpointDir::create(dir).map_err(jerr)?;
+        let journal = match start_job(&ckpt, resume, "detect", config, schema.fingerprint())? {
+            Start::Fresh => Journal::new("detect", config, schema.fingerprint()),
+            Start::Resume(journal) => journal,
+            Start::AlreadyDone => return Ok(None),
+        };
+        let resuming = journal.cursor_rows > 0 || journal.output("findings.bin").is_some();
+        let findings_path = ckpt.dir().join("findings.bin");
+        let confidence_path = ckpt.dir().join("confidence.bits");
+
+        let cursor = journal.cursor_rows as usize;
+        let (findings, confidences, findings_out, confidence_out);
+        if resuming {
+            let bytes_watermark = |name: &str| -> Result<u64, CliError> {
+                match journal.output(name) {
+                    Some(Watermark::Bytes(n)) => Ok(n),
+                    _ => Err(CliError::Runtime(format!(
+                        "journal has no byte watermark for sidecar `{name}`; refusing to resume"
+                    ))),
+                }
+            };
+            let find_wm = bytes_watermark("findings.bin")?;
+            let conf_wm = bytes_watermark("confidence.bits")?;
+            if conf_wm != cursor as u64 * 8 {
+                return Err(CliError::Runtime(format!(
+                    "confidence.bits watermark ({conf_wm} bytes) disagrees with the cursor \
+                     ({cursor} rows); the checkpoint is inconsistent — refusing to resume"
+                )));
             }
-        };
-        let find_wm = bytes_watermark("findings.bin")?;
-        let conf_wm = bytes_watermark("confidence.bits")?;
-        if conf_wm != cursor as u64 * 8 {
-            return Err(CliError::Runtime(format!(
-                "confidence.bits watermark ({conf_wm} bytes) disagrees with the cursor \
-                 ({cursor} rows); the checkpoint is inconsistent — refusing to resume"
-            )));
+            let torn = |path: &Path, detail: String| {
+                jerr(dq_job::JobError::Torn { path: path.display().to_string(), detail })
+            };
+            findings =
+                decode_findings(&committed_sidecar(&findings_path, find_wm)?, schema.len(), cursor)
+                    .map_err(|detail| torn(&findings_path, detail))?;
+            confidences = committed_sidecar(&confidence_path, conf_wm)?
+                .chunks_exact(8)
+                .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
+                .collect::<Vec<f64>>();
+            findings_out =
+                CountingWriter::new(resume_file(&findings_path, find_wm).map_err(jerr)?, find_wm);
+            confidence_out =
+                CountingWriter::new(resume_file(&confidence_path, conf_wm).map_err(jerr)?, conf_wm);
+        } else {
+            findings = Vec::new();
+            confidences = Vec::new();
+            let create = |path: &Path| {
+                File::create(path)
+                    .map(|file| CountingWriter::new(file, 0))
+                    .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))
+            };
+            findings_out = create(&findings_path)?;
+            confidence_out = create(&confidence_path)?;
         }
-        let torn = |path: &Path, detail: String| {
-            jerr(dq_job::JobError::Torn { path: path.display().to_string(), detail })
+        let mut checkpoint = Checkpoint {
+            journal,
+            ckpt,
+            findings_out,
+            confidence_out,
+            every,
+            since_commit: 0,
+            record_buf: Vec::new(),
         };
-        findings = decode_findings(&committed_sidecar(&findings_path, find_wm)?)
-            .map_err(|detail| torn(&findings_path, detail))?;
-        confidences = committed_sidecar(&confidence_path, conf_wm)?
-            .chunks_exact(8)
-            .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
-            .collect::<Vec<f64>>();
-        findings_out =
-            CountingWriter::new(resume_file(&findings_path, find_wm).map_err(jerr)?, find_wm);
-        confidence_out =
-            CountingWriter::new(resume_file(&confidence_path, conf_wm).map_err(jerr)?, conf_wm);
-    } else {
-        findings = Vec::new();
-        confidences = Vec::new();
-        findings_out = CountingWriter::new(
-            File::create(&findings_path)
-                .map_err(|e| format!("{}: {e}", findings_path.display()))?,
-            0,
-        );
-        confidence_out = CountingWriter::new(
-            File::create(&confidence_path)
-                .map_err(|e| format!("{}: {e}", confidence_path.display()))?,
-            0,
-        );
+        checkpoint.commit(cursor, findings.len(), false)?;
+        Ok(Some(Scan { engine, findings, confidences, checkpoint: Some(checkpoint) }))
     }
 
-    let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
-    let mut state = ScanState {
-        engine,
-        findings,
-        confidences,
-        rows_scanned: cursor,
-        findings_out,
-        confidence_out,
-        journal,
-        ckpt,
-        every,
-    };
-    // Cursor-zero (or restored-state) commit before scanning: a crash
-    // anywhere after this leaves a journal to resume from.
-    state.commit(false)?;
-
-    let t0 = Instant::now();
-    let stream_error = if Path::new(input).is_dir() {
-        let paged = PagedTable::open(input, schema.clone()).map_err(|e| format!("{input}: {e}"))?;
-        if cursor % paged.page_rows() != 0 {
-            return Err(CliError::Runtime(format!(
-                "cursor {cursor} is not a page boundary of {} ({}-row pages); the checkpoint \
-                 does not belong to this spill — refusing to resume",
-                input,
-                paged.page_rows()
-            )));
+    /// Append one scanned batch's parts to the sidecars, committing
+    /// every `every` batches; `rows`/`n_findings` are the totals
+    /// including this batch.
+    fn spill(
+        &mut self,
+        findings: &[Finding],
+        confidences: &[f64],
+        rows: usize,
+        n_findings: usize,
+    ) -> Result<(), CliError> {
+        self.record_buf.clear();
+        for f in findings {
+            encode_finding(f, &mut self.record_buf);
         }
-        state.scan(paged.batches_from(cursor / paged.page_rows()))?
-    } else {
-        let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
-        let mut batches = CsvChunkReader::new(schema.clone(), BufReader::new(file), chunk_rows)
-            .map_err(|e| format!("{input}: {e}"))?;
-        batches.skip_data_rows(cursor).map_err(|e| format!("{input}: {e}"))?;
-        state.scan(batches)?
-    };
-    let secs = t0.elapsed().as_secs_f64();
-
-    let report = state.engine.report_from_parts(state.findings.clone(), state.confidences.clone());
-    if let Some(path) = flags.get("report") {
-        write_file(Path::new(path), &report.to_csv(&schema))?;
-    }
-    if let Some(path) = flags.get("corrections") {
-        let corrections = propose_corrections(&report);
-        write_file(Path::new(path), &corrections_to_csv(&corrections, &schema))?;
-    }
-    if stream_error.is_none() {
-        state.commit(true)?;
+        self.findings_out
+            .write_all(&self.record_buf)
+            .map_err(|e| CliError::Runtime(format!("findings.bin: {e}")))?;
+        self.record_buf.clear();
+        for c in confidences {
+            self.record_buf.extend_from_slice(&c.to_bits().to_le_bytes());
+        }
+        self.confidence_out
+            .write_all(&self.record_buf)
+            .map_err(|e| CliError::Runtime(format!("confidence.bits: {e}")))?;
+        self.since_commit += 1;
+        if self.since_commit >= self.every {
+            self.commit(rows, n_findings, false)?;
+        }
+        Ok(())
     }
 
-    say!(
-        "scanned {} rows in {secs:.2}s ({} per chunk{}): {} suspicious rows, {} findings at \
-         min confidence {}",
-        report.n_rows(),
-        chunk_rows,
-        if stream_error.is_some() { ", PARTIAL — the stream failed" } else { "" },
-        report.n_suspicious(),
-        report.findings.len(),
-        report.min_confidence,
-    );
-    if top > 0 && !report.findings.is_empty() {
-        say!("top findings:");
-        say!("{}", report.render_top(&schema, top));
-    }
-    match stream_error {
-        Some(e) => Err(CliError::Runtime(format!(
-            "{input}: {e} (the report covers the {} complete rows before the failure; the \
-             checkpoint in {} resumes from there)",
-            report.n_rows(),
-            ckpt_dir.display(),
-        ))),
-        None => Ok(()),
+    /// Flush the sidecars and save the journal at `rows` scanned rows.
+    fn commit(&mut self, rows: usize, n_findings: usize, done: bool) -> Result<(), CliError> {
+        let dir = self.ckpt.dir().display().to_string();
+        self.findings_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
+        self.confidence_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
+        self.journal.cursor_rows = rows as u64;
+        self.journal.set_counter("findings", n_findings as u64);
+        self.journal.set_output("findings.bin", Watermark::Bytes(self.findings_out.count()));
+        self.journal.set_output("confidence.bits", Watermark::Bytes(self.confidence_out.count()));
+        self.journal.done = done;
+        self.since_commit = 0;
+        self.ckpt.save(&self.journal).map_err(jerr)
     }
 }
 

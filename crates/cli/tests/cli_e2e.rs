@@ -334,8 +334,9 @@ fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
     assert!(out.contains("spilled dirty relation"), "got: {out}");
     dq_ok(&["induce", "--schema", &schema, "--input", &dir.path("dirty.csv"), "--model", &model]);
 
-    // Auditing the paged spill reports exactly what the CSV does.
-    dq_ok(&[
+    // Auditing the paged spill reports exactly what the CSV does, and
+    // its summary names the page size it actually scanned.
+    let out = dq_ok(&[
         "detect",
         "--schema",
         &schema,
@@ -348,6 +349,7 @@ fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
         "--top",
         "0",
     ]);
+    assert!(out.contains("(97 per page"), "got: {out}");
     dq_ok(&[
         "detect",
         "--schema",

@@ -521,6 +521,57 @@ fn resume_edge_cases_are_loud_refusals() {
         "unexpected stdout: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+
+    // A corrupt detect sidecar is refused as torn, never trusted and
+    // never a panic: a finding record naming an attribute outside the
+    // schema, or a row past the journaled cursor.
+    let model = dir.path("model.dqm");
+    dq_ok(&["induce", "--schema", &schema, "--input", &clean, "--model", &model]);
+    let audited = format!("{data}/dirty.csv");
+    let report = dir.path("report.csv");
+    let detect_ckpt = dir.path("detect-ckpt");
+    let detect_args = [
+        "detect",
+        "--schema",
+        &schema,
+        "--model",
+        &model,
+        "--input",
+        &audited,
+        "--report",
+        &report,
+        "--chunk-rows",
+        "64",
+        "--top",
+        "0",
+        "--checkpoint",
+        &detect_ckpt,
+        "--checkpoint-every",
+        "1",
+    ];
+    let mut resume_args = detect_args.to_vec();
+    resume_args.push("--resume");
+    // 500 rows in 64-row chunks: the initial commit plus 8 batch
+    // commits, so the 9th save leaves every batch committed, not done.
+    let out = dq_env(&detect_args, &[("DQ_CRASH_AFTER_COMMITS", "9")]);
+    assert!(!out.status.success(), "detect victim should crash");
+    let sidecar = format!("{detect_ckpt}/findings.bin");
+    let committed = bytes(&sidecar);
+    assert!(committed.len() >= 50, "the fixture must commit at least one finding record");
+    for (field, value, expected) in
+        [(8..16, 255u64, "attribute 255"), (0..8, 1_000_000u64, "row 1000000")]
+    {
+        let mut corrupt = committed.clone();
+        corrupt[field].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(&sidecar, &corrupt).expect("corrupt sidecar");
+        let out = dq(&resume_args);
+        assert_eq!(out.status.code(), Some(1), "corrupt {expected}: {}", stderr_of(&out));
+        let stderr = stderr_of(&out);
+        assert!(stderr.contains("torn or corrupt") && stderr.contains(expected), "got: {stderr}");
+    }
+    std::fs::write(&sidecar, &committed).expect("restore sidecar");
+    let out = dq(&resume_args);
+    assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
 }
 
 #[test]

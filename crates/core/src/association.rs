@@ -10,9 +10,9 @@
 //! are available here so the comparison experiment can quantify the
 //! difference.
 
+use crate::engine::scan_sharded;
 use crate::error::AuditError;
 use crate::report::{AuditReport, Finding};
-use dq_exec::WorkerPool;
 use dq_logic::{Atom, CompiledRuleSet, Formula, RecordView, Rule, RuleSet, NONE_CODE};
 use dq_mining::apriori::item_parts;
 use dq_mining::{Apriori, AprioriConfig, AssociationRule};
@@ -92,16 +92,10 @@ impl AssociationAuditor {
         let rules = association_rule_set(miner);
         let compiled = CompiledRuleSet::compile(&rules, table.n_cols());
         let index = GuardIndex::build(&compiled, table.n_cols());
-        let pool = WorkerPool::from_config(self.config.threads);
-        let chunks = table.chunks(pool.threads());
-        let partials =
-            pool.map_indexed(&chunks, |_, chunk| self.scan_chunk(miner, &compiled, &index, chunk));
-        let mut findings = Vec::new();
-        let mut record_confidence = Vec::with_capacity(table.n_rows());
-        for (chunk_findings, chunk_confidence) in partials {
-            findings.extend(chunk_findings);
-            record_confidence.extend(chunk_confidence);
-        }
+        let (findings, record_confidence) =
+            scan_sharded(self.config.threads.pool(), table, 0, |chunk| {
+                self.scan_chunk(miner, &compiled, &index, chunk)
+            });
         AuditReport::new(findings, record_confidence, self.config.min_confidence)
     }
 

@@ -61,16 +61,6 @@ pub struct AuditConfig {
     /// the environment. Results are identical at every thread count —
     /// parallelism only changes wall-clock time.
     pub threads: Parallelism,
-    /// SPRINT-style intra-attribute workers for C4.5 split search:
-    /// within a single tree node, the numeric boundary-cut scan and
-    /// the nominal count-matrix accumulation are sharded across this
-    /// many threads. The default is [`Parallelism::serial`] — a
-    /// serial split search; per-attribute fan-out via
-    /// [`AuditConfig::threads`] is usually enough. Set it when the
-    /// table is wide in rows but narrow in attributes, where
-    /// per-attribute fan-out alone caps the speedup at the attribute
-    /// count. Byte-identical results at every thread count.
-    pub split_threads: Parallelism,
 }
 
 impl Default for AuditConfig {
@@ -86,7 +76,6 @@ impl Default for AuditConfig {
             audited_attrs: None,
             base_attr_overrides: Vec::new(),
             threads: Parallelism::AUTO,
-            split_threads: Parallelism::serial(),
         }
     }
 }
@@ -266,22 +255,10 @@ impl Auditor {
             _ => None,
         };
         let pool = WorkerPool::from_config(self.config.threads);
-        // Optional second-level pool for intra-node split search; the
-        // scoped-thread design makes nesting safe. One resolved worker
-        // means "no nested pool" — the serial split path.
-        let split = self.config.split_threads.resolve();
-        let split_pool = (split > 1).then(|| WorkerPool::new(split));
         let models = pool
             .map_indexed(&audited, |_, &class_attr| {
                 let train = self.training_set(table, class_attr)?;
-                self.induce_one(
-                    &train,
-                    class_attr,
-                    min_inst,
-                    reference,
-                    cache.as_ref(),
-                    split_pool.as_ref(),
-                )
+                self.induce_one(&train, class_attr, min_inst, reference, cache.as_ref())
             })
             .into_iter()
             .collect::<Result<Vec<AttrModel>, AuditError>>()?;
@@ -313,7 +290,6 @@ impl Auditor {
         min_inst: f64,
         reference: bool,
         cache: Option<&TableCache>,
-        split_pool: Option<&WorkerPool>,
     ) -> Result<AttrModel, AuditError> {
         let wrap = |source| AuditError::Induction { class_attr, source };
         match &self.config.inducer {
@@ -326,8 +302,6 @@ impl Auditor {
                 let inducer = C45Inducer::new(cfg);
                 let mut tree = if reference {
                     inducer.induce_tree_reference(train).map_err(wrap)?
-                } else if let Some(pool) = split_pool {
-                    inducer.induce_tree_parallel(train, cache, pool).map_err(wrap)?
                 } else if let Some(cache) = cache {
                     inducer.induce_tree_cached(train, cache).map_err(wrap)?
                 } else {
@@ -392,21 +366,6 @@ impl Auditor {
         model: &StructureModel,
         batches: impl dq_table::BatchSource,
     ) -> Result<AuditReport, AuditError> {
-        let (report, error) = engine::detect_batches(model, self.config.threads, batches);
-        match error {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-
-    /// Streaming detection that keeps the partial report when a batch
-    /// fails mid-stream: the report covers every complete batch before
-    /// the failure. See [`crate::AuditEngine::detect_stream_partial`].
-    pub fn detect_stream_partial(
-        &self,
-        model: &StructureModel,
-        batches: impl dq_table::BatchSource,
-    ) -> (AuditReport, Option<AuditError>) {
         engine::detect_batches(model, self.config.threads, batches)
     }
 
@@ -654,40 +613,6 @@ mod tests {
             assert_eq!(model_p.render(t.schema()), model_s.render(t.schema()));
             assert_eq!(report_p.findings, report_s.findings, "threads={threads}");
             assert_eq!(report_p.record_confidence, report_s.record_confidence);
-        }
-    }
-
-    #[test]
-    fn split_threads_do_not_change_the_model() {
-        // Mixed types and enough rows that the intra-node SPRINT
-        // sharding actually engages at the root (numeric cut scan +
-        // nominal matrix accumulation).
-        let schema = SchemaBuilder::new()
-            .nominal("a", ["p", "q", "r"])
-            .numeric("x", 0.0, 100.0)
-            .nominal("y", ["lo", "hi"])
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..6000u32 {
-            let a = i % 3;
-            let x = if i % 7 == 0 { Value::Null } else { Value::Number(f64::from(i % 13)) };
-            t.push_row(&[Value::Nominal(a), x, Value::Nominal(u32::from(i % 13 >= 6))]).unwrap();
-        }
-        let base =
-            Auditor::new(AuditConfig { threads: Parallelism::serial(), ..AuditConfig::default() });
-        let (model_b, report_b) = base.run(&t).unwrap();
-        for split_threads in [1, 2, 4] {
-            let par = Auditor::new(AuditConfig {
-                threads: Parallelism::serial(),
-                split_threads: split_threads.into(),
-                ..AuditConfig::default()
-            });
-            let (model_p, report_p) = par.run(&t).unwrap();
-            assert_eq!(model_p.render(t.schema()), model_b.render(t.schema()));
-            assert_eq!(report_p.findings, report_b.findings, "split_threads={split_threads}");
-            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&report_p.record_confidence), bits(&report_b.record_confidence));
         }
     }
 

@@ -24,7 +24,7 @@ use crate::auditor::{materialize_class, AttrModel, StructureModel};
 use crate::error::AuditError;
 use crate::report::{AuditReport, Finding};
 use crate::structure_rules::StructureRuleSet;
-use dq_exec::Parallelism;
+use dq_exec::{Parallelism, WorkerPool};
 use dq_table::{BatchSource, CsvChunkReader, RowSlice, Schema, Table, Value};
 use std::io::BufRead;
 use std::path::Path;
@@ -128,51 +128,19 @@ impl AuditEngine {
     /// byte-identical to it: the first failing batch aborts the scan
     /// with its error.
     pub fn detect_stream(&self, batches: impl BatchSource) -> Result<AuditReport, AuditError> {
-        let (report, error) = detect_batches(&self.model, self.threads, batches);
-        match error {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-
-    /// Streaming detection that **keeps the partial report** when the
-    /// stream fails mid-way: returns the report over every complete
-    /// batch before the failure, plus the error itself. With no error
-    /// the report covers the whole stream and equals
-    /// [`AuditEngine::detect_stream`]'s.
-    ///
-    /// Rows inside the failing batch are not recoverable (a torn batch
-    /// never materializes — see [`CsvChunkReader`]); the partial
-    /// report ends at the last complete batch boundary.
-    pub fn detect_stream_partial(
-        &self,
-        batches: impl BatchSource,
-    ) -> (AuditReport, Option<AuditError>) {
         detect_batches(&self.model, self.threads, batches)
     }
 
     /// Scan one batch whose first row has global index `row_offset`,
     /// returning the batch's findings (row indices globalized) and its
     /// per-row error confidences in row order — the incremental unit a
-    /// checkpointed `dq detect` persists at each commit. The
-    /// arithmetic is exactly the streaming scan's, so accumulating
-    /// parts across batches and finishing with
+    /// `dq detect` accumulates (and, checkpointed, persists at each
+    /// commit). The arithmetic is exactly the streaming scan's, so
+    /// accumulating parts across batches and finishing with
     /// [`AuditEngine::report_from_parts`] is byte-identical to one
     /// uninterrupted [`AuditEngine::detect_stream`].
     pub fn scan_batch(&self, batch: &Table, row_offset: usize) -> (Vec<Finding>, Vec<f64>) {
-        let pool = self.threads.pool();
-        let chunks = batch.chunks(pool.threads());
-        let partials = pool.map_indexed(&chunks, |_, chunk| scan_chunk(&self.model, chunk));
-        let mut findings = Vec::new();
-        let mut confidences = Vec::with_capacity(batch.n_rows());
-        for (chunk_findings, chunk_confidence) in partials {
-            findings.extend(chunk_findings.into_iter().map(|mut f| {
-                f.row += row_offset;
-                f
-            }));
-            confidences.extend(chunk_confidence);
-        }
-        (findings, confidences)
+        scan_sharded(self.threads.pool(), batch, row_offset, |chunk| scan_chunk(&self.model, chunk))
     }
 
     /// Assemble the final report from parts accumulated by
@@ -212,69 +180,75 @@ impl AuditEngine {
     }
 }
 
+/// The one shard–scan–merge loop behind every detection path: split
+/// `table` into one row chunk per worker of `pool`, scan the chunks
+/// with `scan`, and concatenate the partial findings (row indices
+/// shifted by `row_offset`) and per-row confidences in row order.
+/// Sharding happens strictly at chunk granularity, so the output is
+/// bit-identical at every worker count.
+pub(crate) fn scan_sharded<S>(
+    pool: WorkerPool,
+    table: &Table,
+    row_offset: usize,
+    scan: S,
+) -> (Vec<Finding>, Vec<f64>)
+where
+    S: Fn(&RowSlice<'_>) -> (Vec<Finding>, Vec<f64>) + Sync,
+{
+    let chunks = table.chunks(pool.threads());
+    let mut partials = pool.map_indexed(&chunks, |_, chunk| scan(chunk)).into_iter();
+    let (mut findings, mut confidences) = partials.next().unwrap_or_default();
+    confidences.reserve_exact(table.n_rows() - confidences.len());
+    for (chunk_findings, chunk_confidences) in partials {
+        findings.extend(chunk_findings);
+        confidences.extend(chunk_confidences);
+    }
+    for f in &mut findings {
+        f.row += row_offset;
+    }
+    (findings, confidences)
+}
+
 /// A chunk scanner: the columnar [`scan_chunk`] or the reference
 /// [`scan_chunk_reference`].
 pub(crate) type ScanFn = fn(&StructureModel, &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>);
 
-/// The in-memory detection core shared by [`AuditEngine::detect`] and
-/// [`crate::Auditor::detect`]: shard the table into one row chunk per
-/// worker, scan, merge partial reports in row order.
+/// In-memory detection over a whole table, shared by
+/// [`AuditEngine::detect`] and [`crate::Auditor::detect`] (and, with
+/// [`scan_chunk_reference`], its reference twin).
 pub(crate) fn detect_table(
     model: &StructureModel,
     table: &Table,
     threads: Parallelism,
     scan: ScanFn,
 ) -> AuditReport {
-    let cfg = model.config();
-    let pool = threads.pool();
-    let chunks = table.chunks(pool.threads());
-    let partials = pool.map_indexed(&chunks, |_, chunk| scan(model, chunk));
-    let mut findings = Vec::new();
-    let mut record_confidence = Vec::with_capacity(table.n_rows());
-    for (chunk_findings, chunk_confidence) in partials {
-        findings.extend(chunk_findings);
-        record_confidence.extend(chunk_confidence);
-    }
-    AuditReport::new(findings, record_confidence, cfg.min_confidence)
+    let (findings, record_confidence) =
+        scan_sharded(threads.pool(), table, 0, |chunk| scan(model, chunk));
+    AuditReport::new(findings, record_confidence, model.config().min_confidence)
 }
 
-/// The streaming detection core shared by the engine and the batch
-/// auditor: scan batches in order, offsetting row indices globally;
-/// stop at the first failing batch and return what was scanned so far
-/// together with the error. Byte-identical to the in-memory core over
-/// the concatenated batches, for every batch size and thread count.
+/// Streaming detection, shared by the engine and the batch auditor:
+/// scan batches in order with globally offset row indices; the first
+/// failing batch aborts with its error. Byte-identical to the
+/// in-memory core over the concatenated batches, for every batch size
+/// and thread count.
 pub(crate) fn detect_batches(
     model: &StructureModel,
     threads: Parallelism,
     mut batches: impl BatchSource,
-) -> (AuditReport, Option<AuditError>) {
-    let cfg = model.config();
+) -> Result<AuditReport, AuditError> {
     let pool = threads.pool();
     let mut findings = Vec::new();
     let mut record_confidence = Vec::with_capacity(batches.row_count_hint().unwrap_or(0));
-    let mut offset = 0usize;
-    let mut error = None;
-    loop {
-        let batch = match batches.next_batch() {
-            Ok(Some(batch)) => batch,
-            Ok(None) => break,
-            Err(e) => {
-                error = Some(AuditError::from(e));
-                break;
-            }
-        };
-        let chunks = batch.chunks(pool.threads());
-        let partials = pool.map_indexed(&chunks, |_, chunk| scan_chunk(model, chunk));
-        for (chunk_findings, chunk_confidence) in partials {
-            findings.extend(chunk_findings.into_iter().map(|mut f| {
-                f.row += offset;
-                f
-            }));
-            record_confidence.extend(chunk_confidence);
-        }
-        offset += batch.n_rows();
+    while let Some(batch) = batches.next_batch()? {
+        // One confidence per scanned row: the count so far is the
+        // batch's global row offset.
+        let offset = record_confidence.len();
+        let (f, c) = scan_sharded(pool, &batch, offset, |chunk| scan_chunk(model, chunk));
+        findings.extend(f);
+        record_confidence.extend(c);
     }
-    (AuditReport::new(findings, record_confidence, cfg.min_confidence), error)
+    Ok(AuditReport::new(findings, record_confidence, model.config().min_confidence))
 }
 
 /// Scan one row chunk against the structure model, returning the
@@ -422,7 +396,7 @@ pub(crate) fn scan_chunk_reference(
 mod tests {
     use super::*;
     use crate::auditor::Auditor;
-    use dq_table::{ReplaySource, SchemaBuilder, TableError, Value};
+    use dq_table::{SchemaBuilder, Value};
 
     fn fixture() -> Table {
         let schema = SchemaBuilder::new()
@@ -500,44 +474,5 @@ mod tests {
         let single = engine.detect_record_csv(last).unwrap();
         assert_eq!(single.n_rows(), 1);
         assert!(single.is_flagged(0), "the deviant record must be flagged alone");
-    }
-
-    #[test]
-    fn detect_stream_partial_keeps_complete_batches() {
-        let t = fixture();
-        let auditor = Auditor::default();
-        let model = auditor.induce(&t).unwrap();
-        let schema = t.schema().clone();
-        let engine = AuditEngine::new(model, schema.clone());
-
-        // Two good batches, then a torn one.
-        let (a, b) = (sub_table(&t, 0, 400), sub_table(&t, 400, 800));
-        let batches = ReplaySource::new(
-            schema.clone(),
-            vec![
-                Ok(a.clone()),
-                Ok(b.clone()),
-                Err(TableError::CsvCell { line: 802, column: "n".into(), message: "boom".into() }),
-            ],
-        );
-        let (partial, err) = engine.detect_stream_partial(batches);
-        assert_eq!(partial.n_rows(), 800);
-        match err {
-            Some(AuditError::Table(TableError::CsvCell { line, .. })) => assert_eq!(line, 802),
-            other => panic!("expected the CSV cell error, got {other:?}"),
-        }
-        // The partial equals an in-memory detect over the first 800 rows.
-        let first800 = sub_table(&t, 0, 800);
-        assert_eq!(partial.to_csv(&schema), engine.detect(&first800).to_csv(&schema));
-    }
-
-    fn sub_table(t: &Table, from: usize, to: usize) -> Table {
-        let mut out = Table::new(t.schema().clone());
-        let mut record = Vec::new();
-        for r in from..to {
-            t.row_into(r, &mut record);
-            out.push_row_lenient(&record).unwrap();
-        }
-        out
     }
 }

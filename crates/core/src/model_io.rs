@@ -442,7 +442,6 @@ pub fn parse_model<R: BufRead>(schema: &Schema, input: R) -> Result<StructureMod
         audited_attrs: parse_attr_list(get("config.audited-attrs")?)?,
         base_attr_overrides: parse_overrides(get("config.base-attr-overrides")?)?,
         threads: dq_exec::Parallelism::AUTO, // runtime knob, never persisted
-        split_threads: dq_exec::Parallelism::serial(), // likewise
     };
     let min_inst = r.parse_f64(get("min-inst")?)?;
     let n_models = r.parse_usize(get("models")?)?;

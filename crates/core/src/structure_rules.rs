@@ -19,6 +19,7 @@
 
 use crate::auditor::{materialize_class, StructureModel};
 use crate::confidence::null_error_confidence;
+use crate::engine::scan_sharded;
 use crate::report::{AuditReport, Finding};
 use dq_logic::pairs::pair_conflict;
 use dq_logic::{
@@ -132,15 +133,8 @@ impl StructureRuleSet {
     /// [`StructureRuleSet::detect_reference`], so the report is
     /// byte-identical at every thread count.
     pub fn detect(&self, table: &Table, threads: impl Into<dq_exec::Parallelism>) -> AuditReport {
-        let pool = threads.into().pool();
-        let chunks = table.chunks(pool.threads());
-        let partials = pool.map_indexed(&chunks, |_, chunk| self.scan_chunk(chunk));
-        let mut findings = Vec::new();
-        let mut record_confidence = Vec::with_capacity(table.n_rows());
-        for (chunk_findings, chunk_confidence) in partials {
-            findings.extend(chunk_findings);
-            record_confidence.extend(chunk_confidence);
-        }
+        let (findings, record_confidence) =
+            scan_sharded(threads.into().pool(), table, 0, |chunk| self.scan_chunk(chunk));
         AuditReport::new(findings, record_confidence, self.min_confidence)
     }
 

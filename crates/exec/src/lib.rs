@@ -190,11 +190,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// `true` when the pool runs inline on the caller's thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Apply `f` to every item, returning results **in input order**
     /// regardless of completion order. `f` receives the input index
     /// alongside the item. On one effective worker the closure runs
@@ -378,8 +373,8 @@ mod tests {
         assert_eq!(resolve_threads(Some(0)), 1, "zero clamps to the serial path");
         assert!(resolve_threads(None) >= 1);
         assert_eq!(WorkerPool::new(0).threads(), 1);
-        assert!(WorkerPool::new(1).is_serial());
-        assert!(!WorkerPool::new(2).is_serial());
+        assert_eq!(WorkerPool::new(1).threads(), 1);
+        assert_eq!(WorkerPool::new(2).threads(), 2);
         assert_eq!(WorkerPool::from_config(Some(3)).threads(), 3);
     }
 
@@ -388,7 +383,7 @@ mod tests {
         // One resolution rule: explicit > DQ_THREADS > cores.
         assert_eq!(Parallelism::explicit(4).resolve(), 4);
         assert_eq!(Parallelism::explicit(0).resolve(), 1, "explicit zero clamps");
-        assert!(Parallelism::serial().pool().is_serial());
+        assert_eq!(Parallelism::serial().pool().threads(), 1);
         assert!(Parallelism::AUTO.is_auto());
         assert!(Parallelism::AUTO.resolve() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::AUTO);

@@ -12,8 +12,8 @@
 //!   its first half (when non-empty), and the *next* call reports the
 //!   injected, located error. Per the `BatchSource` contract a tear is
 //!   always loud — `Err`, never a silently shorter relation — which is
-//!   exactly what lets `detect_stream_partial` flush the rows before
-//!   the tear and still mark the scan partial;
+//!   exactly what lets `dq detect` flush the report over the rows
+//!   before the tear and still mark the scan partial;
 //! * `short batch N cap C` — from batch `N` on, emitted batches carry
 //!   at most `C` rows (the inner batch is re-chunked; the remainder is
 //!   emitted next). Benign: the concatenated row stream is identical,

@@ -28,7 +28,6 @@ use crate::classifier::{Classifier, Inducer, Prediction};
 use crate::columns::{BaseColumn, ColumnarTraining, TableCache};
 use crate::dataset::TrainingSet;
 use crate::error::MiningError;
-use dq_exec::WorkerPool;
 use dq_stats::{argmax, expected_error_confidence, max_error_confidence};
 use dq_table::{AttrIdx, AttrType, Schema, Value};
 
@@ -36,12 +35,6 @@ use dq_table::{AttrIdx, AttrType, Schema, Value};
 /// fractional distribution otherwise produces dust that costs time and
 /// adds nothing to any count.
 pub(crate) const MIN_WEIGHT: f64 = 1e-6;
-
-/// Nodes with fewer instances than this run their split search
-/// serially even when an intra-node worker pool is attached: below it
-/// the per-call thread handoff costs more than the scan itself, and
-/// deep-tree nodes are small. Results are identical either way.
-const PARALLEL_MIN_INSTANCES: usize = 4096;
 
 /// Pruning strategy.
 ///
@@ -690,32 +683,6 @@ impl C45Inducer {
         Ok(self.finish_tree(train, root))
     }
 
-    /// [`C45Inducer::induce_tree`] with SPRINT-style **intra-node**
-    /// parallelism: large nodes shard their nominal count accumulation
-    /// across base attributes and their threshold/boundary-cut scans
-    /// across contiguous cut segments on `pool`, so induction speedup
-    /// is no longer capped at the attribute count. Every partial is
-    /// produced by the same float operations in the same per-cell /
-    /// per-cut order as the serial sweep, so the induced tree is
-    /// **byte-identical** at every thread count (and to
-    /// [`C45Inducer::induce_tree`] / the reference path).
-    pub fn induce_tree_parallel(
-        &self,
-        train: &TrainingSet<'_>,
-        cache: Option<&TableCache>,
-        pool: &WorkerPool,
-    ) -> Result<DecisionTree, MiningError> {
-        self.config.validate()?;
-        let mut ctx = InductionContext::new(train, &self.config, cache);
-        if !pool.is_serial() {
-            ctx.pool = Some(pool);
-        }
-        let root_set = NodeSet::root(&ctx);
-        let mut scratch = Scratch::new(ctx.card);
-        let root = grow(&ctx, &mut scratch, root_set, 0);
-        Ok(self.finish_tree(train, root))
-    }
-
     /// Reference implementation: the pre-columnar row-at-a-time
     /// induction, which re-sorts every ordered attribute at every tree
     /// node and reads cells through [`dq_table::Table::get`]. Kept —
@@ -779,12 +746,6 @@ struct InductionContext<'a, 'b> {
     nominal_layout: Vec<(usize, usize, usize)>,
     /// Total length of that flat matrix.
     nominal_len: usize,
-    /// Intra-node worker pool (SPRINT-style): when attached, large
-    /// nodes shard their count accumulation across attributes and
-    /// their threshold scans across cut segments. `None` (the
-    /// default) is the exact serial path; the grown tree is
-    /// byte-identical either way.
-    pool: Option<&'a WorkerPool>,
 }
 
 impl<'a, 'b> InductionContext<'a, 'b> {
@@ -824,7 +785,6 @@ impl<'a, 'b> InductionContext<'a, 'b> {
             ordered_idx,
             nominal_layout,
             nominal_len,
-            pool: None,
         }
     }
 
@@ -852,7 +812,6 @@ impl<'a, 'b> InductionContext<'a, 'b> {
             ordered_idx: Vec::new(),
             nominal_layout: Vec::new(),
             nominal_len: 0,
-            pool: None,
         }
     }
 
@@ -1297,90 +1256,19 @@ fn select_split_columnar(
         let flat = &mut scratch.counts;
         let missing = &mut scratch.nominal_missing;
         let ordered_missing = &mut scratch.ordered_missing;
-        let use_pool = ctx.pool.filter(|_| {
-            node_set.instances.len() >= PARALLEL_MIN_INSTANCES
-                && nominal_cols.len() + ordered_known.len() >= 2
-        });
-        if let Some(pool) = use_pool {
-            // SPRINT-style attribute sharding: one accumulation unit
-            // per base attribute, fanned across the pool. Each unit
-            // touches a disjoint slice of the flat matrix and adds its
-            // per-instance weights in the exact instance order of the
-            // serial pass, so every cell is bit-identical.
-            enum Unit<'c> {
-                Nominal { codes: &'c [u32], card_attr: usize, offset: usize, layout_i: usize },
-                Ordered { known: &'c [bool], oi: usize },
-            }
-            enum UnitCounts {
-                Nominal { offset: usize, layout_i: usize, seg: Vec<f64>, missing: f64 },
-                Ordered { oi: usize, missing: f64 },
-            }
-            let units: Vec<Unit> = nominal_cols
-                .iter()
-                .map(|&(codes, card_attr, offset, layout_i)| Unit::Nominal {
-                    codes,
-                    card_attr,
-                    offset,
-                    layout_i,
-                })
-                .chain(
-                    ordered_known
-                        .iter()
-                        .enumerate()
-                        .map(|(oi, &known)| Unit::Ordered { known, oi }),
-                )
-                .collect();
-            let instances = &node_set.instances;
-            let class_codes = &ctx.cols.class_codes;
-            let results = pool.map_indexed(&units, |_, unit| match *unit {
-                Unit::Nominal { codes, card_attr, offset, layout_i } => {
-                    let mut seg = vec![0.0; card_attr * card];
-                    let mut miss = 0.0;
-                    for &(row, w) in instances {
-                        let class = class_codes[row as usize] as usize;
-                        let code = codes[row as usize] as usize;
-                        if code < card_attr {
-                            seg[code * card + class] += w;
-                        } else {
-                            miss += w;
-                        }
-                    }
-                    UnitCounts::Nominal { offset, layout_i, seg, missing: miss }
-                }
-                Unit::Ordered { known, oi } => {
-                    let mut miss = 0.0;
-                    for &(row, w) in instances {
-                        if !known[row as usize] {
-                            miss += w;
-                        }
-                    }
-                    UnitCounts::Ordered { oi, missing: miss }
-                }
-            });
-            for r in results {
-                match r {
-                    UnitCounts::Nominal { offset, layout_i, seg, missing: m } => {
-                        flat[offset..offset + seg.len()].copy_from_slice(&seg);
-                        missing[layout_i] = m;
-                    }
-                    UnitCounts::Ordered { oi, missing: m } => ordered_missing[oi] = m,
+        for &(row, w) in &node_set.instances {
+            let class = ctx.cols.class_codes[row as usize] as usize;
+            for &(codes, card_attr, offset, layout_i) in &nominal_cols {
+                let code = codes[row as usize] as usize;
+                if code < card_attr {
+                    flat[offset + code * card + class] += w;
+                } else {
+                    missing[layout_i] += w;
                 }
             }
-        } else {
-            for &(row, w) in &node_set.instances {
-                let class = ctx.cols.class_codes[row as usize] as usize;
-                for &(codes, card_attr, offset, layout_i) in &nominal_cols {
-                    let code = codes[row as usize] as usize;
-                    if code < card_attr {
-                        flat[offset + code * card + class] += w;
-                    } else {
-                        missing[layout_i] += w;
-                    }
-                }
-                for (oi, known) in ordered_known.iter().enumerate() {
-                    if !known[row as usize] {
-                        ordered_missing[oi] += w;
-                    }
+            for (oi, known) in ordered_known.iter().enumerate() {
+                if !known[row as usize] {
+                    ordered_missing[oi] += w;
                 }
             }
         }
@@ -1443,6 +1331,24 @@ fn select_split_columnar(
 /// iterates only the classes present in the node (absent classes have
 /// zero counts on both sides and contribute nothing in either
 /// implementation).
+///
+/// The evaluated-cut set is thinned with the Fayyad-Irani boundary
+/// theorem (Fayyad & Irani 1992): the information-gain optimum of a
+/// binary split never lies strictly inside a run of same-class
+/// instances, so a cut whose two adjacent value groups are both pure
+/// with the same class cannot win and its (expensive) entropy
+/// evaluation is skipped. Two refinements keep the *selection* exactly
+/// legacy-equivalent:
+///
+/// * the min-branch feasibility window clips runs — the gain is convex
+///   within a run, so its maximum over the feasible part of a run sits
+///   at the first or last *feasible* cut, which are evaluated even
+///   when run-interior (the last one retroactively, from a saved
+///   low-side snapshot, preserving the ascending first-maximum tie
+///   order);
+/// * every evaluated cut computes `low_w` and its entropies with the
+///   same float operations in the same order as the exhaustive scan,
+///   so the winning `(gain, threshold)` is bit-identical.
 fn threshold_candidate_presorted(
     ctx: &InductionContext,
     scratch: &mut Scratch,
@@ -1505,68 +1411,116 @@ fn threshold_candidate_presorted(
     }
     let n_groups = groups.len();
 
-    let params = CutScanParams {
-        values,
-        classes,
-        weights,
-        all,
-        present,
-        groups: &groups,
-        known_weight,
-        parent_entropy,
-        min_side,
-        guard,
-    };
+    let low = &mut low[..card];
+    let pending_low = &mut pending_low[..card];
     let best_low = &mut best_low[..card];
-    let best = match ctx.pool {
-        Some(pool) if n >= PARALLEL_MIN_INSTANCES && n_groups > 2 * pool.threads() => {
-            // SPRINT-style segmented scan: contiguous cut ranges, one
-            // per worker. Each worker replays its prefix (the cheap
-            // additive state only — no entropy evaluations), then
-            // evaluates exactly the cuts of its range; merging worker
-            // bests in range order under the same strict-greater test
-            // replays the serial sweep's ascending first-maximum
-            // selection bit for bit.
-            let k = pool.threads();
-            let n_cuts = n_groups - 1;
-            let ranges: Vec<(usize, usize)> = (0..k)
-                .map(|w| (1 + n_cuts * w / k, 1 + n_cuts * (w + 1) / k))
-                .filter(|(from, to)| from < to)
-                .collect();
-            let partials = pool.map_indexed(&ranges, |_, &(from, to)| {
-                let mut low = vec![0.0; card];
-                let mut pending_low = vec![0.0; card];
-                let mut seg_best_low = vec![0.0; card];
-                let b = scan_cut_range(
-                    &params,
-                    from,
-                    to,
-                    &mut low,
-                    &mut pending_low,
-                    &mut seg_best_low,
-                );
-                (b, seg_best_low)
-            });
-            let mut best: Option<(f64, f64, usize)> = None;
-            for (seg, seg_low) in &partials {
-                if let Some((g, x, pos)) = *seg {
-                    if best.is_none_or(|(bg, _, _)| g > bg) {
-                        best = Some((g, x, pos));
-                        best_low.copy_from_slice(&seg_low[..card]);
+    low.fill(0.0);
+    // Entropy evaluation of one cut from its low-side class counts.
+    let evaluate = |low: &[f64], low_w: f64, high_w: f64| {
+        let mut high_entropy = 0.0;
+        let mut low_entropy = 0.0;
+        for &k in present.iter() {
+            let l = low[k as usize];
+            if l > 0.0 {
+                let p = l / low_w;
+                low_entropy -= p * p.log2();
+            }
+            let h = all[k as usize] - l;
+            if h > 0.0 {
+                let p = h / high_w;
+                high_entropy -= p * p.log2();
+            }
+        }
+        parent_entropy - low_w / known_weight * low_entropy - high_w / known_weight * high_entropy
+    };
+    // Feasibility is checked exactly (fresh `low_w` sum) at evaluated
+    // cuts and near the window edges; far from the edges a running
+    // surrogate decides. The surrogate's drift is bounded by ~n·ε
+    // relative error, orders of magnitude inside the guard band, so
+    // its verdicts agree with the exact check everywhere it is used.
+    let fresh_low_w = |low: &[f64]| {
+        let mut low_w = 0.0;
+        for &k in present.iter() {
+            low_w += low[k as usize];
+        }
+        low_w
+    };
+    // Best cut so far: `(gain, threshold, end index of its low side)`;
+    // its low-side class counts are kept in `best_low` so the final
+    // branch-count pass only has to re-accumulate the high side.
+    let mut best: Option<(f64, f64, usize)> = None;
+    // Pending skipped-but-feasible cut: its threshold and low-side end
+    // index, with its low-side snapshot in `pending_low`. If the
+    // feasibility window closes before another cut is evaluated, this
+    // was the last feasible cut and is evaluated retroactively (its
+    // exact `low_w` is re-derived from the snapshot by the same
+    // present-class sum).
+    let mut pending: Option<(f64, usize)> = None;
+    let mut run_low = 0.0f64;
+    let mut was_feasible = false;
+    for g in 0..n_groups {
+        let start = groups[g].0 as usize;
+        // The cut between group g-1 and group g.
+        if g >= 1 {
+            let run_high = known_weight - run_low;
+            let feasible =
+                if (run_low - min_side).abs() > guard && (run_high - min_side).abs() > guard {
+                    // Far from both window edges: the surrogate's verdict
+                    // is certain.
+                    run_low > min_side && run_high > min_side
+                } else {
+                    let low_w = fresh_low_w(low);
+                    !(low_w < min_side || known_weight - low_w < min_side)
+                };
+            if feasible {
+                let boundary = !(groups[g - 1].1.is_some() && groups[g - 1].1 == groups[g].1);
+                if boundary || !was_feasible {
+                    // Run boundary, or the first feasible cut of a
+                    // clipped run: evaluate exactly.
+                    let low_w = fresh_low_w(low);
+                    let high_w = known_weight - low_w;
+                    let gain = evaluate(low, low_w, high_w);
+                    if best.is_none_or(|(bg, _, _)| gain > bg) {
+                        best = Some((gain, values[start - 1], start - 1));
+                        best_low.copy_from_slice(low);
+                    }
+                    pending = None;
+                } else {
+                    // Run-interior and feasible: remember it in case it
+                    // turns out to be the last feasible cut.
+                    pending_low.copy_from_slice(low);
+                    pending = Some((values[start - 1], start - 1));
+                }
+            } else if was_feasible {
+                // The window just closed; the most recent feasible cut
+                // was the clipped run's last feasible position.
+                if let Some((px, ppos)) = pending.take() {
+                    let plw = fresh_low_w(pending_low);
+                    let gain = evaluate(pending_low, plw, known_weight - plw);
+                    if best.is_none_or(|(bg, _, _)| gain > bg) {
+                        best = Some((gain, px, ppos));
+                        best_low.copy_from_slice(pending_low);
                     }
                 }
             }
-            best
+            was_feasible = feasible;
         }
-        _ => scan_cut_range(
-            &params,
-            1,
-            n_groups,
-            &mut low[..card],
-            &mut pending_low[..card],
-            best_low,
-        ),
-    };
+        let end = if g + 1 < n_groups { groups[g + 1].0 as usize } else { n };
+        for t in start..end {
+            low[classes[t] as usize] += weights[t];
+            run_low += weights[t];
+        }
+    }
+    if let Some((px, ppos)) = pending.take() {
+        // Scan ended while the window was still open: the remembered
+        // cut was the last feasible one.
+        let plw = fresh_low_w(pending_low);
+        let gain = evaluate(pending_low, plw, known_weight - plw);
+        if best.is_none_or(|(bg, _, _)| gain > bg) {
+            best = Some((gain, px, ppos));
+            best_low.copy_from_slice(pending_low);
+        }
+    }
     let (_, threshold, cut_end) = best?;
     threshold_counts.clear();
     threshold_counts.resize(2 * card, 0.0);
@@ -1590,197 +1544,6 @@ fn threshold_candidate_presorted(
         }
     }
     finish_candidate_flat(ctx, attr_pos, SplitKind::Threshold(threshold), flat, 2, missing, total)
-}
-
-/// Read-only inputs of one threshold-cut scan, shared by every
-/// segment of a SPRINT-parallel sweep.
-struct CutScanParams<'s> {
-    values: &'s [f64],
-    classes: &'s [u32],
-    weights: &'s [f64],
-    /// Node class counts over known instances.
-    all: &'s [f64],
-    /// Ascending class codes with non-zero count in `all`.
-    present: &'s [u32],
-    /// Value groups: `(start index, pure class)` per IEEE-equal run.
-    groups: &'s [(u32, Option<u32>)],
-    known_weight: f64,
-    parent_entropy: f64,
-    min_side: f64,
-    guard: f64,
-}
-
-/// The boundary-thinned cut sweep over cut indices
-/// `[eval_from, eval_to)` (cut `g` separates value groups `g-1` and
-/// `g`). Cuts before `eval_from` are **replayed**: their additive state
-/// (low-side counts, running weight, feasibility window, pending
-/// snapshot) is reconstructed with the exact float operations of the
-/// full sweep, but no entropy is evaluated — the sweep's control flow
-/// never depends on the best-so-far, so the replayed state at
-/// `eval_from` is bit-identical to a full serial sweep's. The scan-end
-/// pending flush belongs to the range containing the end
-/// (`eval_to == n_groups`).
-///
-/// The evaluated-cut set is thinned with the Fayyad-Irani boundary
-/// theorem (Fayyad & Irani 1992): the information-gain optimum of a
-/// binary split never lies strictly inside a run of same-class
-/// instances, so a cut whose two adjacent value groups are both pure
-/// with the same class cannot win and its (expensive) entropy
-/// evaluation is skipped. Two refinements keep the *selection* exactly
-/// legacy-equivalent:
-///
-/// * the min-branch feasibility window clips runs — the gain is convex
-///   within a run, so its maximum over the feasible part of a run sits
-///   at the first or last *feasible* cut, which are evaluated even
-///   when run-interior (the last one retroactively, from a saved
-///   low-side snapshot, preserving the ascending first-maximum tie
-///   order);
-/// * every evaluated cut computes `low_w` and its entropies with the
-///   same float operations in the same order as the exhaustive scan,
-///   so the winning `(gain, threshold)` is bit-identical.
-///
-/// Returns `(gain, threshold, end index of the cut's low side)` of the
-/// range's best cut; its low-side class counts are left in `best_low`
-/// so the final branch-count pass only has to re-accumulate the high
-/// side.
-fn scan_cut_range(
-    p: &CutScanParams<'_>,
-    eval_from: usize,
-    eval_to: usize,
-    low: &mut [f64],
-    pending_low: &mut [f64],
-    best_low: &mut [f64],
-) -> Option<(f64, f64, usize)> {
-    let CutScanParams {
-        values,
-        classes,
-        weights,
-        all,
-        present,
-        groups,
-        known_weight,
-        parent_entropy,
-        min_side,
-        guard,
-    } = *p;
-    let n = values.len();
-    let n_groups = groups.len();
-    low.fill(0.0);
-    // Entropy evaluation of one cut from its low-side class counts.
-    let evaluate = |low: &[f64], low_w: f64, high_w: f64| {
-        let mut high_entropy = 0.0;
-        let mut low_entropy = 0.0;
-        for &k in present {
-            let l = low[k as usize];
-            if l > 0.0 {
-                let p = l / low_w;
-                low_entropy -= p * p.log2();
-            }
-            let h = all[k as usize] - l;
-            if h > 0.0 {
-                let p = h / high_w;
-                high_entropy -= p * p.log2();
-            }
-        }
-        parent_entropy - low_w / known_weight * low_entropy - high_w / known_weight * high_entropy
-    };
-    // Feasibility is checked exactly (fresh `low_w` sum) at evaluated
-    // cuts and near the window edges; far from the edges a running
-    // surrogate decides. The surrogate's drift is bounded by ~n·ε
-    // relative error, orders of magnitude inside the guard band, so
-    // its verdicts agree with the exact check everywhere it is used.
-    let fresh_low_w = |low: &[f64]| {
-        let mut low_w = 0.0;
-        for &k in present {
-            low_w += low[k as usize];
-        }
-        low_w
-    };
-    let mut best: Option<(f64, f64, usize)> = None;
-    // Pending skipped-but-feasible cut: its threshold and low-side end
-    // index, with its low-side snapshot in `pending_low`. If the
-    // feasibility window closes before another cut is evaluated, this
-    // was the last feasible cut and is evaluated retroactively (its
-    // exact `low_w` is re-derived from the snapshot by the same
-    // present-class sum).
-    let mut pending: Option<(f64, usize)> = None;
-    let mut run_low = 0.0f64;
-    let mut was_feasible = false;
-    for g in 0..n_groups {
-        let start = groups[g].0 as usize;
-        // The cut between group g-1 and group g.
-        if g >= 1 {
-            if g >= eval_to {
-                break;
-            }
-            let run_high = known_weight - run_low;
-            let feasible =
-                if (run_low - min_side).abs() > guard && (run_high - min_side).abs() > guard {
-                    // Far from both window edges: the surrogate's verdict
-                    // is certain.
-                    run_low > min_side && run_high > min_side
-                } else {
-                    let low_w = fresh_low_w(low);
-                    !(low_w < min_side || known_weight - low_w < min_side)
-                };
-            if feasible {
-                let boundary = !(groups[g - 1].1.is_some() && groups[g - 1].1 == groups[g].1);
-                if boundary || !was_feasible {
-                    // Run boundary, or the first feasible cut of a
-                    // clipped run: evaluate exactly (replay-only cuts
-                    // skip the evaluation; the state updates are
-                    // identical either way).
-                    if g >= eval_from {
-                        let low_w = fresh_low_w(low);
-                        let high_w = known_weight - low_w;
-                        let gain = evaluate(low, low_w, high_w);
-                        if best.is_none_or(|(bg, _, _)| gain > bg) {
-                            best = Some((gain, values[start - 1], start - 1));
-                            best_low.copy_from_slice(low);
-                        }
-                    }
-                    pending = None;
-                } else {
-                    // Run-interior and feasible: remember it in case it
-                    // turns out to be the last feasible cut.
-                    pending_low.copy_from_slice(low);
-                    pending = Some((values[start - 1], start - 1));
-                }
-            } else if was_feasible {
-                // The window just closed; the most recent feasible cut
-                // was the clipped run's last feasible position.
-                if let Some((px, ppos)) = pending.take() {
-                    if g >= eval_from {
-                        let plw = fresh_low_w(pending_low);
-                        let gain = evaluate(pending_low, plw, known_weight - plw);
-                        if best.is_none_or(|(bg, _, _)| gain > bg) {
-                            best = Some((gain, px, ppos));
-                            best_low.copy_from_slice(pending_low);
-                        }
-                    }
-                }
-            }
-            was_feasible = feasible;
-        }
-        let end = if g + 1 < n_groups { groups[g + 1].0 as usize } else { n };
-        for t in start..end {
-            low[classes[t] as usize] += weights[t];
-            run_low += weights[t];
-        }
-    }
-    if eval_to >= n_groups {
-        if let Some((px, ppos)) = pending.take() {
-            // Scan ended while the window was still open: the
-            // remembered cut was the last feasible one.
-            let plw = fresh_low_w(pending_low);
-            let gain = evaluate(pending_low, plw, known_weight - plw);
-            if best.is_none_or(|(bg, _, _)| gain > bg) {
-                best = Some((gain, px, ppos));
-                best_low.copy_from_slice(pending_low);
-            }
-        }
-    }
-    best
 }
 
 // ---------------------------------------------------------------------------
@@ -2634,38 +2397,6 @@ mod tests {
                         let rec = t.row(r);
                         let (pf, pr) = (fast.predict(&rec), reference.predict(&rec));
                         for (a, b) in pf.counts.iter().zip(&pr.counts) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_induction_is_byte_identical_at_every_thread_count() {
-        // Large enough that the root node crosses
-        // PARALLEL_MIN_INSTANCES and the intra-node sharding engages.
-        let t = messy_table(2 * PARALLEL_MIN_INSTANCES);
-        for class_attr in [0, 3] {
-            let ts = TrainingSet::full(&t, class_attr, 4).unwrap();
-            let inducer = C45Inducer::new(grown_config());
-            let serial = inducer.induce_tree(&ts).unwrap();
-            let cache = TableCache::build(&t);
-            for threads in [1, 2, 4] {
-                let pool = WorkerPool::new(threads);
-                for cached in [None, Some(&cache)] {
-                    let par = inducer.induce_tree_parallel(&ts, cached, &pool).unwrap();
-                    assert_eq!(
-                        par.root(),
-                        serial.root(),
-                        "class {class_attr}, {threads} threads, cached {}",
-                        cached.is_some()
-                    );
-                    for r in 0..t.n_rows() {
-                        let rec = t.row(r);
-                        let (pp, ps) = (par.predict(&rec), serial.predict(&rec));
-                        for (a, b) in pp.counts.iter().zip(&ps.counts) {
                             assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
                         }
                     }

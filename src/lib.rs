@@ -69,7 +69,7 @@
 //! ```text
 //! table ──┬────────────┬──────────┬─────────┬──────────────────┐
 //!         stats        logic      bayes     mining             │
-//!         │  │          │  │        │        │ (stats,exec)    │
+//!         │  │          │  │        │        │ (stats)         │
 //!         │  └──────────┼──┼────────┼────────┤                 │
 //!         │   pollute ──┘  └── tdg ─┘        └── core (exec)   │
 //!         │      │          (exec)                │  │         │
@@ -88,8 +88,8 @@
 //! it; `dq_bench` hosts fixtures for the criterion benches. `exec`
 //! itself is std-only and depends on nothing: it supplies the shared
 //! [`exec::Parallelism`] knob (explicit count > `DQ_THREADS` > cores)
-//! and worker pool to `mining`, `tdg`, `core`, `serve`, `eval`,
-//! `bench` and the CLI. `fault` depends only on `table`: it wraps any
+//! and worker pool to `tdg`, `core`, `serve`, `eval`, `bench` and the
+//! CLI. `fault` depends only on `table`: it wraps any
 //! `BatchSource` or byte stream with a seeded, replayable fault
 //! schedule (the chaos suite's instrument — see the README's "Fault
 //! tolerance" section). The `rand`/`proptest`/`criterion` dependencies
