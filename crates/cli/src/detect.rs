@@ -41,16 +41,16 @@
 //!   uninterrupted one.
 
 use crate::args::{CliError, Flags};
-use crate::checkpoint::{config_fingerprint, jerr, start_job, Start};
-use crate::io_util::{load_schema, say, write_file};
+use crate::checkpoint::{config_fingerprint, jerr, Job, JobFlags, OutputId};
+use crate::io_util::{at, load_schema, say, write_file};
 use dq_core::{
     corrections_to_csv, propose_corrections, AuditEngine, AuditError, Finding, StructureModel,
 };
-use dq_job::{fnv1a, resume_file, CheckpointDir, CountingWriter, Journal, Watermark};
+use dq_job::fnv1a;
 use dq_serve::client::{post_with_retry, RetryPolicy, Unavailable};
 use dq_table::{BatchSource, CsvChunkReader, PagedTable, QuarantinedRow, TableError, Value};
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::time::Instant;
@@ -96,20 +96,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let top: usize = flags.parse_or("top", 10)?;
     let quarantine = flags.get("quarantine").map(|p| Path::new(p).to_path_buf());
     let max_bad_rows: Option<usize> = flags.parse_opt("max-bad-rows")?;
-    let checkpoint = flags.get("checkpoint").map(|d| Path::new(d).to_path_buf());
-    let every: usize = flags.parse_positive_or("checkpoint-every", 16)?;
-    let resume = flags.has("resume");
-
     if max_bad_rows.is_some() && quarantine.is_none() {
         return Err(CliError::Usage(format!(
             "--max-bad-rows bounds the --quarantine budget; pass both\nusage: {USAGE}"
         )));
     }
-    if (resume || flags.get("checkpoint-every").is_some()) && checkpoint.is_none() {
-        return Err(CliError::Usage(format!(
-            "--resume/--checkpoint-every need --checkpoint DIR\nusage: {USAGE}"
-        )));
-    }
+    let checkpoint = JobFlags::parse(&flags, USAGE)?;
     if quarantine.is_some() && checkpoint.is_some() {
         return Err(CliError::Usage(format!(
             "--quarantine and --checkpoint are mutually exclusive: a checkpointed scan must \
@@ -127,14 +119,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
     let mut scan = match &checkpoint {
         None => Scan { engine, findings: Vec::new(), confidences: Vec::new(), checkpoint: None },
-        Some(dir) => {
+        Some(job_flags) => {
             let config = detect_fingerprint(model_path, chunk_rows, input)?;
-            match Checkpoint::open(dir, resume, every, config, engine)? {
+            match Checkpoint::open(job_flags, config, engine)? {
                 Some(scan) => scan,
-                None => {
-                    say!("checkpoint {}: job is already done — nothing to resume", dir.display());
-                    return Ok(());
-                }
+                None => return Ok(()),
             }
         }
     };
@@ -172,7 +161,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     // The accumulated parts move into the report: at a million rows a
     // copy of the confidences alone would be megabytes of peak memory.
-    let Scan { engine, findings, confidences, checkpoint: mut ckpt } = scan;
+    let Scan { engine, findings, confidences, checkpoint: ckpt } = scan;
     let report = engine.report_from_parts(findings, confidences);
     // Flush what was audited even when the stream failed mid-way: a
     // partial report over millions of clean rows beats an empty file.
@@ -189,8 +178,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = &quarantine {
         write_file(path, &render_dead_letters(&quarantined))?;
     }
-    if let (Some(ckpt), None) = (&mut ckpt, &stream_error) {
-        ckpt.commit(report.n_rows(), report.findings.len(), true)?;
+    if let (Some(ckpt), None) = (ckpt, &stream_error) {
+        ckpt.finish(report.n_rows(), report.findings.len())?;
     }
 
     say!(
@@ -221,7 +210,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         }
         Some(e) => {
             let resume_hint = match &checkpoint {
-                Some(dir) => format!("; the checkpoint in {} resumes from there", dir.display()),
+                Some(job_flags) => {
+                    format!("; the checkpoint in {} resumes from there", job_flags.dir().display())
+                }
                 None => String::new(),
             };
             Err(CliError::Runtime(format!(
@@ -274,7 +265,7 @@ impl Scan {
                 Ok(None) => return Ok(None),
                 Err(e) => {
                     if let Some(ckpt) = &mut self.checkpoint {
-                        ckpt.commit(self.confidences.len(), self.findings.len(), false)?;
+                        ckpt.commit(self.confidences.len(), self.findings.len())?;
                     }
                     return Ok(Some(e.into()));
                 }
@@ -380,26 +371,6 @@ fn decode_findings(bytes: &[u8], n_attrs: usize, cursor: usize) -> Result<Vec<Fi
     Ok(findings)
 }
 
-/// Load a sidecar file and split it at its journaled watermark: the
-/// committed prefix is decoded state, anything past it is an
-/// uncommitted tail a crashed incarnation left (truncated by the
-/// subsequent [`resume_file`]). Shorter than the watermark is the same
-/// loud refusal `resume_file` raises.
-fn committed_sidecar(path: &Path, watermark: u64) -> Result<Vec<u8>, CliError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
-    if (bytes.len() as u64) < watermark {
-        return Err(jerr(dq_job::JobError::OutputTruncated {
-            path: path.display().to_string(),
-            len: bytes.len() as u64,
-            watermark,
-        }));
-    }
-    let mut bytes = bytes;
-    bytes.truncate(watermark as usize);
-    Ok(bytes)
-}
-
 /// The config fingerprint of a checkpointed detect. The model bytes
 /// ARE the config: a model retrained between incarnations changes
 /// every confidence, so its content hash (not its path) anchors the
@@ -415,105 +386,63 @@ fn detect_fingerprint(model_path: &str, chunk_rows: usize, input: &str) -> Resul
     ]))
 }
 
-/// `dq detect --checkpoint` state riding on the scan loop: the journal
-/// of the scan cursor plus the `findings.bin` + `confidence.bits`
-/// sidecars the accumulated parts spill to, so a resumed audit's final
-/// report is byte-identical to an uninterrupted one.
+/// `dq detect --checkpoint` state riding on the scan loop: a [`Job`]
+/// journaling the scan cursor, plus the `findings.bin` +
+/// `confidence.bits` sidecars the accumulated parts spill to, so a
+/// resumed audit's final report is byte-identical to an uninterrupted
+/// one.
 struct Checkpoint {
-    journal: Journal,
-    ckpt: CheckpointDir,
-    findings_out: CountingWriter<File>,
-    confidence_out: CountingWriter<File>,
-    every: usize,
-    since_commit: usize,
+    job: Job,
+    findings_out: OutputId,
+    confidence_out: OutputId,
     record_buf: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Open the checkpoint directory and build the scan that continues
-    /// from it: a fresh journal, or — with `--resume` — the committed
-    /// parts restored from the sidecars. `None` means the journal says
-    /// the job is already done. Either way the (cursor-zero or
-    /// restored-state) journal is committed before scanning, so a
-    /// crash anywhere after this can resume.
-    fn open(
-        dir: &Path,
-        resume: bool,
-        every: usize,
-        config: u64,
-        engine: AuditEngine,
-    ) -> Result<Option<Scan>, CliError> {
+    /// Start the job and build the scan that continues from it: empty
+    /// parts, or — with `--resume` — the committed parts restored from
+    /// the sidecars. `None` means the journal says the job is already
+    /// done. Either way the (cursor-zero or restored-state) journal is
+    /// committed before scanning, so a crash anywhere after this can
+    /// resume.
+    fn open(flags: &JobFlags, config: u64, engine: AuditEngine) -> Result<Option<Scan>, CliError> {
         let schema = engine.schema().clone();
-        let ckpt = CheckpointDir::create(dir).map_err(jerr)?;
-        let journal = match start_job(&ckpt, resume, "detect", config, schema.fingerprint())? {
-            Start::Fresh => Journal::new("detect", config, schema.fingerprint()),
-            Start::Resume(journal) => journal,
-            Start::AlreadyDone => return Ok(None),
+        let Some(mut job) = Job::start(Some(flags), "detect", config, schema.fingerprint())? else {
+            return Ok(None);
         };
-        let resuming = journal.cursor_rows > 0 || journal.output("findings.bin").is_some();
-        let findings_path = ckpt.dir().join("findings.bin");
-        let confidence_path = ckpt.dir().join("confidence.bits");
+        let cursor = job.resumed().map_or(0, |journal| journal.cursor_rows as usize);
+        let findings_path = flags.dir().join("findings.bin");
+        let confidence_path = flags.dir().join("confidence.bits");
+        let findings_out = job.bytes("findings.bin", &findings_path, b"")?;
+        let confidence_out = job.bytes("confidence.bits", &confidence_path, b"")?;
 
-        let cursor = journal.cursor_rows as usize;
-        let (findings, confidences, findings_out, confidence_out);
-        if resuming {
-            let bytes_watermark = |name: &str| -> Result<u64, CliError> {
-                match journal.output(name) {
-                    Some(Watermark::Bytes(n)) => Ok(n),
-                    _ => Err(CliError::Runtime(format!(
-                        "journal has no byte watermark for sidecar `{name}`; refusing to resume"
-                    ))),
-                }
-            };
-            let find_wm = bytes_watermark("findings.bin")?;
-            let conf_wm = bytes_watermark("confidence.bits")?;
-            if conf_wm != cursor as u64 * 8 {
-                return Err(CliError::Runtime(format!(
-                    "confidence.bits watermark ({conf_wm} bytes) disagrees with the cursor \
-                     ({cursor} rows); the checkpoint is inconsistent — refusing to resume"
-                )));
-            }
-            let torn = |path: &Path, detail: String| {
-                jerr(dq_job::JobError::Torn { path: path.display().to_string(), detail })
-            };
-            findings =
-                decode_findings(&committed_sidecar(&findings_path, find_wm)?, schema.len(), cursor)
-                    .map_err(|detail| torn(&findings_path, detail))?;
-            confidences = committed_sidecar(&confidence_path, conf_wm)?
-                .chunks_exact(8)
-                .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
-                .collect::<Vec<f64>>();
-            findings_out =
-                CountingWriter::new(resume_file(&findings_path, find_wm).map_err(jerr)?, find_wm);
-            confidence_out =
-                CountingWriter::new(resume_file(&confidence_path, conf_wm).map_err(jerr)?, conf_wm);
-        } else {
-            findings = Vec::new();
-            confidences = Vec::new();
-            let create = |path: &Path| {
-                File::create(path)
-                    .map(|file| CountingWriter::new(file, 0))
-                    .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))
-            };
-            findings_out = create(&findings_path)?;
-            confidence_out = create(&confidence_path)?;
+        // The sidecars now hold exactly their committed prefixes.
+        let read = |path: &Path| std::fs::read(path).map_err(|e| CliError::from(at(path, e)));
+        let confidence_bytes = read(&confidence_path)?;
+        if confidence_bytes.len() != cursor * 8 {
+            return Err(CliError::Runtime(format!(
+                "confidence.bits watermark ({} bytes) disagrees with the cursor ({cursor} rows); \
+                 the checkpoint is inconsistent — refusing to resume",
+                confidence_bytes.len()
+            )));
         }
-        let mut checkpoint = Checkpoint {
-            journal,
-            ckpt,
-            findings_out,
-            confidence_out,
-            every,
-            since_commit: 0,
-            record_buf: Vec::new(),
-        };
-        checkpoint.commit(cursor, findings.len(), false)?;
+        let findings =
+            decode_findings(&read(&findings_path)?, schema.len(), cursor).map_err(|detail| {
+                jerr(dq_job::JobError::Torn { path: findings_path.display().to_string(), detail })
+            })?;
+        let confidences = confidence_bytes
+            .chunks_exact(8)
+            .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
+            .collect::<Vec<f64>>();
+        let mut checkpoint =
+            Checkpoint { job, findings_out, confidence_out, record_buf: Vec::new() };
+        checkpoint.commit(cursor, findings.len())?;
         Ok(Some(Scan { engine, findings, confidences, checkpoint: Some(checkpoint) }))
     }
 
     /// Append one scanned batch's parts to the sidecars, committing
-    /// every `every` batches; `rows`/`n_findings` are the totals
-    /// including this batch.
+    /// every `--checkpoint-every` batches; `rows`/`n_findings` are the
+    /// totals including this batch.
     fn spill(
         &mut self,
         findings: &[Finding],
@@ -525,36 +454,30 @@ impl Checkpoint {
         for f in findings {
             encode_finding(f, &mut self.record_buf);
         }
-        self.findings_out
-            .write_all(&self.record_buf)
-            .map_err(|e| CliError::Runtime(format!("findings.bin: {e}")))?;
+        self.job.write(self.findings_out, &self.record_buf)?;
         self.record_buf.clear();
         for c in confidences {
             self.record_buf.extend_from_slice(&c.to_bits().to_le_bytes());
         }
-        self.confidence_out
-            .write_all(&self.record_buf)
-            .map_err(|e| CliError::Runtime(format!("confidence.bits: {e}")))?;
-        self.since_commit += 1;
-        if self.since_commit >= self.every {
-            self.commit(rows, n_findings, false)?;
-        }
-        Ok(())
+        self.job.write(self.confidence_out, &self.record_buf)?;
+        self.job.tick(|journal| scan_state(journal, rows, n_findings))
     }
 
-    /// Flush the sidecars and save the journal at `rows` scanned rows.
-    fn commit(&mut self, rows: usize, n_findings: usize, done: bool) -> Result<(), CliError> {
-        let dir = self.ckpt.dir().display().to_string();
-        self.findings_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
-        self.confidence_out.flush().map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
-        self.journal.cursor_rows = rows as u64;
-        self.journal.set_counter("findings", n_findings as u64);
-        self.journal.set_output("findings.bin", Watermark::Bytes(self.findings_out.count()));
-        self.journal.set_output("confidence.bits", Watermark::Bytes(self.confidence_out.count()));
-        self.journal.done = done;
-        self.since_commit = 0;
-        self.ckpt.save(&self.journal).map_err(jerr)
+    /// Commit the sidecars and the journal at `rows` scanned rows.
+    fn commit(&mut self, rows: usize, n_findings: usize) -> Result<(), CliError> {
+        self.job.commit(|journal| scan_state(journal, rows, n_findings))
     }
+
+    /// The closing commit of a fully scanned input.
+    fn finish(self, rows: usize, n_findings: usize) -> Result<(), CliError> {
+        self.job.finish(|journal| scan_state(journal, rows, n_findings))
+    }
+}
+
+/// The scan state a detect journal records.
+fn scan_state(journal: &mut dq_job::Journal, rows: usize, n_findings: usize) {
+    journal.cursor_rows = rows as u64;
+    journal.set_counter("findings", n_findings as u64);
 }
 
 /// The client mode: ship the CSV to a `dq serve` daemon and let its

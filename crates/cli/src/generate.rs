@@ -2,26 +2,25 @@
 //! ground-truth log) to a directory.
 
 use crate::args::{CliError, Flags};
-use crate::checkpoint::{config_fingerprint, jerr, start_job, Start};
-use crate::io_util::{at, create_file, log_to_csv, say, write_file, write_table};
-use dq_eval::{Baseline, TestEnvironment};
-use dq_job::{resume_file, CheckpointDir, CountingWriter, Journal, Watermark};
-use dq_pollute::{pollute, PolluteStream, CELLS_CSV_HEADER};
+use crate::checkpoint::{config_fingerprint, csv_header, Job, JobFlags, OutputId};
+use crate::io_util::{at, log_to_csv, say, write_file, write_table};
+use crate::pollute_cmd::{pollute_into, PollutionOutputs, PollutionStart, Tee};
+use dq_eval::Baseline;
+use dq_pollute::CELLS_CSV_HEADER;
 use dq_quis::{generate_quis, QuisConfig};
-use dq_table::{
-    render_schema, BatchSource, CsvChunkReader, CsvWriter, PagedWriter, Schema, Table, TableError,
-};
-use dq_tdg::{generate_rule_set, GenerateStream};
+use dq_table::{render_schema, BatchSource, CsvChunkReader, Schema};
+use dq_tdg::{generate_rule_set, GenerateStream, GEN_CHUNK_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::path::Path;
 use std::sync::Arc;
 
 pub const USAGE: &str = "dq generate <tdg|quis> --out DIR [--rows N] [--seed N] [--factor X] \
-                         [--threads N] [--rules N --stream-chunk-rows N --paged-dirty DIR \
-                         --checkpoint DIR --resume --checkpoint-every N (tdg only)]";
+                         [--threads N] [tdg only: --rules N, --stream-chunk-rows N (batch and \
+                         page rows, default 4096), --paged-dirty DIR, --checkpoint DIR \
+                         [--resume] [--checkpoint-every N]]";
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let (kind, rest) = args
@@ -36,18 +35,21 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Checkpointing knobs of a streamed generate run.
-struct CkptOpts {
-    dir: std::path::PathBuf,
-    resume: bool,
-    /// Commit a journal every this many dirty batches.
-    every: usize,
-    /// Fingerprint of the flags that shape the output bytes.
-    config: u64,
-}
-
 /// The sec. 6.1 artificial benchmark: rule-structured data over the
 /// 8-attribute baseline schema, polluted by the standard suite.
+///
+/// Rule generation runs up front; then the clean table streams from
+/// [`GenerateStream`] through a clean-CSV [`Tee`] into the pollution
+/// loop and out to the dirty CSV — one pass at O(chunk) memory.
+/// `--stream-chunk-rows` (default [`GEN_CHUNK_ROWS`]) sets the batch
+/// and page size and never the bytes: generation is chunk-seeded, and
+/// pollution consumes its RNG in clean-row order.
+///
+/// With `--checkpoint DIR` the run journals its progress (clean-row
+/// cursor, pollution-RNG state, per-output byte/page watermarks) at
+/// every `--checkpoint-every`-batch boundary; `--resume` continues a
+/// killed run from the journal, producing outputs byte-identical to an
+/// uninterrupted one — see `dq_job` for the protocol.
 fn tdg(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse_with_switches(
         args,
@@ -71,202 +73,35 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
     let seed: u64 = flags.parse_or("seed", 2003)?;
     let factor: f64 = flags.parse_or("factor", 1.0)?;
     let threads: Option<usize> = flags.parse_positive_opt("threads")?;
-    let stream_chunk_rows: Option<usize> = flags.parse_positive_opt("stream-chunk-rows")?;
+    let chunk_rows: usize = flags.parse_positive_or("stream-chunk-rows", GEN_CHUNK_ROWS)?;
     let paged_dirty = flags.get("paged-dirty").map(|d| Path::new(d).to_path_buf());
-    let checkpoint = flags.get("checkpoint").map(|d| Path::new(d).to_path_buf());
-    let checkpoint_every: usize = flags.parse_positive_or("checkpoint-every", 16)?;
-    let resume = flags.has("resume");
-    if (resume || flags.get("checkpoint-every").is_some()) && checkpoint.is_none() {
-        return Err(CliError::Usage(format!(
-            "--resume/--checkpoint-every need --checkpoint DIR\nusage: {USAGE}"
-        )));
-    }
+    let job_flags = JobFlags::parse(&flags, USAGE)?;
 
+    // The config fingerprint covers exactly the flags that shape the
+    // output bytes; `--threads` is excluded on purpose (resuming under
+    // a different worker count is safe).
+    let config = config_fingerprint(&[
+        ("stage", "generate tdg".into()),
+        ("rows", rows.to_string()),
+        ("rules", rules.to_string()),
+        ("seed", seed.to_string()),
+        ("factor", factor.to_string()),
+        ("chunk-rows", chunk_rows.to_string()),
+        ("paged", paged_dirty.is_some().to_string()),
+    ]);
     let baseline = Baseline::new(seed);
     let mut env = baseline.environment(rules, rows, factor);
     // Generation is byte-identical at any worker count (chunk-seeded
     // RNG streams), so the knob only changes wall-clock time.
     env.generator.data.threads = threads.into();
-    if let Some(chunk_rows) = stream_chunk_rows {
-        // The config fingerprint covers exactly the flags that shape
-        // the output bytes; `--threads` is excluded on purpose
-        // (resuming under a different worker count is safe).
-        let ckpt = checkpoint.map(|dir| CkptOpts {
-            dir,
-            resume,
-            every: checkpoint_every,
-            config: config_fingerprint(&[
-                ("stage", "generate tdg".into()),
-                ("rows", rows.to_string()),
-                ("rules", rules.to_string()),
-                ("seed", seed.to_string()),
-                ("factor", factor.to_string()),
-                ("chunk-rows", chunk_rows.to_string()),
-                ("paged", paged_dirty.is_some().to_string()),
-            ]),
-        });
-        return tdg_streamed(&env, &out, seed, chunk_rows, paged_dirty.as_deref(), ckpt);
-    }
-    if paged_dirty.is_some() {
-        return Err(CliError::Usage(format!(
-            "--paged-dirty spills during streaming; it needs --stream-chunk-rows\nusage: {USAGE}"
-        )));
-    }
-    if checkpoint.is_some() {
-        return Err(CliError::Usage(format!(
-            "--checkpoint journals the streamed path; it needs --stream-chunk-rows\nusage: {USAGE}"
-        )));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let benchmark = env.generator.generate(&mut rng);
-    let (dirty, log) = pollute(&benchmark.clean, &env.pollution, &mut rng);
-
-    let schema = &benchmark.schema;
-    write_file(&out.join("schema.dqs"), &render_schema(schema).map_err(|e| e.to_string())?)?;
-    write_table(&benchmark.clean, &out.join("clean.csv"))?;
-    write_table(&dirty, &out.join("dirty.csv"))?;
-    write_file(&out.join("pollution-log.csv"), &log_to_csv(&log, schema))?;
-    let rules_text: String = benchmark.rules.iter().map(|r| r.render(schema) + "\n").collect();
-    write_file(&out.join("rules.txt"), &rules_text)?;
-
-    say!(
-        "generated tdg benchmark in {}: {} clean rows, {} dirty rows ({} corrupted), {} rules",
-        out.display(),
-        benchmark.clean.n_rows(),
-        dirty.n_rows(),
-        log.n_corrupted_rows(),
-        benchmark.rules.len(),
-    );
-    say!("files: schema.dqs clean.csv dirty.csv pollution-log.csv rules.txt");
-    Ok(())
-}
-
-/// A [`BatchSource`] pass-through that appends every batch to a CSV
-/// writer — how the streamed pipeline writes `clean.csv` while
-/// pollution consumes the very same batches, in one pass.
-struct TeeCsv<S, W: Write> {
-    inner: S,
-    writer: CsvWriter<W>,
-    done: bool,
-}
-
-impl<S: BatchSource, W: Write> BatchSource for TeeCsv<S, W> {
-    fn schema(&self) -> &Arc<Schema> {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Table>, TableError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.inner.next_batch() {
-            Ok(Some(batch)) => {
-                if let Err(e) = self.writer.write_batch(&batch) {
-                    self.done = true;
-                    return Err(e);
-                }
-                Ok(Some(batch))
-            }
-            Ok(None) => {
-                self.done = true;
-                Ok(None)
-            }
-            Err(e) => {
-                self.done = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn rows_emitted(&self) -> usize {
-        self.inner.rows_emitted()
-    }
-
-    fn row_count_hint(&self) -> Option<usize> {
-        self.inner.row_count_hint()
-    }
-}
-
-/// The concrete stream of the streamed tdg path: generator → clean-CSV
-/// tee → pollution, with every flat output behind a byte counter.
-type CleanTee = TeeCsv<GenerateStream, CountingWriter<File>>;
-type TdgStream = PolluteStream<CleanTee, StdRng>;
-
-/// Flush every flat writer (their bytes reach the kernel) and commit a
-/// journal vouching for exactly what was flushed — the commit protocol
-/// of `dq_job`. `corrupted_base` carries the corrupted-row count of
-/// previous incarnations (the in-memory log only covers this one).
-#[allow(clippy::too_many_arguments)]
-fn commit_generate(
-    ckpt: &mut CheckpointDir,
-    journal: &mut Journal,
-    stream: &mut TdgStream,
-    dirty_writer: &mut CsvWriter<CountingWriter<File>>,
-    log_out: &mut CountingWriter<File>,
-    paged_pages: Option<u64>,
-    corrupted_base: u64,
-    paths: (&Path, &Path, &Path),
-    done: bool,
-) -> Result<(), CliError> {
-    let (clean_path, dirty_path, log_path) = paths;
-    stream.source_mut().writer.flush().map_err(|e| at(clean_path, e))?;
-    dirty_writer.flush().map_err(|e| at(dirty_path, e))?;
-    log_out.flush().map_err(|e| at(log_path, e))?;
-    journal.cursor_rows = stream.clean_rows_seen() as u64;
-    journal.rng = Some(stream.rng().state());
-    journal.set_counter("dirty_rows", stream.rows_emitted() as u64);
-    journal.set_counter("corrupted_rows", corrupted_base + stream.log().n_corrupted_rows() as u64);
-    journal.set_output("clean.csv", Watermark::Bytes(stream.source_mut().writer.get_ref().count()));
-    journal.set_output("dirty.csv", Watermark::Bytes(dirty_writer.get_ref().count()));
-    journal.set_output("pollution-log.csv", Watermark::Bytes(log_out.count()));
-    if let Some(pages) = paged_pages {
-        journal.set_output("paged", Watermark::Pages(pages));
-    }
-    journal.done = done;
-    ckpt.save(journal).map_err(jerr)
-}
-
-/// The O(chunk)-memory tdg path: rule generation as usual, then the
-/// clean table streams from [`GenerateStream`] through a clean-CSV
-/// tee into [`PolluteStream`] and out to the dirty CSV — one pass,
-/// never holding more than a few chunks. Byte-identical to the
-/// in-memory path at every `--stream-chunk-rows`/`--threads` setting:
-/// generation is chunk-seeded, pollution consumes its RNG in
-/// clean-row order, and [`CsvWriter`] streams exactly what
-/// `write_table` materializes.
-///
-/// With `--checkpoint DIR` the run journals its progress (clean-row
-/// cursor, pollution-RNG state, per-output byte/page watermarks) at
-/// every `--checkpoint-every`-batch boundary; `--resume` continues a
-/// killed run from the journal, producing outputs byte-identical to an
-/// uninterrupted one — see `dq_job` for the protocol.
-fn tdg_streamed(
-    env: &TestEnvironment,
-    out: &Path,
-    seed: u64,
-    chunk_rows: usize,
-    paged_dirty: Option<&Path>,
-    ckpt_opts: Option<CkptOpts>,
-) -> Result<(), CliError> {
     let schema = env.generator.schema.clone();
     let mut rng = StdRng::seed_from_u64(seed);
     let (rules, _rule_report) = generate_rule_set(&schema, &env.generator.rules, &mut rng);
 
-    // Start decision: fresh, resume, or nothing left to do.
-    let mut ckpt = None;
-    let mut resumed: Option<Journal> = None;
-    if let Some(opts) = &ckpt_opts {
-        let dir = CheckpointDir::create(&opts.dir).map_err(jerr)?;
-        match start_job(&dir, opts.resume, "generate", opts.config, schema.fingerprint())? {
-            Start::Fresh => {}
-            Start::Resume(journal) => resumed = Some(journal),
-            Start::AlreadyDone => {
-                say!("checkpoint {}: job is already done — nothing to resume", opts.dir.display());
-                return Ok(());
-            }
-        }
-        ckpt = Some(dir);
-    }
+    let Some(mut job) = Job::start(job_flags.as_ref(), "generate", config, schema.fingerprint())?
+    else {
+        return Ok(());
+    };
 
     // The small artifacts are pure functions of config+seed: rewriting
     // them on resume reproduces the same bytes.
@@ -277,253 +112,88 @@ fn tdg_streamed(
     let mut generator =
         GenerateStream::new(schema.clone(), rules.clone(), env.generator.data.clone(), &mut rng)
             .with_batch_rows(chunk_rows);
+    // Pollution gets its own RNG at exactly the state generation left
+    // the shared one in — the continuation of a single RNG walk.
+    let start = PollutionStart::of(&job, StdRng::from_state(rng.state()))?;
+    generator
+        .seek_to_row(start.cursor)
+        .map_err(|e| CliError::Runtime(format!("seeking generator: {e}")))?;
     let clean_path = out.join("clean.csv");
     let dirty_path = out.join("dirty.csv");
-    let log_path = out.join("pollution-log.csv");
-    let bytes_watermark = |journal: &Journal, name: &str| -> Result<u64, CliError> {
-        match journal.output(name) {
-            Some(Watermark::Bytes(n)) => Ok(n),
-            _ => Err(CliError::Runtime(format!(
-                "journal has no byte watermark for output `{name}`; refusing to resume"
-            ))),
+    let header = csv_header(&schema)?;
+    let clean = job.bytes("clean.csv", &clean_path, &header)?;
+    let dirty = job.bytes("dirty.csv", &dirty_path, &header)?;
+    let log = job.bytes(
+        "pollution-log.csv",
+        &out.join("pollution-log.csv"),
+        CELLS_CSV_HEADER.as_bytes(),
+    )?;
+    let spill = match &paged_dirty {
+        Some(dir) => {
+            Some(open_spill(&mut job, dir, &schema, chunk_rows, &dirty_path, start.dirty_rows)?)
         }
+        None => None,
     };
 
-    // Open every output either fresh or at its journaled watermark,
-    // and position the streams at the journal's cursor.
-    let cursor;
-    let dirty_base;
-    let corrupted_base;
-    let prng;
-    let clean_writer;
-    let mut dirty_writer;
-    let mut log_out;
-    let mut paged_writer;
-    match &resumed {
-        None => {
-            cursor = 0;
-            dirty_base = 0;
-            corrupted_base = 0;
-            // Hand pollution its own RNG at exactly the state the
-            // borrowed one reached — the byte-identical continuation
-            // of the in-memory path's single RNG walk.
-            prng = StdRng::from_state(rng.state());
-            clean_writer =
-                CsvWriter::new(schema.clone(), CountingWriter::new(create_file(&clean_path)?, 0))
-                    .map_err(|e| at(&clean_path, e))?;
-            dirty_writer =
-                CsvWriter::new(schema.clone(), CountingWriter::new(create_file(&dirty_path)?, 0))
-                    .map_err(|e| at(&dirty_path, e))?;
-            let mut header_out = CountingWriter::new(create_file(&log_path)?, 0);
-            header_out.write_all(CELLS_CSV_HEADER.as_bytes()).map_err(|e| at(&log_path, e))?;
-            log_out = header_out;
-            paged_writer = match paged_dirty {
-                Some(dir) => Some(
-                    PagedWriter::create(dir, schema.clone(), chunk_rows).map_err(|e| at(dir, e))?,
-                ),
-                None => None,
-            };
-        }
-        Some(journal) => {
-            cursor = journal.cursor_rows as usize;
-            dirty_base = journal.counter("dirty_rows").unwrap_or(0) as usize;
-            corrupted_base = journal.counter("corrupted_rows").unwrap_or(0);
-            let state = journal.rng.ok_or_else(|| {
-                CliError::Runtime("journal records no rng state; refusing to resume".to_string())
-            })?;
-            prng = StdRng::from_state(state);
-            generator
-                .seek_to_row(cursor)
-                .map_err(|e| CliError::Runtime(format!("seeking generator: {e}")))?;
-            let clean_wm = bytes_watermark(journal, "clean.csv")?;
-            clean_writer = CsvWriter::append(
-                schema.clone(),
-                CountingWriter::new(resume_file(&clean_path, clean_wm).map_err(jerr)?, clean_wm),
-            );
-            let dirty_wm = bytes_watermark(journal, "dirty.csv")?;
-            dirty_writer = CsvWriter::append(
-                schema.clone(),
-                CountingWriter::new(resume_file(&dirty_path, dirty_wm).map_err(jerr)?, dirty_wm),
-            );
-            let log_wm = bytes_watermark(journal, "pollution-log.csv")?;
-            log_out = CountingWriter::new(resume_file(&log_path, log_wm).map_err(jerr)?, log_wm);
-            paged_writer = match paged_dirty {
-                Some(dir) => {
-                    let pages = match journal.output("paged") {
-                        Some(Watermark::Pages(n)) => n as usize,
-                        _ => {
-                            return Err(CliError::Runtime(
-                                "journal has no page watermark for the paged spill; \
-                                 refusing to resume"
-                                    .to_string(),
-                            ));
-                        }
-                    };
-                    let mut writer = PagedWriter::resume(dir, schema.clone(), chunk_rows, pages)
-                        .map_err(|e| at(dir, e))?;
-                    // The spill's partial page died with the process;
-                    // refill it from the committed dirty.csv tail
-                    // (already truncated to its watermark above).
-                    let committed = pages * chunk_rows;
-                    if dirty_base > committed {
-                        let tail = File::open(&dirty_path).map_err(|e| at(&dirty_path, e))?;
-                        let mut reader =
-                            CsvChunkReader::new(schema.clone(), BufReader::new(tail), chunk_rows)
-                                .map_err(|e| at(&dirty_path, e))?;
-                        reader.skip_data_rows(committed).map_err(|e| at(&dirty_path, e))?;
-                        while let Some(batch) =
-                            reader.next_batch().map_err(|e| at(&dirty_path, e))?
-                        {
-                            writer.append_batch(&batch).map_err(|e| at(dir, e))?;
-                        }
-                        if writer.n_pages() != pages
-                            || writer.pending_rows() != dirty_base - committed
-                        {
-                            return Err(CliError::Runtime(format!(
-                                "{}: refilled {} pending rows over {} pages, journal expected \
-                                 {} over {} — dirty.csv disagrees with the journal",
-                                dir.display(),
-                                writer.pending_rows(),
-                                writer.n_pages(),
-                                dirty_base - committed,
-                                pages,
-                            )));
-                        }
-                    }
-                    Some(writer)
-                }
-                None => None,
-            };
-        }
-    }
-
-    let tee = TeeCsv { inner: generator, writer: clean_writer, done: false };
-    let mut stream: TdgStream =
-        PolluteStream::resume(tee, env.pollution.clone(), prng, cursor, dirty_base);
-    let mut journal = match resumed {
-        Some(journal) => journal,
-        None => Journal::new(
-            "generate",
-            ckpt_opts.as_ref().map_or(0, |o| o.config),
-            schema.fingerprint(),
-        ),
-    };
-    let every = ckpt_opts.as_ref().map_or(usize::MAX, |o| o.every);
-    let paths = (clean_path.as_path(), dirty_path.as_path(), log_path.as_path());
-
-    // Commit before the first batch: a fresh run gets a cursor-zero
-    // journal (so a crash anywhere leaves something to resume), a
-    // resumed run re-commits the state it restored.
-    if let Some(dir) = ckpt.as_mut() {
-        let pages = paged_writer.as_ref().map(|w| w.n_pages() as u64);
-        commit_generate(
-            dir,
-            &mut journal,
-            &mut stream,
-            &mut dirty_writer,
-            &mut log_out,
-            pages,
-            corrupted_base,
-            paths,
-            false,
-        )?;
-    }
-
-    let mut cells_rendered = 0usize;
-    let mut batches_since_commit = 0usize;
-    let mut cells_buf = String::new();
-    loop {
-        match stream.next_batch() {
-            Ok(Some(batch)) => {
-                dirty_writer.write_batch(&batch).map_err(|e| at(&dirty_path, e))?;
-                if let Some(w) = paged_writer.as_mut() {
-                    w.append_batch(&batch)
-                        .map_err(|e| at(paged_dirty.expect("writer implies dir"), e))?;
-                }
-                // Stream the ground-truth log as it accumulates; the
-                // concatenation is byte-identical to a one-shot
-                // rendering at the end.
-                cells_buf.clear();
-                stream.log().render_cells_csv(&schema, cells_rendered, &mut cells_buf);
-                cells_rendered = stream.log().cells.len();
-                log_out.write_all(cells_buf.as_bytes()).map_err(|e| at(&log_path, e))?;
-                batches_since_commit += 1;
-                if batches_since_commit >= every {
-                    if let Some(dir) = ckpt.as_mut() {
-                        let pages = paged_writer.as_ref().map(|w| w.n_pages() as u64);
-                        commit_generate(
-                            dir,
-                            &mut journal,
-                            &mut stream,
-                            &mut dirty_writer,
-                            &mut log_out,
-                            pages,
-                            corrupted_base,
-                            paths,
-                            false,
-                        )?;
-                    }
-                    batches_since_commit = 0;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                return Err(CliError::Runtime(format!(
-                    "{}: streamed generation: {e}",
-                    clean_path.display()
-                )));
-            }
-        }
-    }
-    dirty_writer.flush().map_err(|e| at(&dirty_path, e))?;
-    let dirty_bytes = dirty_writer.get_ref().count();
-    dirty_writer.finish().map_err(|e| at(&dirty_path, e))?;
-    let mut paged_pages = None;
-    if let Some(w) = paged_writer {
-        let dir = paged_dirty.expect("writer implies dir");
-        let spilled = w.finish().map_err(|e| at(dir, e))?;
-        paged_pages = Some(spilled.n_pages() as u64);
+    let (clean_rows, dirty_rows, corrupted) = pollute_into(
+        job,
+        Tee::new(generator, Some(clean)),
+        env.pollution.clone(),
+        start,
+        PollutionOutputs { dirty, log: Some(log), spill },
+        &clean_path,
+    )?;
+    if let Some(dir) = &paged_dirty {
         say!("spilled dirty relation to paged directory {}", dir.display());
     }
-    let clean_rows = stream.clean_rows_seen();
-    let dirty_rows = stream.rows_emitted();
-    let corrupted = corrupted_base + stream.log().n_corrupted_rows() as u64;
-    let rng_state = stream.rng().state();
-    let (tee, _log) = stream.into_parts();
-    let mut clean_writer = tee.writer;
-    clean_writer.flush().map_err(|e| at(&clean_path, e))?;
-    let clean_bytes = clean_writer.get_ref().count();
-    clean_writer.finish().map_err(|e| at(&clean_path, e))?;
-    log_out.flush().map_err(|e| at(&log_path, e))?;
-
-    // The closing commit: everything is on disk, mark the job done so
-    // a re-resume is a no-op instead of a re-run.
-    if let Some(dir) = ckpt.as_mut() {
-        journal.cursor_rows = clean_rows as u64;
-        journal.rng = Some(rng_state);
-        journal.set_counter("dirty_rows", dirty_rows as u64);
-        journal.set_counter("corrupted_rows", corrupted);
-        journal.set_output("clean.csv", Watermark::Bytes(clean_bytes));
-        journal.set_output("dirty.csv", Watermark::Bytes(dirty_bytes));
-        journal.set_output("pollution-log.csv", Watermark::Bytes(log_out.count()));
-        if let Some(pages) = paged_pages {
-            journal.set_output("paged", Watermark::Pages(pages));
-        }
-        journal.done = true;
-        dir.save(&journal).map_err(jerr)?;
-    }
-
     say!(
-        "generated tdg benchmark in {} (streamed, {chunk_rows}-row chunks): {} clean rows, \
-         {} dirty rows ({} corrupted), {} rules",
+        "generated tdg benchmark in {} ({chunk_rows}-row chunks): {clean_rows} clean rows, \
+         {dirty_rows} dirty rows ({corrupted} corrupted), {} rules",
         out.display(),
-        clean_rows,
-        dirty_rows,
-        corrupted,
         rules.len(),
     );
     say!("files: schema.dqs clean.csv dirty.csv pollution-log.csv rules.txt");
     Ok(())
+}
+
+/// Open the paged spill of the dirty relation, `dirty_rows` of which
+/// are already committed. On resume the spill holds only its journaled
+/// full pages — the partial page died with the process — so the rows
+/// past them are refilled from the committed `dirty.csv` tail (already
+/// truncated to its watermark).
+fn open_spill(
+    job: &mut Job,
+    dir: &Path,
+    schema: &Arc<Schema>,
+    page_rows: usize,
+    dirty_path: &Path,
+    dirty_rows: usize,
+) -> Result<OutputId, CliError> {
+    let spill = job.pages("paged", dir, schema.clone(), page_rows)?;
+    let pages = job.spill(spill).n_pages();
+    let committed = pages * page_rows;
+    if dirty_rows > committed {
+        let tail = File::open(dirty_path).map_err(|e| at(dirty_path, e))?;
+        let mut reader = CsvChunkReader::new(schema.clone(), BufReader::new(tail), page_rows)
+            .map_err(|e| at(dirty_path, e))?;
+        reader.skip_data_rows(committed).map_err(|e| at(dirty_path, e))?;
+        while let Some(batch) = reader.next_batch().map_err(|e| at(dirty_path, e))? {
+            job.write_batch(spill, &batch)?;
+        }
+        let writer = job.spill(spill);
+        if writer.n_pages() != pages || writer.pending_rows() != dirty_rows - committed {
+            return Err(CliError::Runtime(format!(
+                "{}: refilled {} pending rows over {} pages, journal expected {} over {} — \
+                 dirty.csv disagrees with the journal",
+                dir.display(),
+                writer.pending_rows(),
+                writer.n_pages(),
+                dirty_rows - committed,
+                pages,
+            )));
+        }
+    }
+    Ok(spill)
 }
 
 /// The sec. 6.2 QUIS-like engine-composition benchmark.

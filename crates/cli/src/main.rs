@@ -18,11 +18,11 @@
 //! 1 runtime failure, 2 usage error, 3 exhausted error budget
 //! (`dq detect --max-bad-rows`).
 //!
-//! The streaming stages (`generate tdg --stream-chunk-rows`,
-//! `pollute`, `detect`) all accept `--checkpoint DIR` to journal their
-//! progress at chunk-commit boundaries and `--resume` to continue a
-//! killed run with byte-identical outputs — see `dq_job` for the
-//! journal and [`checkpoint`] for the shared CLI glue.
+//! The streaming stages (`generate tdg`, `pollute`, `detect`) all
+//! accept `--checkpoint DIR` to journal their progress at
+//! chunk-commit boundaries and `--resume` to continue a killed run
+//! with byte-identical outputs — see `dq_job` for the journal and
+//! [`checkpoint`] for the one job driver they share.
 
 mod args;
 mod checkpoint;

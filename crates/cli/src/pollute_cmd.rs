@@ -13,18 +13,24 @@
 //! boundary; `--resume` continues a killed run byte-identically (the
 //! input is re-opened and seeked to the cursor, the outputs truncated
 //! to their committed watermarks).
+//!
+//! The pollution loop here, [`pollute_into`], is also the back half of
+//! `dq generate tdg`.
 
 use crate::args::{CliError, Flags};
-use crate::checkpoint::{config_fingerprint, jerr, start_job, Start};
-use crate::io_util::{at, create_file, load_schema, say};
-use dq_job::{resume_file, CheckpointDir, CountingWriter, Journal, Watermark};
+use crate::checkpoint::{
+    config_fingerprint, csv_header, refuse_overwriting_input, Job, JobFlags, OutputId,
+};
+use crate::io_util::{at, load_schema, say};
+use dq_job::Journal;
 use dq_pollute::{PolluteStream, PollutionConfig, CELLS_CSV_HEADER};
-use dq_table::{BatchSource, CsvChunkReader, CsvWriter};
+use dq_table::{BatchSource, CsvChunkReader, CsvWriter, Schema, Table, TableError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::path::Path;
+use std::sync::Arc;
 
 pub const USAGE: &str = "dq pollute --schema F.dqs --input clean.csv --output dirty.csv \
                          [--log L.csv] [--factor X] [--seed N] [--chunk-rows N] [--threads N] \
@@ -57,14 +63,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // Pollution consumes one RNG in clean-row order, so it always runs
     // serial; the flag is validated for CLI uniformity only.
     let _threads: Option<usize> = flags.parse_positive_opt("threads")?;
-    let checkpoint = flags.get("checkpoint").map(|d| Path::new(d).to_path_buf());
-    let every: usize = flags.parse_positive_or("checkpoint-every", 16)?;
-    let resume = flags.has("resume");
-    if (resume || flags.get("checkpoint-every").is_some()) && checkpoint.is_none() {
-        return Err(CliError::Usage(format!(
-            "--resume/--checkpoint-every need --checkpoint DIR\nusage: {USAGE}"
-        )));
-    }
+    let job_flags = JobFlags::parse(&flags, USAGE)?;
+    let mut outputs = vec![("output", output.as_path())];
+    outputs.extend(log_path.as_deref().map(|log| ("log", log)));
+    refuse_overwriting_input(&input, &outputs, USAGE)?;
 
     // Flags that shape the output bytes; `--threads` is excluded (it
     // never changes them), the input path is vouched for by the schema
@@ -76,161 +78,30 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         ("chunk-rows", chunk_rows.to_string()),
         ("log", log_path.is_some().to_string()),
     ]);
-    let mut ckpt = None;
-    let mut resumed: Option<Journal> = None;
-    if let Some(dir) = &checkpoint {
-        let handle = CheckpointDir::create(dir).map_err(jerr)?;
-        match start_job(&handle, resume, "pollute", config, schema.fingerprint())? {
-            Start::Fresh => {}
-            Start::Resume(journal) => resumed = Some(journal),
-            Start::AlreadyDone => {
-                say!("checkpoint {}: job is already done — nothing to resume", dir.display());
-                return Ok(());
-            }
-        }
-        ckpt = Some(handle);
-    }
+    let Some(mut job) = Job::start(job_flags.as_ref(), "pollute", config, schema.fingerprint())?
+    else {
+        return Ok(());
+    };
 
     let file = File::open(&input).map_err(|e| at(&input, e))?;
     let mut reader = CsvChunkReader::new(schema.clone(), BufReader::new(file), chunk_rows)
         .map_err(|e| at(&input, e))?;
-    let config_pollution = PollutionConfig::standard().with_factor(factor);
-
-    let bytes_watermark = |journal: &Journal, name: &str| -> Result<u64, CliError> {
-        match journal.output(name) {
-            Some(Watermark::Bytes(n)) => Ok(n),
-            _ => Err(CliError::Runtime(format!(
-                "journal has no byte watermark for output `{name}`; refusing to resume"
-            ))),
-        }
-    };
-    let cursor;
-    let dirty_base;
-    let corrupted_base;
-    let rng;
-    let mut writer;
-    let mut log_out;
-    match &resumed {
-        None => {
-            cursor = 0;
-            dirty_base = 0;
-            corrupted_base = 0;
-            rng = StdRng::seed_from_u64(seed);
-            writer = CsvWriter::new(schema.clone(), CountingWriter::new(create_file(&output)?, 0))
-                .map_err(|e| at(&output, e))?;
-            log_out = match &log_path {
-                Some(path) => {
-                    let mut out = CountingWriter::new(create_file(path)?, 0);
-                    out.write_all(CELLS_CSV_HEADER.as_bytes()).map_err(|e| at(path, e))?;
-                    Some(out)
-                }
-                None => None,
-            };
-        }
-        Some(journal) => {
-            cursor = journal.cursor_rows as usize;
-            dirty_base = journal.counter("dirty_rows").unwrap_or(0) as usize;
-            corrupted_base = journal.counter("corrupted_rows").unwrap_or(0);
-            let state = journal.rng.ok_or_else(|| {
-                CliError::Runtime("journal records no rng state; refusing to resume".to_string())
-            })?;
-            rng = StdRng::from_state(state);
-            reader.skip_data_rows(cursor).map_err(|e| at(&input, e))?;
-            let dirty_wm = bytes_watermark(journal, "dirty.csv")?;
-            writer = CsvWriter::append(
-                schema.clone(),
-                CountingWriter::new(resume_file(&output, dirty_wm).map_err(jerr)?, dirty_wm),
-            );
-            log_out = match &log_path {
-                Some(path) => {
-                    let log_wm = bytes_watermark(journal, "log.csv")?;
-                    Some(CountingWriter::new(resume_file(path, log_wm).map_err(jerr)?, log_wm))
-                }
-                None => None,
-            };
-        }
-    }
-
-    let mut stream = PolluteStream::resume(reader, config_pollution, rng, cursor, dirty_base);
-    let mut journal = match resumed {
-        Some(journal) => journal,
-        None => Journal::new("pollute", config, schema.fingerprint()),
+    let start = PollutionStart::of(&job, StdRng::seed_from_u64(seed))?;
+    reader.skip_data_rows(start.cursor).map_err(|e| at(&input, e))?;
+    let dirty = job.bytes("dirty.csv", &output, &csv_header(&schema)?)?;
+    let log = match &log_path {
+        Some(path) => Some(job.bytes("log.csv", path, CELLS_CSV_HEADER.as_bytes())?),
+        None => None,
     };
 
-    let mut cells_rendered = 0usize;
-    let mut cells_buf = String::new();
-    let mut batches_since_commit = 0usize;
-    let commit = |stream: &mut PolluteStream<CsvChunkReader<BufReader<File>>, StdRng>,
-                  writer: &mut CsvWriter<CountingWriter<File>>,
-                  log_out: &mut Option<CountingWriter<File>>,
-                  journal: &mut Journal,
-                  ckpt: &mut CheckpointDir,
-                  done: bool|
-     -> Result<(), CliError> {
-        writer.flush().map_err(|e| at(&output, e))?;
-        if let Some(out) = log_out.as_mut() {
-            out.flush().map_err(|e| at(log_path.as_ref().expect("log_out implies path"), e))?;
-        }
-        journal.cursor_rows = stream.clean_rows_seen() as u64;
-        journal.rng = Some(stream.rng().state());
-        journal.set_counter("dirty_rows", stream.rows_emitted() as u64);
-        journal
-            .set_counter("corrupted_rows", corrupted_base + stream.log().n_corrupted_rows() as u64);
-        journal.set_output("dirty.csv", Watermark::Bytes(writer.get_ref().count()));
-        if let Some(out) = log_out.as_ref() {
-            journal.set_output("log.csv", Watermark::Bytes(out.count()));
-        }
-        journal.done = done;
-        ckpt.save(journal).map_err(jerr)
-    };
-
-    // Cursor-zero commit: a crash anywhere after this leaves a journal
-    // to resume from.
-    if let Some(handle) = ckpt.as_mut() {
-        commit(&mut stream, &mut writer, &mut log_out, &mut journal, handle, false)?;
-    }
-    loop {
-        match stream.next_batch() {
-            Ok(Some(batch)) => {
-                writer.write_batch(&batch).map_err(|e| at(&output, e))?;
-                if let Some(out) = log_out.as_mut() {
-                    cells_buf.clear();
-                    stream.log().render_cells_csv(&schema, cells_rendered, &mut cells_buf);
-                    cells_rendered = stream.log().cells.len();
-                    out.write_all(cells_buf.as_bytes())
-                        .map_err(|e| at(log_path.as_ref().expect("log_out implies path"), e))?;
-                }
-                batches_since_commit += 1;
-                if batches_since_commit >= every {
-                    if let Some(handle) = ckpt.as_mut() {
-                        commit(
-                            &mut stream,
-                            &mut writer,
-                            &mut log_out,
-                            &mut journal,
-                            handle,
-                            false,
-                        )?;
-                    }
-                    batches_since_commit = 0;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(CliError::Runtime(at(&input, e))),
-        }
-    }
-    if let Some(handle) = ckpt.as_mut() {
-        commit(&mut stream, &mut writer, &mut log_out, &mut journal, handle, true)?;
-    } else {
-        writer.flush().map_err(|e| at(&output, e))?;
-        if let Some(out) = log_out.as_mut() {
-            out.flush().map_err(|e| at(log_path.as_ref().expect("log_out implies path"), e))?;
-        }
-    }
-
-    let clean_rows = stream.clean_rows_seen();
-    let dirty_rows = stream.rows_emitted();
-    let corrupted = corrupted_base + stream.log().n_corrupted_rows() as u64;
+    let (clean_rows, dirty_rows, corrupted) = pollute_into(
+        job,
+        Tee::new(reader, None),
+        PollutionConfig::standard().with_factor(factor),
+        start,
+        PollutionOutputs { dirty, log, spill: None },
+        &input,
+    )?;
     let prevalence = if dirty_rows == 0 { 0.0 } else { corrupted as f64 / dirty_rows as f64 };
     say!(
         "polluted {clean_rows} rows -> {dirty_rows} rows ({corrupted} corrupted, prevalence \
@@ -238,4 +109,146 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         prevalence * 100.0,
     );
     Ok(())
+}
+
+/// Where a pollution job starts: the clean-row cursor, the dirty and
+/// corrupted rows already committed, and the pollution RNG at the
+/// cursor — zero and `fresh` for a fresh run, the journal's for a
+/// resumed one.
+pub struct PollutionStart {
+    pub cursor: usize,
+    pub dirty_rows: usize,
+    corrupted_rows: u64,
+    rng: StdRng,
+}
+
+impl PollutionStart {
+    pub fn of(job: &Job, fresh: StdRng) -> Result<PollutionStart, CliError> {
+        let Some(journal) = job.resumed() else {
+            return Ok(PollutionStart { cursor: 0, dirty_rows: 0, corrupted_rows: 0, rng: fresh });
+        };
+        let state = journal.rng.ok_or_else(|| {
+            CliError::Runtime("journal records no rng state; refusing to resume".to_string())
+        })?;
+        Ok(PollutionStart {
+            cursor: journal.cursor_rows as usize,
+            dirty_rows: journal.counter("dirty_rows").unwrap_or(0) as usize,
+            corrupted_rows: journal.counter("corrupted_rows").unwrap_or(0),
+            rng: StdRng::from_state(state),
+        })
+    }
+}
+
+/// The job outputs a pollution run writes: every dirty batch to the
+/// `dirty` CSV (and the optional paged `spill`), the log cells each
+/// batch added to the optional ground-truth `log`.
+pub struct PollutionOutputs {
+    pub dirty: OutputId,
+    pub log: Option<OutputId>,
+    pub spill: Option<OutputId>,
+}
+
+/// A [`BatchSource`] pass-through that renders every batch it passes
+/// as CSV for the job output `out` — how `dq generate tdg` writes
+/// `clean.csv` while pollution consumes the very same batches, in one
+/// pass. Without an output, a plain pass-through.
+pub struct Tee<S> {
+    inner: S,
+    out: Option<OutputId>,
+    /// CSV rows rendered since the pollution loop last drained them.
+    rendered: Vec<u8>,
+}
+
+impl<S> Tee<S> {
+    pub fn new(inner: S, out: Option<OutputId>) -> Self {
+        Tee { inner, out, rendered: Vec::new() }
+    }
+}
+
+impl<S: BatchSource> BatchSource for Tee<S> {
+    fn schema(&self) -> &Arc<Schema> {
+        self.inner.schema()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Table>, TableError> {
+        let batch = self.inner.next_batch()?;
+        if let (Some(batch), Some(_)) = (&batch, self.out) {
+            let mut csv = CsvWriter::append(batch.schema().clone(), &mut self.rendered);
+            csv.write_batch(batch)?;
+            csv.finish()?;
+        }
+        Ok(batch)
+    }
+
+    fn rows_emitted(&self) -> usize {
+        self.inner.rows_emitted()
+    }
+
+    fn row_count_hint(&self) -> Option<usize> {
+        self.inner.row_count_hint()
+    }
+}
+
+/// The one pollution loop, shared by `dq pollute` and `dq generate
+/// tdg`: drain `source` (already positioned at `start.cursor`) through
+/// a [`PolluteStream`], and per dirty batch write it out, append the
+/// log cells it added, and tick the job — which commits every
+/// `--checkpoint-every` batches. The stream's log indices are global,
+/// so the streamed log is byte-identical to a one-shot rendering at
+/// the end. Returns `(clean rows, dirty rows, corrupted rows)` over
+/// the whole job, previous incarnations included.
+pub fn pollute_into<S: BatchSource>(
+    mut job: Job,
+    source: Tee<S>,
+    config: PollutionConfig,
+    start: PollutionStart,
+    outputs: PollutionOutputs,
+    input: &Path,
+) -> Result<(usize, usize, u64), CliError> {
+    let schema = source.schema().clone();
+    let corrupted_base = start.corrupted_rows;
+    let mut stream =
+        PolluteStream::resume(source, config, start.rng, start.cursor, start.dirty_rows);
+    let corrupted = |stream: &PolluteStream<Tee<S>, StdRng>| {
+        corrupted_base + stream.log().n_corrupted_rows() as u64
+    };
+    let record = |stream: &PolluteStream<Tee<S>, StdRng>, journal: &mut Journal| {
+        journal.cursor_rows = stream.clean_rows_seen() as u64;
+        journal.rng = Some(stream.rng().state());
+        journal.set_counter("dirty_rows", stream.rows_emitted() as u64);
+        journal.set_counter("corrupted_rows", corrupted(stream));
+    };
+
+    // Commit before the first batch: a fresh run gets a cursor-zero
+    // journal (so a crash anywhere leaves something to resume), a
+    // resumed run re-commits the state it restored.
+    job.commit(|journal| record(&stream, journal))?;
+    let mut cells_rendered = 0usize;
+    let mut cells = String::new();
+    loop {
+        let batch = stream.next_batch().map_err(|e| at(input, e))?;
+        // Hand over the tee'd clean rows before anything can commit:
+        // the journal cursor counts every clean row pulled, including
+        // the chunks pollution deleted entirely.
+        let tee = stream.source_mut();
+        if let Some(out) = tee.out {
+            job.write(out, &tee.rendered)?;
+            tee.rendered.clear();
+        }
+        let Some(batch) = batch else { break };
+        job.write_batch(outputs.dirty, &batch)?;
+        if let Some(spill) = outputs.spill {
+            job.write_batch(spill, &batch)?;
+        }
+        if let Some(log) = outputs.log {
+            cells.clear();
+            stream.log().render_cells_csv(&schema, cells_rendered, &mut cells);
+            cells_rendered = stream.log().cells.len();
+            job.write(log, cells.as_bytes())?;
+        }
+        job.tick(|journal| record(&stream, journal))?;
+    }
+    let totals = (stream.clean_rows_seen(), stream.rows_emitted(), corrupted(&stream));
+    job.finish(|journal| record(&stream, journal))?;
+    Ok(totals)
 }

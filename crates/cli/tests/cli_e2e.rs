@@ -311,10 +311,6 @@ fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
     let model = dir.path("model.dqm");
     let paged = dir.path("dirty-paged");
 
-    // --paged-dirty only makes sense while streaming.
-    let out = dq(&["generate", "tdg", "--out", &dir.path(""), "--paged-dirty", &paged]);
-    assert_eq!(out.status.code(), Some(2), "paged spill without streaming is a usage error");
-
     let out = dq_ok(&[
         "generate",
         "tdg",
@@ -365,6 +361,39 @@ fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
     ]);
     assert_eq!(read(&dir.path("report-paged.csv")), read(&dir.path("report-csv.csv")));
 
+    // Without --stream-chunk-rows the spill pages at the default
+    // generator chunk, and audits to the same report.
+    let default_paged = dir.path("default-paged");
+    dq_ok(&[
+        "generate",
+        "tdg",
+        "--out",
+        &dir.path("default"),
+        "--rows",
+        "1500",
+        "--rules",
+        "10",
+        "--seed",
+        "42",
+        "--paged-dirty",
+        &default_paged,
+    ]);
+    let out = dq_ok(&[
+        "detect",
+        "--schema",
+        &schema,
+        "--model",
+        &model,
+        "--input",
+        &default_paged,
+        "--report",
+        &dir.path("report-default-paged.csv"),
+        "--top",
+        "0",
+    ]);
+    assert!(out.contains("(4096 per page"), "got: {out}");
+    assert_eq!(read(&dir.path("report-default-paged.csv")), read(&dir.path("report-csv.csv")));
+
     // Tear the spill the way a crash before the manifest commit
     // would: pages on disk, no manifest. The audit must refuse with a
     // typed error naming the manifest, not scan a short relation.
@@ -373,6 +402,37 @@ fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
     assert_eq!(out.status.code(), Some(1), "a torn spill is a runtime failure");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("manifest"), "the refusal must name the manifest: {stderr}");
+}
+
+#[test]
+fn pollute_refuses_to_overwrite_its_input() {
+    let dir = TempDir::new("clobber");
+    dq_ok(&["generate", "tdg", "--out", &dir.path(""), "--rows", "20000", "--seed", "5"]);
+    let schema = dir.path("schema.dqs");
+    let input = dir.path("clean.csv");
+    let before = std::fs::read(&input).unwrap();
+    // The input named directly, through another spelling of its path,
+    // or as the log: each is a usage error before anything is opened.
+    let other_spelling = format!("{}/./clean.csv", dir.0.display());
+    for (flag, target) in [("--output", input.as_str()), ("--output", &other_spelling)] {
+        let out = dq(&["pollute", "--schema", &schema, "--input", &input, flag, target]);
+        assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("input file"));
+    }
+    let out = dq(&[
+        "pollute",
+        "--schema",
+        &schema,
+        "--input",
+        &input,
+        "--output",
+        &dir.path("dirty2.csv"),
+        "--log",
+        &input,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!Path::new(&dir.path("dirty2.csv")).exists(), "nothing is created on refusal");
+    assert!(std::fs::read(&input).unwrap() == before, "the input must be unchanged");
 }
 
 #[test]

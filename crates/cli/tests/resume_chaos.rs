@@ -266,6 +266,38 @@ fn pollute_killed_anywhere_resumes_byte_identical() {
 }
 
 #[test]
+fn pollute_without_a_log_resumes_byte_identical() {
+    let dir = TempDir::new("pol-nolog");
+    let data = dir.path("data");
+    dq_ok(&["generate", "tdg", "--out", &data, "--rows", "2000", "--rules", "6", "--seed", "11"]);
+    let schema = format!("{data}/schema.dqs");
+    let clean = format!("{data}/clean.csv");
+    let reference = dir.path("ref-dirty.csv");
+    let dirty = dir.path("dirty.csv");
+    let ckpt = dir.path("ckpt");
+    let pollute = |output: &str| -> Vec<String> {
+        ["pollute", "--schema", &schema, "--input", &clean, "--output", output]
+            .into_iter()
+            .chain(["--seed", "23", "--chunk-rows", "64"])
+            .map(str::to_string)
+            .collect()
+    };
+    let reference_args = pollute(&reference);
+    dq_ok(&reference_args.iter().map(String::as_str).collect::<Vec<_>>());
+
+    let victim_args = pollute(&dirty);
+    let mut base: Vec<&str> = victim_args.iter().map(String::as_str).collect();
+    base.extend(["--checkpoint", &ckpt, "--checkpoint-every", "1"]);
+    let mut resume_args = base.clone();
+    resume_args.push("--resume");
+    assert!(
+        crash_and_resume(&base, &resume_args, ("DQ_CRASH_AFTER_COMMITS", 7)),
+        "the victim must crash mid-run"
+    );
+    assert_file_eq(&reference, &dirty, "pollute without --log, DQ_CRASH_AFTER_COMMITS=7");
+}
+
+#[test]
 fn detect_killed_anywhere_resumes_byte_identical() {
     let dir = TempDir::new("det");
     let data = dir.path("data");

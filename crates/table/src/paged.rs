@@ -78,7 +78,11 @@ pub struct PagedWriter {
 
 impl PagedWriter {
     /// Create (or truncate into) `dir` for a relation over `schema`
-    /// with `page_rows` rows per page (clamped to at least 1).
+    /// with `page_rows` rows per page (clamped to at least 1). A spill
+    /// already committed there is removed — manifest, staged manifest
+    /// and every page — before the first new page is written, so a
+    /// crash mid-re-spill leaves a directory [`PagedTable::open`]
+    /// refuses rather than a mix of old and new pages it would read.
     pub fn create(
         dir: impl Into<PathBuf>,
         schema: Arc<Schema>,
@@ -86,6 +90,7 @@ impl PagedWriter {
     ) -> Result<Self, TableError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| located(&dir, e))?;
+        prune_from(&dir, 0)?;
         Ok(PagedWriter {
             pending: Table::new(schema.clone()),
             dir,
@@ -138,22 +143,7 @@ impl PagedWriter {
                 ));
             }
         }
-        // Prune unjournaled leftovers from the crashed incarnation.
-        for name in [MANIFEST, MANIFEST_TMP] {
-            let stale = dir.join(name);
-            if stale.exists() {
-                std::fs::remove_file(&stale).map_err(|e| located(&stale, e))?;
-            }
-        }
-        let mut orphan = committed_pages;
-        loop {
-            let page = dir.join(format!("page-{orphan}.dqp"));
-            if !page.exists() {
-                break;
-            }
-            std::fs::remove_file(&page).map_err(|e| located(&page, e))?;
-            orphan += 1;
-        }
+        prune_from(&dir, committed_pages)?;
         Ok(PagedWriter {
             pending: Table::new(schema.clone()),
             dir,
@@ -244,6 +234,30 @@ impl PagedWriter {
         self.n_pages += 1;
         Ok(())
     }
+}
+
+/// Remove everything of a spill in `dir` past its first `keep` pages:
+/// the manifest, the staged manifest, and pages `keep..` — leftovers a
+/// crashed (or an earlier) incarnation wrote that no journal vouches
+/// for. The directory is fsynced, so the removals are ordered before
+/// any page written next.
+fn prune_from(dir: &Path, keep: usize) -> Result<(), TableError> {
+    for name in [MANIFEST, MANIFEST_TMP] {
+        let stale = dir.join(name);
+        if stale.exists() {
+            std::fs::remove_file(&stale).map_err(|e| located(&stale, e))?;
+        }
+    }
+    for entry in std::fs::read_dir(dir).map_err(|e| located(dir, e))? {
+        let path = entry.map_err(|e| located(dir, e))?.path();
+        let index = path.file_name().and_then(|name| name.to_str()).and_then(|name| {
+            name.strip_prefix("page-")?.strip_suffix(".dqp")?.parse::<usize>().ok()
+        });
+        if index.is_some_and(|index| index >= keep) {
+            std::fs::remove_file(&path).map_err(|e| located(&path, e))?;
+        }
+    }
+    sync_dir(dir)
 }
 
 /// Fsync a directory so a just-renamed entry survives power loss.
@@ -755,6 +769,25 @@ mod tests {
         let err = PagedTable::open(&d, t.schema().clone()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains(MANIFEST), "must name the missing commit record: {msg}");
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_killed_re_spill_over_a_committed_spill_is_rejected() {
+        let t = fixture(30);
+        let d = dir("respill");
+        PagedWriter::create(&d, t.schema().clone(), 4).unwrap().spill(t.batches(7)).unwrap();
+        {
+            // Re-spill into the same directory; one full page reaches
+            // disk, then the "process dies" before finish().
+            let mut w = PagedWriter::create(&d, t.schema().clone(), 4).unwrap();
+            w.append_batch(&t.slice_rows(10, 14).unwrap()).unwrap();
+            assert_eq!(w.n_pages(), 1);
+        }
+        let err = PagedTable::open(&d, t.schema().clone()).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains(MANIFEST), "the old manifest must not vouch for new pages: {msg}");
+        assert!(!d.join("page-1.dqp").exists(), "pages of the old spill are pruned");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -139,84 +139,90 @@ pub fn generate_table<R: Rng + ?Sized>(
     config: &DataGenConfig,
     rng: &mut R,
 ) -> (Table, GenReport) {
-    assert_eq!(config.start.univariate.len(), schema.len(), "one univariate spec per attribute");
+    let generator = ChunkGenerator::new(schema.clone(), rules.clone(), config.clone());
     let plans = chunk_plans(config.n_rows, rng);
-    let covered = covered_attrs(schema, config);
-    let compiled = CompiledRuleSet::compile(rules, schema.len());
-    // Per rule, the two formulae a repair can enforce — the consequent
-    // and the TDG-negated premise — pre-compiled into repair trees
-    // (per-node programs + isnull flags) once per rule set instead of
-    // re-derived per repair action.
-    let repair_trees: Vec<(RepairTree, RepairTree)> = rules
-        .iter()
-        .map(|r| (RepairTree::compile(&r.consequent), RepairTree::compile(&negate(&r.premise))))
-        .collect();
-    let index = RepairIndex::new(schema, rules, &compiled);
     let pool = WorkerPool::from_config(config.threads);
-    let parts = pool.map_indexed(&plans, |_, &(n, seed)| {
-        generate_chunk_compiled(
-            schema,
-            rules,
-            config,
-            &covered,
-            &compiled,
-            &repair_trees,
-            &index,
-            n,
-            seed,
-        )
-    });
-    merge_chunks(schema, config.n_rows, parts)
+    let parts = pool.map_indexed(&plans, |_, &(n, seed)| generator.chunk(n, seed));
+    let mut table = Table::with_capacity(schema.clone(), config.n_rows);
+    let mut report = GenReport::default();
+    append_parts(&mut table, &mut report, parts).expect("chunk tables share the schema");
+    (table, report)
 }
 
-/// Generate one chunk through the compiled fast path — the unit of
-/// work [`generate_table`] shards across its pool and
-/// [`GenerateStream`] produces on demand. One `(n, seed)` plan in,
-/// one `n`-row table plus its report out; everything the chunk does is
-/// a pure function of the plan, which is what makes the in-memory and
-/// streamed paths byte-identical.
-#[allow(clippy::too_many_arguments)] // a worker-closure body, not an API
-fn generate_chunk_compiled(
-    schema: &Arc<Schema>,
-    rules: &RuleSet,
-    config: &DataGenConfig,
-    covered: &[bool],
-    compiled: &CompiledRuleSet,
-    repair_trees: &[(RepairTree, RepairTree)],
-    index: &RepairIndex,
-    n: usize,
-    seed: u64,
-) -> (Table, GenReport) {
-    let mut chunk_rng = StdRng::seed_from_u64(seed);
-    let mut table = Table::with_capacity(schema.clone(), n);
-    let mut report = GenReport::default();
-    let mut record: Vec<Value> = vec![Value::Null; schema.len()];
-    let mut joint: Vec<(AttrIdx, u32)> = Vec::new();
-    let mut scratch = RepairScratch::new(schema, rules);
-    for _ in 0..n {
-        sample_start(schema, config, covered, &mut record, &mut joint, &mut chunk_rng);
-        let unresolved = repair_record_compiled(
-            schema,
-            compiled,
-            repair_trees,
-            index,
-            &mut record,
-            config.max_repair_passes,
-            &mut chunk_rng,
-            &mut report.repairs,
-            &mut scratch,
+/// The compiled generation state, built once per rule set and shared
+/// by [`generate_table`] and [`GenerateStream`]: one `(n, seed)` chunk
+/// plan in, one `n`-row table plus its report out. Everything a chunk
+/// does is a pure function of its plan, which is what makes the
+/// in-memory and streamed paths byte-identical.
+struct ChunkGenerator {
+    schema: Arc<Schema>,
+    rules: RuleSet,
+    config: DataGenConfig,
+    /// Attributes a multivariate group samples (no univariate draw).
+    covered: Vec<bool>,
+    compiled: CompiledRuleSet,
+    /// Per rule, the two formulae a repair can enforce — the
+    /// consequent and the TDG-negated premise — pre-compiled into
+    /// repair trees (per-node programs + isnull flags) once per rule
+    /// set instead of re-derived per repair action.
+    repair_trees: Vec<(RepairTree, RepairTree)>,
+    index: RepairIndex,
+}
+
+impl ChunkGenerator {
+    fn new(schema: Arc<Schema>, rules: RuleSet, config: DataGenConfig) -> Self {
+        assert_eq!(
+            config.start.univariate.len(),
+            schema.len(),
+            "one univariate spec per attribute"
         );
-        if unresolved > 0 {
-            report.unresolved_rows += 1;
-            report.unresolved_violations += unresolved as u64;
-        }
-        // Kind-checked append: repairs only write kind-correct
-        // domain values, and the retained reference path keeps the
-        // fully validating `push_row` on the same records.
-        table.push_row_lenient(&record).expect("generated record matches schema");
-        report.rows += 1;
+        let covered = covered_attrs(&schema, &config);
+        let compiled = CompiledRuleSet::compile(&rules, schema.len());
+        let repair_trees = rules
+            .iter()
+            .map(|r| (RepairTree::compile(&r.consequent), RepairTree::compile(&negate(&r.premise))))
+            .collect();
+        let index = RepairIndex::new(&schema, &rules, &compiled);
+        ChunkGenerator { schema, rules, config, covered, compiled, repair_trees, index }
     }
-    (table, report)
+
+    /// Generate one `n`-row chunk from its own `seed`-ed RNG stream.
+    fn chunk(&self, n: usize, seed: u64) -> (Table, GenReport) {
+        let schema = &self.schema;
+        let mut chunk_rng = StdRng::seed_from_u64(seed);
+        let mut table = Table::with_capacity(schema.clone(), n);
+        let mut report = GenReport::default();
+        let mut record: Vec<Value> = vec![Value::Null; schema.len()];
+        let mut joint: Vec<(AttrIdx, u32)> = Vec::new();
+        let mut scratch = RepairScratch::new(schema, &self.rules);
+        for _ in 0..n {
+            sample_start(
+                schema,
+                &self.config,
+                &self.covered,
+                &mut record,
+                &mut joint,
+                &mut chunk_rng,
+            );
+            let unresolved = repair_record_compiled(
+                self,
+                &mut record,
+                &mut chunk_rng,
+                &mut report.repairs,
+                &mut scratch,
+            );
+            if unresolved > 0 {
+                report.unresolved_rows += 1;
+                report.unresolved_violations += unresolved as u64;
+            }
+            // Kind-checked append: repairs only write kind-correct
+            // domain values, and the retained reference path keeps the
+            // fully validating `push_row` on the same records.
+            table.push_row_lenient(&record).expect("generated record matches schema");
+            report.rows += 1;
+        }
+        (table, report)
+    }
 }
 
 /// The retained serial row-at-a-time generator: interpreted rule
@@ -260,12 +266,15 @@ pub fn generate_reference<R: Rng + ?Sized>(
         }
         parts.push((table, report));
     }
-    merge_chunks(schema, config.n_rows, parts)
+    let mut table = Table::with_capacity(schema.clone(), config.n_rows);
+    let mut report = GenReport::default();
+    append_parts(&mut table, &mut report, parts).expect("chunk tables share the schema");
+    (table, report)
 }
 
 /// A [`BatchSource`] that **generates** its batches: chunk-seeded,
-/// rule-following records produced on demand at O(chunk) memory —
-/// the streaming twin of [`generate_table`].
+/// rule-following records produced on demand at O(chunk) memory, from
+/// the same compiled chunk generator as [`generate_table`].
 ///
 /// Construction draws the same up-front chunk plans from the
 /// caller's RNG that `generate_table` would, so (1) the concatenated
@@ -284,13 +293,7 @@ pub fn generate_reference<R: Rng + ?Sized>(
 /// stream is drained) is available through
 /// [`GenerateStream::report`].
 pub struct GenerateStream {
-    schema: Arc<Schema>,
-    rules: RuleSet,
-    config: DataGenConfig,
-    covered: Vec<bool>,
-    compiled: CompiledRuleSet,
-    repair_trees: Vec<(RepairTree, RepairTree)>,
-    index: RepairIndex,
+    generator: ChunkGenerator,
     plans: Vec<(usize, u64)>,
     next_plan: usize,
     batch_rows: usize,
@@ -304,7 +307,7 @@ pub struct GenerateStream {
 impl std::fmt::Debug for GenerateStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenerateStream")
-            .field("n_rows", &self.config.n_rows)
+            .field("n_rows", &self.generator.config.n_rows)
             .field("rows_emitted", &self.rows_emitted)
             .field("batch_rows", &self.batch_rows)
             .field("chunks", &format_args!("{}/{}", self.next_plan, self.plans.len()))
@@ -322,29 +325,11 @@ impl GenerateStream {
         config: DataGenConfig,
         rng: &mut R,
     ) -> Self {
-        assert_eq!(
-            config.start.univariate.len(),
-            schema.len(),
-            "one univariate spec per attribute"
-        );
-        let plans = chunk_plans(config.n_rows, rng);
-        let covered = covered_attrs(&schema, &config);
-        let compiled = CompiledRuleSet::compile(&rules, schema.len());
-        let repair_trees: Vec<(RepairTree, RepairTree)> = rules
-            .iter()
-            .map(|r| (RepairTree::compile(&r.consequent), RepairTree::compile(&negate(&r.premise))))
-            .collect();
-        let index = RepairIndex::new(&schema, &rules, &compiled);
         let pool = config.threads.pool();
         let pending = Table::new(schema.clone());
+        let plans = chunk_plans(config.n_rows, rng);
         GenerateStream {
-            schema,
-            rules,
-            config,
-            covered,
-            compiled,
-            repair_trees,
-            index,
+            generator: ChunkGenerator::new(schema, rules, config),
             plans,
             next_plan: 0,
             batch_rows: GEN_CHUNK_ROWS,
@@ -379,13 +364,14 @@ impl GenerateStream {
     /// incarnation (the report is no persisted output's source, so
     /// resume byte-identity does not depend on it).
     pub fn seek_to_row(&mut self, offset: usize) -> Result<(), TableError> {
-        if offset > self.config.n_rows {
+        let n_rows = self.generator.config.n_rows;
+        if offset > n_rows {
             return Err(TableError::RowOutOfRange(offset));
         }
-        self.pending = Table::new(self.schema.clone());
+        self.pending = Table::new(self.generator.schema.clone());
         self.report = GenReport::default();
         self.rows_emitted = offset;
-        if offset == self.config.n_rows {
+        if offset == n_rows {
             self.next_plan = self.plans.len();
             return Ok(());
         }
@@ -396,17 +382,7 @@ impl GenerateStream {
             // The offset lands mid-chunk: regenerate the containing
             // chunk (pure per-plan) and keep only its tail.
             let (n, seed) = self.plans[chunk];
-            let (part, _) = generate_chunk_compiled(
-                &self.schema,
-                &self.rules,
-                &self.config,
-                &self.covered,
-                &self.compiled,
-                &self.repair_trees,
-                &self.index,
-                n,
-                seed,
-            );
+            let (part, _) = self.generator.chunk(n, seed);
             self.pending.append_rows(&part.slice_rows(within, n)?)?;
             self.next_plan = chunk + 1;
         }
@@ -417,38 +393,18 @@ impl GenerateStream {
     /// pending buffer.
     fn refill(&mut self) -> Result<(), TableError> {
         let end = (self.next_plan + self.pool.threads().max(1)).min(self.plans.len());
-        let plans = &self.plans[self.next_plan..end];
-        let (schema, rules, config) = (&self.schema, &self.rules, &self.config);
-        let (covered, compiled) = (&self.covered, &self.compiled);
-        let (repair_trees, index) = (&self.repair_trees, &self.index);
-        let parts = self.pool.map_indexed(plans, |_, &(n, seed)| {
-            generate_chunk_compiled(
-                schema,
-                rules,
-                config,
-                covered,
-                compiled,
-                repair_trees,
-                index,
-                n,
-                seed,
-            )
+        let generator = &self.generator;
+        let parts = self.pool.map_indexed(&self.plans[self.next_plan..end], |_, &(n, seed)| {
+            generator.chunk(n, seed)
         });
         self.next_plan = end;
-        for (part, part_report) in parts {
-            self.pending.append_rows(&part)?;
-            self.report.rows += part_report.rows;
-            self.report.repairs += part_report.repairs;
-            self.report.unresolved_rows += part_report.unresolved_rows;
-            self.report.unresolved_violations += part_report.unresolved_violations;
-        }
-        Ok(())
+        append_parts(&mut self.pending, &mut self.report, parts)
     }
 }
 
 impl BatchSource for GenerateStream {
     fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        &self.generator.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<Table>, TableError> {
@@ -470,7 +426,7 @@ impl BatchSource for GenerateStream {
     }
 
     fn row_count_hint(&self) -> Option<usize> {
-        Some(self.config.n_rows)
+        Some(self.generator.config.n_rows)
     }
 }
 
@@ -497,22 +453,21 @@ fn covered_attrs(schema: &Schema, config: &DataGenConfig) -> Vec<bool> {
     covered
 }
 
-/// Stitch per-chunk tables and reports back together, in chunk order.
-fn merge_chunks(
-    schema: &Arc<Schema>,
-    n_rows: usize,
+/// Append generated chunks to `table` and fold their reports into
+/// `report`, in chunk order — the one place chunk reports merge.
+fn append_parts(
+    table: &mut Table,
+    report: &mut GenReport,
     parts: Vec<(Table, GenReport)>,
-) -> (Table, GenReport) {
-    let mut table = Table::with_capacity(schema.clone(), n_rows);
-    let mut report = GenReport::default();
+) -> Result<(), TableError> {
     for (part, part_report) in parts {
-        table.append_rows(&part).expect("chunk tables share the schema");
+        table.append_rows(&part)?;
         report.rows += part_report.rows;
         report.repairs += part_report.repairs;
         report.unresolved_rows += part_report.unresolved_rows;
         report.unresolved_violations += part_report.unresolved_violations;
     }
-    (table, report)
+    Ok(())
 }
 
 fn sample_start<R: Rng + ?Sized>(
@@ -834,18 +789,16 @@ impl RepairScratch {
 /// equals its current verdict, because verdicts only change when the
 /// record changes, and every record change immediately refreshes the
 /// affected verdicts.
-#[allow(clippy::too_many_arguments)]
 fn repair_record_compiled<R: Rng + ?Sized>(
-    schema: &Schema,
-    compiled: &CompiledRuleSet,
-    repair_trees: &[(RepairTree, RepairTree)],
-    index: &RepairIndex,
+    generator: &ChunkGenerator,
     record: &mut [Value],
-    max_passes: usize,
     rng: &mut R,
     repairs: &mut u64,
     scratch: &mut RepairScratch,
 ) -> usize {
+    let ChunkGenerator { schema, compiled, repair_trees, index, config, .. } = generator;
+    let schema: &Schema = schema;
+    let max_passes = config.max_repair_passes;
     let enforce_end = (max_passes / 2).max(1);
     let falsify_end = enforce_end + (max_passes / 4);
     let RepairIndex {
