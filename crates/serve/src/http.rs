@@ -10,8 +10,23 @@
 //! no percent decoding — audit bodies are CSV, paths are plain model
 //! names. This is a protocol adapter, not a web framework; everything
 //! interesting happens in [`crate::server`].
+//!
+//! Two wire rules hold here. Every response leaves in **one write**:
+//! head and body are formatted into one buffer and handed to the
+//! socket with a single `write_all`, so a keep-alive exchange never
+//! leaves a small tail segment for Nagle's algorithm to hold until the
+//! peer's delayed ACK (about 40 ms). And a request head is bounded
+//! before it is buffered: a line longer than [`MAX_LINE_BYTES`] or
+//! more than [`MAX_HEADERS`] header fields is refused with
+//! [`HttpError::HeadersTooLarge`] (`431`) without reading further.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+/// Longest accepted request line or header line, terminator included.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header fields accepted on one request.
+pub const MAX_HEADERS: usize = 100;
 
 /// A parsed request: method, split path/query, lower-cased headers,
 /// raw body bytes.
@@ -70,6 +85,10 @@ pub enum HttpError {
     ConnectionClosed,
     /// The request line or a header is malformed.
     Malformed(String),
+    /// The request line or a header line is longer than
+    /// [`MAX_LINE_BYTES`], or the request has more than [`MAX_HEADERS`]
+    /// header fields. Refused as soon as the cap is crossed.
+    HeadersTooLarge(String),
     /// The declared body exceeds the server's limit.
     BodyTooLarge {
         /// Declared `Content-Length`.
@@ -86,6 +105,7 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::ConnectionClosed => write!(f, "connection closed mid-request"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
+            HttpError::HeadersTooLarge(m) => write!(f, "request header fields too large: {m}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "request body of {declared} bytes exceeds the {limit}-byte limit")
             }
@@ -102,11 +122,25 @@ impl From<io::Error> for HttpError {
     }
 }
 
+/// Read one line of the request head, at most [`MAX_LINE_BYTES`]
+/// bytes of it: a longer line is refused without buffering the rest.
+/// Returns the bytes read (0 at end of input).
+fn read_head_line<R: BufRead>(stream: &mut R, line: &mut String) -> Result<usize, HttpError> {
+    let n = stream.by_ref().take(MAX_LINE_BYTES as u64).read_line(line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(HttpError::HeadersTooLarge(format!(
+            "a request line or header exceeds {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    Ok(n)
+}
+
 /// Read one request from `stream`. Bodies larger than `max_body`
-/// bytes are rejected without being read.
+/// bytes are rejected without being read; so are heads that break
+/// [`MAX_LINE_BYTES`] or [`MAX_HEADERS`].
 pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Request, HttpError> {
     let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+    if read_head_line(stream, &mut line)? == 0 {
         return Err(HttpError::ConnectionClosed);
     }
     let line = line.trim_end_matches(['\r', '\n']);
@@ -132,12 +166,17 @@ pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Reque
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
         let mut header_line = String::new();
-        if stream.read_line(&mut header_line)? == 0 {
+        if read_head_line(stream, &mut header_line)? == 0 {
             return Err(HttpError::ConnectionClosed);
         }
         let header_line = header_line.trim_end_matches(['\r', '\n']);
         if header_line.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HttpError::HeadersTooLarge(format!(
+                "more than {MAX_HEADERS} header fields"
+            )));
         }
         let (name, value) = header_line
             .split_once(':')
@@ -170,6 +209,7 @@ pub fn reason(status: u16) -> &'static str {
         408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -201,17 +241,20 @@ pub fn write_response_with<W: Write>(
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
+    // One buffer, one write: see the module docs.
+    let mut message = Vec::with_capacity(256 + body.len());
     write!(
-        stream,
+        message,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         reason(status),
         body.len()
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(message, "{name}: {value}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -284,6 +327,113 @@ mod tests {
         write_response(&mut out, 200, "text/csv", b"ok\n", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// A sink that records how many `write` calls a message took.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_leaves_in_exactly_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 409, "text/plain", b"error: nope\n", true).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 409 Conflict\r\nContent-Type: text/plain\r\nContent-Length: 12\r\nConnection: close\r\n\r\nerror: nope\n"
+        );
+
+        let mut out = CountingWriter::default();
+        write_response_with(&mut out, 503, "text/plain", b"busy\n", true, &[("Retry-After", "2")])
+            .unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: 5\r\nConnection: close\r\nRetry-After: 2\r\n\r\nbusy\n"
+        );
+
+        let mut out = CountingWriter::default();
+        crate::client::write_request(
+            &mut out,
+            "POST",
+            "/audit/calls/record",
+            &[("X-Schema-Fingerprint", "00ff")],
+            b"404,901",
+            false,
+        )
+        .unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            out.bytes,
+            b"POST /audit/calls/record HTTP/1.1\r\nHost: dq-serve\r\nX-Schema-Fingerprint: 00ff\r\nContent-Length: 7\r\n\r\n404,901"
+        );
+
+        let mut out = CountingWriter::default();
+        crate::client::write_request(&mut out, "GET", "/health", &[], b"", true).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            out.bytes,
+            b"GET /health HTTP/1.1\r\nHost: dq-serve\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn oversized_heads_are_refused_without_reading_them_whole() {
+        // A 1 MiB request line with no newline: refused after the line
+        // cap, the rest of the input left unread.
+        let line = vec![b'a'; 1 << 20];
+        let mut input = line.as_slice();
+        let err = read_request(&mut input, 1 << 20).unwrap_err();
+        assert!(matches!(err, HttpError::HeadersTooLarge(_)), "{err}");
+        assert_eq!(input.len(), (1 << 20) - MAX_LINE_BYTES);
+
+        // The same cap holds for a header line.
+        let mut text = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
+        text.resize(text.len() + (1 << 20), b'b');
+        let mut input = text.as_slice();
+        assert!(matches!(read_request(&mut input, 0), Err(HttpError::HeadersTooLarge(_))));
+        assert!(input.len() > (1 << 20) - MAX_LINE_BYTES);
+
+        // A line of exactly the cap, terminator included, still parses.
+        let mut text = b"GET / HTTP/1.1\r\nX-Fit: ".to_vec();
+        text.resize(text.len() + MAX_LINE_BYTES - b"X-Fit: \r\n".len(), b'c');
+        text.extend_from_slice(b"\r\n\r\n");
+        assert!(parse(std::str::from_utf8(&text).unwrap()).is_ok());
+
+        // More header fields than the cap: refused at the first one
+        // over, the rest unread.
+        let mut text = String::from("GET / HTTP/1.1\r\n");
+        for i in 0..10 * MAX_HEADERS {
+            text.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        text.push_str("\r\n");
+        let mut input = text.as_bytes();
+        let err = read_request(&mut input, 0).unwrap_err();
+        assert!(matches!(err, HttpError::HeadersTooLarge(_)), "{err}");
+        assert!(input.starts_with(format!("X-H{}: v", MAX_HEADERS + 1).as_bytes()));
+        // Exactly the cap is fine.
+        let mut text = String::from("GET / HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS {
+            text.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        text.push_str("\r\n");
+        assert_eq!(parse(&text).unwrap().headers.len(), MAX_HEADERS);
+        assert_eq!(reason(431), "Request Header Fields Too Large");
     }
 
     #[test]

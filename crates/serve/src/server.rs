@@ -19,6 +19,14 @@
 //! in `catch_unwind`, so a panicking request costs one `500`, not the
 //! daemon.
 //!
+//! On the wire, every accepted socket gets `TCP_NODELAY` and every
+//! response — the inline `503`s included — leaves in one write
+//! ([`http::write_response_with`]), so a keep-alive round trip costs
+//! the audit plus a fraction of a millisecond, never a 40 ms
+//! Nagle/delayed-ACK stall. Request heads are size-capped
+//! ([`http::MAX_LINE_BYTES`], [`http::MAX_HEADERS`]); a head over
+//! either cap gets `431` and the connection closes.
+//!
 //! ## Routes
 //!
 //! | route | body | answer |
@@ -373,6 +381,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         eprintln!("dq-serve: dropping connection: set_write_timeout failed: {e}");
         return;
     }
+    // Responses already leave in one write each; `TCP_NODELAY` also
+    // keeps the kernel from holding one back until the client ACKs the
+    // previous. Without it the connection is slower, not wrong, so a
+    // failure here is not fatal.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(DeadlineStream::new(
         stream,
         shared.config.read_timeout,
@@ -396,6 +409,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     // to say.
                     HttpError::ConnectionClosed | HttpError::Io(_) => return,
                     HttpError::Malformed(_) => (400, err.to_string()),
+                    HttpError::HeadersTooLarge(_) => (431, err.to_string()),
                     HttpError::BodyTooLarge { .. } => (413, err.to_string()),
                 };
                 respond_error(reader.get_mut().stream_mut(), status, &message);
@@ -633,6 +647,40 @@ mod tests {
         assert_eq!(fields[3], "403", "records: {line}");
         assert_eq!(fields[5], "0", "errors: {line}");
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn keep_alive_round_trips_do_not_stall() {
+        let (registry, _) = fixture();
+        let server = start(registry);
+        let addr = server.addr();
+        let mut conn = client::Connection::open(addr).unwrap();
+
+        // Back to back on one connection, each request sent right after
+        // the previous response: the pattern a Nagle/delayed-ACK stall
+        // turns into ~40 ms per round trip (seconds in total), and one
+        // write per message on `TCP_NODELAY` sockets into a few ms.
+        let started = Instant::now();
+        for _ in 0..50 {
+            let resp = conn.request("GET", "/health", &[], b"").unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        for _ in 0..50 {
+            let resp = conn.request("POST", "/audit/calls/record", &[], b"404,901").unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body_str());
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "100 keep-alive round trips took {elapsed:?}");
+
+        let stats = client::get(addr, "/stats").unwrap();
+        let line = stats.body_str().lines().find(|l| l.starts_with("calls,")).unwrap();
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!((fields[2], fields[3]), ("50", "50"), "requests, records: {line}");
+
+        // Hang up first: shutdown would otherwise wait out the idle
+        // keep-alive read on this connection.
+        drop(conn);
         server.shutdown();
     }
 
