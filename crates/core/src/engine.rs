@@ -5,27 +5,29 @@
 //! off-line, new data can be checked for deviations and loaded
 //! quickly". [`AuditEngine`] is the serve-forever half of that split
 //! made concrete: it owns everything detection needs — the
-//! [`StructureModel`] (whose [`AttrModel`]s carry
-//! their compiled [`FlatTree`](dq_mining::FlatTree) evaluators), the
-//! relation's [`Schema`], and the structure rules lowered onto
-//! compiled violation programs ([`StructureRuleSet`]) — and exposes
-//! every detection entry point through `&self`, so one engine can
-//! answer any number of concurrent requests. The type is `Send + Sync`
-//! by construction (asserted at compile time below): share it behind
-//! an `Arc` across however many server threads you like.
+//! [`StructureModel`] (whose [`AttrModel`]s carry their compiled
+//! [`FlatTree`](dq_mining::FlatTree) evaluators) and the relation's
+//! [`Schema`] — and exposes every detection entry point through
+//! `&self`, so one engine can answer any number of concurrent
+//! requests. Nothing is compiled at construction beyond what loading
+//! the model already built, so an engine is ready as soon as its model
+//! is. The type is `Send + Sync` by construction (asserted at compile
+//! time below): share it behind an `Arc` across however many server
+//! threads you like.
 //!
-//! The batch [`Auditor`](crate::Auditor) is rewired on top of this
-//! module: `Auditor::detect`/`detect_stream` delegate to the same
-//! scan internals, so an engine's answers are **byte-identical** to
-//! the batch auditor's — the invariant `tests/serve_equivalence.rs`
-//! pins under concurrency.
+//! Every detection path runs the one columnar `scan_chunk` through
+//! `scan_sharded`; `scan_chunk_reference` (boxed trees over
+//! materialized records) is kept only as the ground truth it is checked
+//! against. The batch [`Auditor`](crate::Auditor) delegates to the same
+//! internals, so an engine's answers are **byte-identical** to the
+//! batch auditor's — the invariant `tests/serve_equivalence.rs` pins
+//! under concurrency.
 
 use crate::auditor::{materialize_class, AttrModel, StructureModel};
 use crate::error::AuditError;
 use crate::report::{AuditReport, Finding};
-use crate::structure_rules::StructureRuleSet;
 use dq_exec::{Parallelism, WorkerPool};
-use dq_table::{BatchSource, CsvChunkReader, RowSlice, Schema, Table, Value};
+use dq_table::{BatchSource, CsvChunkReader, RowSlice, Schema, Table, TableError, Value};
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::Arc;
@@ -40,15 +42,13 @@ const _: fn() = || {
 /// A loaded structure model plus its schema, resident and ready to
 /// answer detection requests concurrently.
 ///
-/// Construction compiles the model's structure rules into violation
-/// programs once; after that every entry point takes `&self` and
-/// allocates only per-request state, so the engine is the
-/// train-once/audit-forever substrate of `dq serve`.
+/// Every entry point takes `&self` and allocates only per-request
+/// state, so the engine is the train-once/audit-forever substrate of
+/// `dq serve`.
 #[derive(Debug)]
 pub struct AuditEngine {
     model: StructureModel,
     schema: Arc<Schema>,
-    rules: StructureRuleSet,
     /// Worker threads *per request* (the [`AuditConfig::threads`]
     /// semantics, as a shared [`Parallelism`] knob). A server answering
     /// many concurrent requests wants [`Parallelism::serial`]:
@@ -59,11 +59,9 @@ pub struct AuditEngine {
 
 impl AuditEngine {
     /// Build an engine from an induced (or loaded) model and its
-    /// schema. Compiles the structure-rule programs eagerly so nothing
-    /// is built per request.
+    /// schema.
     pub fn new(model: StructureModel, schema: Arc<Schema>) -> Self {
-        let rules = StructureRuleSet::compile(&model, &schema);
-        AuditEngine { model, schema, rules, threads: Parallelism::serial() }
+        AuditEngine { model, schema, threads: Parallelism::serial() }
     }
 
     /// Load a persisted `.dqm` model against `schema` and make it
@@ -104,30 +102,12 @@ impl AuditEngine {
         self.schema.fingerprint()
     }
 
-    /// The structure rules lowered onto compiled violation programs,
-    /// resident since construction.
-    pub fn structure_rules(&self) -> &StructureRuleSet {
-        &self.rules
-    }
-
-    /// **Deviation detection** over an in-memory table — the engine
-    /// form of [`crate::Auditor::detect`], byte-identical to it.
-    pub fn detect(&self, table: &Table) -> AuditReport {
-        detect_table(&self.model, table, self.threads, scan_chunk)
-    }
-
-    /// Detection through the compiled structure-rule programs (the
-    /// explicit-constraint auditor of `structure_rules`), resident
-    /// since construction.
-    pub fn detect_rules(&self, table: &Table) -> AuditReport {
-        self.rules.detect(table, self.threads)
-    }
-
-    /// **Streaming deviation detection** over any [`BatchSource`] —
-    /// the engine form of [`crate::Auditor::detect_stream`],
-    /// byte-identical to it: the first failing batch aborts the scan
-    /// with its error.
-    pub fn detect_stream(&self, batches: impl BatchSource) -> Result<AuditReport, AuditError> {
+    /// **Deviation detection** over any [`BatchSource`] — an in-memory
+    /// table's [`Table::batches`], a [`CsvChunkReader`], a paged table —
+    /// byte-identical to [`crate::Auditor::detect`] over the
+    /// concatenated batches at every batch size and thread count. The
+    /// first failing batch aborts the scan with its error.
+    pub fn detect(&self, batches: impl BatchSource) -> Result<AuditReport, AuditError> {
         detect_batches(&self.model, self.threads, batches)
     }
 
@@ -138,7 +118,7 @@ impl AuditEngine {
     /// commit). The arithmetic is exactly the streaming scan's, so
     /// accumulating parts across batches and finishing with
     /// [`AuditEngine::report_from_parts`] is byte-identical to one
-    /// uninterrupted [`AuditEngine::detect_stream`].
+    /// uninterrupted [`AuditEngine::detect`].
     pub fn scan_batch(&self, batch: &Table, row_offset: usize) -> (Vec<Finding>, Vec<f64>) {
         scan_sharded(self.threads.pool(), batch, row_offset, |chunk| scan_chunk(&self.model, chunk))
     }
@@ -157,26 +137,31 @@ impl AuditEngine {
     }
 
     /// Audit a CSV stream (header + records) end to end: chunks of
-    /// `chunk_rows` rows flow through [`CsvChunkReader`] into the
-    /// streaming scan. Byte-identical to reading the whole stream into
-    /// memory and calling [`AuditEngine::detect`], at O(chunk) memory.
+    /// `chunk_rows` rows flow through [`CsvChunkReader`] into
+    /// [`AuditEngine::detect`], at O(chunk) memory.
     pub fn detect_csv<R: BufRead>(
         &self,
         input: R,
         chunk_rows: usize,
     ) -> Result<AuditReport, AuditError> {
         let reader = CsvChunkReader::new(self.schema.clone(), input, chunk_rows)?;
-        self.detect_stream(reader)
+        self.detect(reader)
     }
 
     /// Audit a single headerless CSV record line. The line is parsed
     /// exactly like a data row of a one-row CSV body (cell errors
     /// report the synthetic stream's line numbers: the implied header
-    /// is line 1, the record line 2).
+    /// is line 1, the record line 2). A line that does not yield
+    /// exactly one record — an empty one, or one with an embedded line
+    /// break — is a [`TableError::Csv`] error, never an empty report.
     pub fn detect_record_csv(&self, line: &str) -> Result<AuditReport, AuditError> {
         let names: Vec<&str> = self.schema.attributes().iter().map(|a| a.name.as_str()).collect();
         let body = format!("{}\n{}\n", names.join(","), line.trim_end_matches(['\r', '\n']));
-        self.detect_csv(body.as_bytes(), 1)
+        let report = self.detect_csv(body.as_bytes(), 1)?;
+        match report.n_rows() {
+            1 => Ok(report),
+            n => Err(TableError::Csv(format!("expected exactly one record, found {n}")).into()),
+        }
     }
 }
 
@@ -213,9 +198,9 @@ where
 /// [`scan_chunk_reference`].
 pub(crate) type ScanFn = fn(&StructureModel, &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>);
 
-/// In-memory detection over a whole table, shared by
-/// [`AuditEngine::detect`] and [`crate::Auditor::detect`] (and, with
-/// [`scan_chunk_reference`], its reference twin).
+/// In-memory detection over a whole table, behind
+/// [`crate::Auditor::detect`] (and, with [`scan_chunk_reference`], its
+/// reference twin).
 pub(crate) fn detect_table(
     model: &StructureModel,
     table: &Table,
@@ -423,7 +408,7 @@ mod tests {
         let expected = auditor.detect(&model, &t);
         let schema = t.schema().clone();
         let engine = AuditEngine::new(auditor.induce(&t).unwrap(), schema.clone());
-        let got = engine.detect(&t);
+        let got = engine.detect(t.batches(97)).unwrap();
         assert_eq!(got.to_csv(&schema), expected.to_csv(&schema));
         assert_eq!(got.findings, expected.findings);
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
@@ -445,7 +430,8 @@ mod tests {
                     let expected = expected.clone();
                     s.spawn(move || {
                         for _ in 0..3 {
-                            assert_eq!(engine.detect(t).to_csv(engine.schema()), expected);
+                            let report = engine.detect(t.batches(t.n_rows())).unwrap();
+                            assert_eq!(report.to_csv(engine.schema()), expected);
                         }
                     })
                 })
@@ -466,7 +452,8 @@ mod tests {
         let mut csv = Vec::new();
         dq_table::write_csv(&t, &mut csv).unwrap();
         let streamed = engine.detect_csv(csv.as_slice(), 257).unwrap();
-        assert_eq!(streamed.to_csv(&schema), engine.detect(&t).to_csv(&schema));
+        let in_memory = engine.detect(t.batches(t.n_rows())).unwrap();
+        assert_eq!(streamed.to_csv(&schema), in_memory.to_csv(&schema));
 
         // The deviant last row, audited alone.
         let text = String::from_utf8(csv).unwrap();
@@ -474,5 +461,20 @@ mod tests {
         let single = engine.detect_record_csv(last).unwrap();
         assert_eq!(single.n_rows(), 1);
         assert!(single.is_flagged(0), "the deviant record must be flagged alone");
+    }
+
+    #[test]
+    fn a_record_line_must_hold_exactly_one_record() {
+        let t = fixture();
+        let model = Auditor::default().induce(&t).unwrap();
+        let engine = AuditEngine::new(model, t.schema().clone());
+        for line in ["", "\n", "\r\n", "404,901,12\n501,911,80"] {
+            match engine.detect_record_csv(line) {
+                Err(AuditError::Table(TableError::Csv(msg))) => {
+                    assert!(msg.contains("exactly one record"), "{line:?}: {msg}")
+                }
+                other => panic!("{line:?} must be rejected, got {other:?}"),
+            }
+        }
     }
 }

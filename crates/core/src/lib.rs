@@ -13,8 +13,8 @@
 //!   induction and deviation detection, the structure model as
 //!   probabilistic integrity constraints;
 //! * [`engine`] — the `Sync`-shareable [`AuditEngine`]: a resident
-//!   structure model (flat trees + compiled rule programs) answering
-//!   concurrent detection requests, the substrate of `dq serve`;
+//!   structure model (its compiled flat trees) answering concurrent
+//!   detection requests, the substrate of `dq serve`;
 //! * [`report`] — ranked findings with per-record overall error
 //!   confidence (Def. 8);
 //! * [`correction`] — proposed corrections from the highest-confidence
@@ -55,7 +55,6 @@ pub mod engine;
 pub mod error;
 pub mod model_io;
 pub mod report;
-pub mod structure_rules;
 
 pub use association::{
     association_rule_set, AssociationAuditConfig, AssociationAuditor, AssociationScoring,
@@ -67,4 +66,3 @@ pub use engine::AuditEngine;
 pub use error::AuditError;
 pub use model_io::{parse_model, render_model};
 pub use report::{AuditReport, Finding};
-pub use structure_rules::{StructureRule, StructureRuleSet};

@@ -81,11 +81,6 @@ impl AuditReport {
         self.record_confidence[row] >= self.min_confidence
     }
 
-    /// Rows marked suspicious, in row order.
-    pub fn suspicious_rows(&self) -> Vec<RowIdx> {
-        (0..self.record_confidence.len()).filter(|&r| self.is_flagged(r)).collect()
-    }
-
     /// Number of suspicious rows.
     pub fn n_suspicious(&self) -> usize {
         self.record_confidence.iter().filter(|&&c| c >= self.min_confidence).count()
@@ -180,7 +175,6 @@ mod tests {
         assert!(r.is_flagged(0));
         assert!(!r.is_flagged(1));
         assert!(r.is_flagged(2));
-        assert_eq!(r.suspicious_rows(), vec![0, 2]);
         assert_eq!(r.n_suspicious(), 2);
         assert_eq!(r.n_rows(), 3);
     }

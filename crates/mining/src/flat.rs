@@ -15,16 +15,18 @@
 //! * one shared leaf-count arena and one shared fraction arena
 //!   (`Vec<f64>` each), indexed by offset.
 //!
-//! Evaluation reads cells straight off a table's typed columns
-//! ([`dq_table::Column::nominal_at`] / [`dq_table::Column::numeric_at`])
-//! — no per-row `Vec<Value>` materialization — and performs **exactly
-//! the floating-point operations, in exactly the order**, of
+//! [`FlatTree::classify_cells`] is the one evaluator: it reads a row's
+//! [`TypedCell`]s (fetched once per row by
+//! [`dq_table::Table::typed_row_into`] and shared by every attribute's
+//! tree) — no per-row `Vec<Value>` materialization — and performs
+//! **exactly the floating-point operations, in exactly the order**, of
 //! [`Node`]-tree classification, so audit reports stay byte-identical
-//! at every chunk size and thread count.
+//! at every chunk size and thread count. The boxed tree's
+//! [`Classifier::predict`] is the reference it is tested against.
 
 use crate::classifier::Classifier;
 use crate::tree::{DecisionTree, Node, SplitKind, MIN_WEIGHT};
-use dq_table::{RowIdx, Table, TypedCell, Value};
+use dq_table::TypedCell;
 
 /// One node of the flattened tree. Children of a split occupy the
 /// arena slots `children_at .. children_at + n_children` in branch
@@ -134,80 +136,6 @@ impl FlatTree {
         self.class_card
     }
 
-    /// Number of arena nodes (diagnostics).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Classify row `row` of `table` straight off its columns: `acc`
-    /// (length [`FlatTree::class_card`]) is zeroed, then filled with
-    /// the weighted class counts the boxed tree's classification would
-    /// produce — byte-identical, allocation-free.
-    pub fn classify_into(&self, table: &Table, row: RowIdx, acc: &mut [f64]) {
-        debug_assert_eq!(acc.len(), self.class_card as usize);
-        acc.fill(0.0);
-        self.accumulate_columnar(0, table, row, 1.0, acc);
-    }
-
-    fn accumulate_columnar(
-        &self,
-        at: u32,
-        table: &Table,
-        row: RowIdx,
-        weight: f64,
-        acc: &mut [f64],
-    ) {
-        if weight < MIN_WEIGHT {
-            return;
-        }
-        match self.nodes[at as usize] {
-            FlatNode::DisabledLeaf => {}
-            FlatNode::Leaf { counts_at } => {
-                let from = counts_at as usize;
-                let counts = &self.counts[from..from + acc.len()];
-                for (a, &c) in acc.iter_mut().zip(counts) {
-                    *a += weight * c;
-                }
-            }
-            FlatNode::NominalSplit { attr, n_children, children_at, frac_at } => {
-                match table.column(attr as usize).nominal_at(row) {
-                    Some(code) if code < n_children => {
-                        self.accumulate_columnar(children_at + code, table, row, weight, acc);
-                    }
-                    // NULL (or unseen) test value: distribute over all
-                    // branches with the training fractions.
-                    _ => self.distribute(children_at, n_children, frac_at, table, row, weight, acc),
-                }
-            }
-            FlatNode::ThresholdSplit { attr, threshold, children_at, frac_at } => {
-                match table.column(attr as usize).numeric_at(row) {
-                    Some(x) => {
-                        let child = children_at + u32::from(x > threshold);
-                        self.accumulate_columnar(child, table, row, weight, acc);
-                    }
-                    None => self.distribute(children_at, 2, frac_at, table, row, weight, acc),
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // private split-shared helper
-    fn distribute(
-        &self,
-        children_at: u32,
-        n_children: u32,
-        frac_at: u32,
-        table: &Table,
-        row: RowIdx,
-        weight: f64,
-        acc: &mut [f64],
-    ) {
-        for b in 0..n_children {
-            let f = self.fractions[(frac_at + b) as usize];
-            self.accumulate_columnar(children_at + b, table, row, weight * f, acc);
-        }
-    }
-
     /// Classify one row given as [`TypedCell`]s (see
     /// [`dq_table::Table::typed_row_into`]) — the detection scan's
     /// entry point. The cells are fetched once per row and shared by
@@ -265,15 +193,6 @@ impl FlatTree {
         }
     }
 
-    /// Buffer-filling variant of [`FlatTree::classify_cells`] (used by
-    /// the equivalence tests): `acc` always ends up holding the full
-    /// class-count vector.
-    pub fn classify_cells_into(&self, cells: &[TypedCell], acc: &mut [f64]) {
-        debug_assert_eq!(acc.len(), self.class_card as usize);
-        acc.fill(0.0);
-        self.accumulate_cells(0, cells, 1.0, acc);
-    }
-
     fn accumulate_cells(&self, at: u32, cells: &[TypedCell], weight: f64, acc: &mut [f64]) {
         if weight < MIN_WEIGHT {
             return;
@@ -292,6 +211,8 @@ impl FlatTree {
                     Some(code) if code < n_children => {
                         self.accumulate_cells(children_at + code, cells, weight, acc);
                     }
+                    // NULL (or unseen) test value: distribute over all
+                    // branches with the training fractions.
                     _ => {
                         self.distribute_cells(children_at, n_children, frac_at, cells, weight, acc)
                     }
@@ -324,59 +245,6 @@ impl FlatTree {
             self.accumulate_cells(children_at + b, cells, weight * f, acc);
         }
     }
-
-    /// Record-slice variant of [`FlatTree::classify_into`], for callers
-    /// that already hold a materialized row (same arithmetic; used by
-    /// the equivalence tests to separate layout effects from access
-    /// effects).
-    pub fn classify_record_into(&self, record: &[Value], acc: &mut [f64]) {
-        debug_assert_eq!(acc.len(), self.class_card as usize);
-        acc.fill(0.0);
-        self.accumulate_record(0, record, 1.0, acc);
-    }
-
-    fn accumulate_record(&self, at: u32, record: &[Value], weight: f64, acc: &mut [f64]) {
-        if weight < MIN_WEIGHT {
-            return;
-        }
-        match self.nodes[at as usize] {
-            FlatNode::DisabledLeaf => {}
-            FlatNode::Leaf { counts_at } => {
-                let from = counts_at as usize;
-                let counts = &self.counts[from..from + acc.len()];
-                for (a, &c) in acc.iter_mut().zip(counts) {
-                    *a += weight * c;
-                }
-            }
-            FlatNode::NominalSplit { attr, n_children, children_at, frac_at } => {
-                match record[attr as usize].as_nominal() {
-                    Some(code) if code < n_children => {
-                        self.accumulate_record(children_at + code, record, weight, acc);
-                    }
-                    _ => {
-                        for b in 0..n_children {
-                            let f = self.fractions[(frac_at + b) as usize];
-                            self.accumulate_record(children_at + b, record, weight * f, acc);
-                        }
-                    }
-                }
-            }
-            FlatNode::ThresholdSplit { attr, threshold, children_at, frac_at } => {
-                match record[attr as usize].as_numeric() {
-                    Some(x) => {
-                        let child = children_at + u32::from(x > threshold);
-                        self.accumulate_record(child, record, weight, acc);
-                    }
-                    None => {
-                        for b in 0..2 {
-                            let f = self.fractions[(frac_at + b) as usize];
-                            self.accumulate_record(children_at + b, record, weight * f, acc);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +253,7 @@ mod tests {
     use crate::classifier::Classifier;
     use crate::dataset::TrainingSet;
     use crate::tree::{C45Config, C45Inducer, Pruning};
-    use dq_table::{SchemaBuilder, Value};
+    use dq_table::{SchemaBuilder, Table, Value};
 
     /// A mixed-type table with NULLs, out-of-domain codes and ties.
     fn mixed_table() -> Table {
@@ -430,19 +298,7 @@ mod tests {
             for r in 0..t.n_rows() {
                 let record = t.row(r);
                 let boxed = tree.predict(&record);
-                flat.classify_into(&t, r, &mut acc);
-                for (k, (&a, &b)) in acc.iter().zip(&boxed.counts).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {r}, class {k}");
-                }
-                flat.classify_record_into(&record, &mut acc);
-                for (&a, &b) in acc.iter().zip(&boxed.counts) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "record variant, row {r}");
-                }
                 t.typed_row_into(r, &mut cells);
-                flat.classify_cells_into(&cells, &mut acc);
-                for (&a, &b) in acc.iter().zip(&boxed.counts) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "cells variant, row {r}");
-                }
                 let direct = flat.classify_cells(&cells, &mut acc);
                 if direct.is_empty() {
                     // Disabled-leaf shorthand: stands for an all-zero
@@ -471,6 +327,6 @@ mod tests {
                 Node::Split { children, .. } => 1 + children.iter().map(count).sum::<usize>(),
             }
         }
-        assert_eq!(flat.n_nodes(), count(tree.root()));
+        assert_eq!(flat.nodes.len(), count(tree.root()));
     }
 }

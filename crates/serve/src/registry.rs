@@ -3,7 +3,7 @@
 //! `dq serve` is the paper's asynchronous-auditing story turned into a
 //! daemon: structure induction ran offline (`dq induce`), and the
 //! resulting `.dqm` artifacts are loaded **once** at startup into
-//! [`AuditEngine`]s — flat trees and compiled rule programs resident —
+//! [`AuditEngine`]s — models and their flat trees resident —
 //! then shared read-only across every request thread. The registry
 //! owns that collection and answers the routing question: which engine
 //! does this request belong to, by model name or by the 16-hex schema

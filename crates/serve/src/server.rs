@@ -623,7 +623,8 @@ mod tests {
         dq_table::write_csv(&table, &mut csv).unwrap();
         let resp = client::post(addr, "/audit/calls/stream", &[], &csv).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
-        let expected = server.registry().resolve("calls").unwrap().engine.detect(&table);
+        let engine = &server.registry().resolve("calls").unwrap().engine;
+        let expected = engine.detect(table.batches(table.n_rows())).unwrap();
         assert_eq!(resp.body_str(), expected.to_csv(table.schema()));
 
         // One deviant record alone, by name and by fingerprint.
@@ -737,6 +738,17 @@ mod tests {
         let errors =
             server.registry().resolve("calls").unwrap().stats.errors.load(Ordering::Relaxed);
         assert_eq!(errors, 2);
+
+        // A record body that holds no record: 400, never an empty 200,
+        // and no audited record is counted.
+        for body in [&b""[..], b"\n", b"\r\n"] {
+            let resp = client::post(addr, "/audit/calls/record", &[], body).unwrap();
+            assert_eq!(resp.status, 400, "{body:?}: {}", resp.body_str());
+            assert!(resp.body_str().contains("exactly one record"), "{}", resp.body_str());
+        }
+        let stats = &server.registry().resolve("calls").unwrap().stats;
+        assert_eq!(stats.errors.load(Ordering::Relaxed), 5);
+        assert_eq!(stats.records.load(Ordering::Relaxed), 1, "only the accepted record");
 
         server.shutdown();
     }

@@ -213,31 +213,6 @@ impl Column {
         }
     }
 
-    /// The nominal code at `row`, without constructing a [`Value`]:
-    /// `Some(code)` only when this is a nominal column with a non-NULL
-    /// cell — exactly `self.get(row).as_nominal()`, minus the enum
-    /// round-trip. This is the typed per-cell accessor the flattened
-    /// tree evaluator classifies through.
-    #[inline]
-    pub fn nominal_at(&self, row: usize) -> Option<u32> {
-        match self {
-            Column::Nominal(v) => v[row],
-            _ => None,
-        }
-    }
-
-    /// The numeric payload at `row`, widening dates to their day number
-    /// — exactly `self.get(row).as_numeric()`, minus the enum
-    /// round-trip. `None` for NULL cells and nominal columns.
-    #[inline]
-    pub fn numeric_at(&self, row: usize) -> Option<f64> {
-        match self {
-            Column::Number(v) => v[row],
-            Column::Date(v) => v[row].map(|d| d as f64),
-            Column::Nominal(_) => None,
-        }
-    }
-
     /// The cell at `row` as a [`TypedCell`] (one enum match instead of
     /// a `Value` round-trip per accessor call).
     #[inline]
@@ -246,16 +221,6 @@ impl Column {
             Column::Nominal(v) => TypedCell::Nominal(v[row]),
             Column::Number(v) => TypedCell::Numeric(v[row]),
             Column::Date(v) => TypedCell::Numeric(v[row].map(|d| d as f64)),
-        }
-    }
-
-    /// `true` iff the cell at `row` is NULL.
-    #[inline]
-    pub fn is_null_at(&self, row: usize) -> bool {
-        match self {
-            Column::Nominal(v) => v[row].is_none(),
-            Column::Number(v) => v[row].is_none(),
-            Column::Date(v) => v[row].is_none(),
         }
     }
 
@@ -324,14 +289,14 @@ mod tests {
         let num = Column::Number(vec![Some(2.5), None]);
         let date = Column::Date(vec![Some(7), None]);
         for (col, row) in [(&nom, 0), (&nom, 1), (&num, 0), (&num, 1), (&date, 0), (&date, 1)] {
-            assert_eq!(col.nominal_at(row), col.get(row).as_nominal());
-            assert_eq!(col.numeric_at(row), col.get(row).as_numeric());
-            assert_eq!(col.is_null_at(row), col.get(row).is_null());
+            let cell = col.typed_cell(row);
+            assert_eq!(cell.as_nominal(), col.get(row).as_nominal());
+            assert_eq!(cell.as_numeric(), col.get(row).as_numeric());
         }
-        assert_eq!(nom.nominal_at(0), Some(3));
-        assert_eq!(num.numeric_at(0), Some(2.5));
-        assert_eq!(date.numeric_at(0), Some(7.0));
-        assert!(date.is_null_at(1));
+        assert_eq!(nom.typed_cell(0).as_nominal(), Some(3));
+        assert_eq!(num.typed_cell(0).as_numeric(), Some(2.5));
+        assert_eq!(date.typed_cell(0).as_numeric(), Some(7.0));
+        assert_eq!(date.typed_cell(1).as_numeric(), None);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Audit-side compiled-program equivalence.
 //!
-//! PR 5 compiled the *generation* side onto `dq_logic::program`; this
-//! suite pins the *audit* side that followed it there. Both compiled
-//! scans — the association auditor's violation programs and the
-//! structure-rule audit lowered from the per-attribute C4.5 models —
-//! must be **byte-identical** to their retained interpreted
-//! `_reference` paths on randomly polluted tables (NULL cells and
-//! out-of-label `#<code>` nominal codes included), at every thread
-//! count. The comparison is literal: the rendered report CSV, the
-//! exact finding lists, and bit-equal `f64` record confidences.
+//! The association auditor lowers its mined rules onto
+//! `dq_logic::program` violation programs. That compiled scan must be
+//! **byte-identical** to its retained interpreted `detect_reference`
+//! on randomly polluted tables (NULL cells and out-of-label `#<code>`
+//! nominal codes included), at every thread count. The comparison is
+//! literal: the rendered report CSV, the exact finding lists, and
+//! bit-equal `f64` record confidences.
 
 use data_audit::prelude::*;
 use dq_core::{AssociationAuditConfig, AssociationAuditor, AssociationScoring};
@@ -80,52 +78,5 @@ fn association_audit_matches_reference_at_every_thread_count() {
                 assert_eq!(report.n_suspicious(), reference.n_suspicious());
             }
         }
-    }
-}
-
-#[test]
-fn structure_rule_audit_matches_reference_at_every_thread_count() {
-    for seed in [11u64, 77] {
-        let table = messy_benchmark(seed);
-        for flag_nulls in [true, false] {
-            let config = AuditConfig { flag_nulls, ..AuditConfig::default() };
-            let model = Auditor::new(config.clone()).induce(&table).unwrap();
-            let reference = Auditor::new(AuditConfig { threads: 1.into(), ..config.clone() })
-                .detect_rules_reference(&model, &table);
-            for threads in [1usize, 2, 4] {
-                let auditor =
-                    Auditor::new(AuditConfig { threads: threads.into(), ..config.clone() });
-                let report = auditor.detect_rules(&model, &table);
-                assert_eq!(
-                    report.to_csv(table.schema()),
-                    reference.to_csv(table.schema()),
-                    "seed {seed}, flag_nulls {flag_nulls}, {threads} threads"
-                );
-                assert_eq!(report.findings, reference.findings);
-                assert_eq!(bits(&report.record_confidence), bits(&reference.record_confidence));
-            }
-        }
-    }
-}
-
-#[test]
-fn structure_rule_audit_agrees_with_the_classifier_scan_on_flagging() {
-    // The lowered rule programs and the tree scan disagree only where
-    // rule semantics differ from tree semantics (NULL-strict premises
-    // vs distributed missing values). On the rows both paths score,
-    // the rule audit must never *exceed* the classifier audit's
-    // overall error confidence — every rule is one root-to-leaf path
-    // of the same tree, scored with the same counts.
-    let table = messy_benchmark(42);
-    let auditor = Auditor::default();
-    let model = auditor.induce(&table).unwrap();
-    let tree_scan = auditor.detect(&model, &table);
-    let rule_scan = auditor.detect_rules(&model, &table);
-    assert_eq!(tree_scan.record_confidence.len(), rule_scan.record_confidence.len());
-    assert!(rule_scan.n_suspicious() > 0, "the messy benchmark must trip some rule");
-    for (row, (&r, &t)) in
-        rule_scan.record_confidence.iter().zip(&tree_scan.record_confidence).enumerate()
-    {
-        assert!(r <= t + 1e-12, "row {row}: rule audit {r} exceeds classifier audit {t}");
     }
 }
