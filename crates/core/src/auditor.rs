@@ -248,21 +248,29 @@ impl Auditor {
             Some(list) => list.clone(),
             None => (0..table.n_cols()).collect(),
         };
+        // The C4.5 trees are induced at the auditor's confidence level
+        // and prune for its minimal detection confidence (sec. 5.4);
+        // the model records exactly that configuration.
+        let mut config = self.config.clone();
+        if let InducerKind::C45(cfg) = &mut config.inducer {
+            cfg.level = config.level;
+            cfg.min_detect_conf = config.min_confidence;
+        }
         // One table-level column cache (widened payloads + presorts)
         // shared by every per-attribute induction.
-        let cache = match &self.config.inducer {
+        let cache = match &config.inducer {
             InducerKind::C45(_) if !reference => Some(TableCache::build(table)),
             _ => None,
         };
-        let pool = WorkerPool::from_config(self.config.threads);
+        let pool = WorkerPool::from_config(config.threads);
         let models = pool
             .map_indexed(&audited, |_, &class_attr| {
                 let train = self.training_set(table, class_attr)?;
-                self.induce_one(&train, class_attr, min_inst, reference, cache.as_ref())
+                induce_one(&config, &train, class_attr, min_inst, cache.as_ref())
             })
             .into_iter()
             .collect::<Result<Vec<AttrModel>, AuditError>>()?;
-        Ok(StructureModel { models, min_inst, config: self.config.clone() })
+        Ok(StructureModel { models, min_inst, config })
     }
 
     fn training_set<'a>(
@@ -281,45 +289,6 @@ impl Auditor {
             None => TrainingSet::full(table, class_attr, self.config.bins),
         };
         result.map_err(|source| AuditError::Induction { class_attr, source })
-    }
-
-    fn induce_one(
-        &self,
-        train: &TrainingSet<'_>,
-        class_attr: AttrIdx,
-        min_inst: f64,
-        reference: bool,
-        cache: Option<&TableCache>,
-    ) -> Result<AttrModel, AuditError> {
-        let wrap = |source| AuditError::Induction { class_attr, source };
-        match &self.config.inducer {
-            InducerKind::C45(cfg) => {
-                let mut cfg = cfg.clone();
-                cfg.level = self.config.level;
-                if self.config.derive_min_inst {
-                    cfg.min_inst = min_inst;
-                }
-                let inducer = C45Inducer::new(cfg);
-                let mut tree = if reference {
-                    inducer.induce_tree_reference(train).map_err(wrap)?
-                } else if let Some(cache) = cache {
-                    inducer.induce_tree_cached(train, cache).map_err(wrap)?
-                } else {
-                    inducer.induce_tree(train).map_err(wrap)?
-                };
-                let deleted = if self.config.delete_undetecting_rules {
-                    tree.disable_undetecting_leaves(self.config.min_confidence)
-                } else {
-                    0
-                };
-                let rules = tree.to_rules();
-                Ok(AttrModel::new(class_attr, train.spec.clone(), Box::new(tree), rules, deleted))
-            }
-            other => {
-                let classifier = other.build().induce(train).map_err(wrap)?;
-                Ok(AttrModel::new(class_attr, train.spec.clone(), classifier, Vec::new(), 0))
-            }
-        }
     }
 
     /// **Deviation detection**: check every record of `table` against
@@ -374,6 +343,44 @@ impl Auditor {
         let model = self.induce(table)?;
         let report = self.detect(&model, table);
         Ok((model, report))
+    }
+}
+
+/// Induce the dependency model of one class attribute. A C4.5 tree is
+/// induced against the shared table `cache`, or by the reference
+/// recursion when there is none.
+fn induce_one(
+    config: &AuditConfig,
+    train: &TrainingSet<'_>,
+    class_attr: AttrIdx,
+    min_inst: f64,
+    cache: Option<&TableCache>,
+) -> Result<AttrModel, AuditError> {
+    let wrap = |source| AuditError::Induction { class_attr, source };
+    match &config.inducer {
+        InducerKind::C45(cfg) => {
+            let mut cfg = cfg.clone();
+            if config.derive_min_inst {
+                cfg.min_inst = min_inst;
+            }
+            let inducer = C45Inducer::new(cfg);
+            let mut tree = match cache {
+                Some(cache) => inducer.induce_tree_cached(train, cache),
+                None => inducer.induce_tree_reference(train),
+            }
+            .map_err(wrap)?;
+            let deleted = if config.delete_undetecting_rules {
+                tree.disable_undetecting_leaves(config.min_confidence)
+            } else {
+                0
+            };
+            let rules = tree.to_rules();
+            Ok(AttrModel::new(class_attr, train.spec.clone(), Box::new(tree), rules, deleted))
+        }
+        other => {
+            let classifier = other.build().induce(train).map_err(wrap)?;
+            Ok(AttrModel::new(class_attr, train.spec.clone(), classifier, Vec::new(), 0))
+        }
     }
 }
 
@@ -666,6 +673,25 @@ mod tests {
         for (a, b) in report.record_confidence.iter().zip(&reference_report.record_confidence) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn c45_config_follows_the_auditor_and_is_recorded() {
+        let t = anecdote(2000, 400);
+        let auditor = Auditor::new(AuditConfig {
+            min_confidence: 0.95,
+            level: 0.99,
+            ..AuditConfig::default()
+        });
+        let model = auditor.induce(&t).unwrap();
+        let InducerKind::C45(c45) = &model.config().inducer else {
+            panic!("default inducer is C4.5");
+        };
+        assert_eq!(c45.min_detect_conf, 0.95);
+        assert_eq!(c45.level, 0.99);
+        let rendered = crate::model_io::render_model(&model, t.schema()).unwrap();
+        assert!(rendered.contains("config.c45.min-detect-conf = 0.95\n"), "{rendered}");
+        assert!(rendered.contains("config.c45.level = 0.99\n"), "{rendered}");
     }
 
     #[test]

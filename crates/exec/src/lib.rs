@@ -122,12 +122,6 @@ impl Parallelism {
         self.requested
     }
 
-    /// `true` when no explicit count was requested (the environment
-    /// decides).
-    pub fn is_auto(&self) -> bool {
-        self.requested.is_none()
-    }
-
     /// The concrete worker count under the shared resolution rule.
     pub fn resolve(&self) -> usize {
         resolve_threads(self.requested)
@@ -384,7 +378,6 @@ mod tests {
         assert_eq!(Parallelism::explicit(4).resolve(), 4);
         assert_eq!(Parallelism::explicit(0).resolve(), 1, "explicit zero clamps");
         assert_eq!(Parallelism::serial().pool().threads(), 1);
-        assert!(Parallelism::AUTO.is_auto());
         assert!(Parallelism::AUTO.resolve() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::AUTO);
         // Option/usize conversions round-trip the request.

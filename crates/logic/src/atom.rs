@@ -102,17 +102,6 @@ impl Atom {
         }
     }
 
-    /// `true` for relational (two-attribute) atoms.
-    pub fn is_relational(&self) -> bool {
-        matches!(
-            self,
-            Atom::EqAttr { .. }
-                | Atom::NeqAttr { .. }
-                | Atom::LessAttr { .. }
-                | Atom::GreaterAttr { .. }
-        )
-    }
-
     /// Check well-formedness against a schema: indices in range,
     /// constants of the attribute's kind, ordering restricted to
     /// ordered attributes, relational atoms between compatible
@@ -324,7 +313,5 @@ mod tests {
     fn attrs_listing() {
         assert_eq!(Atom::IsNull { attr: 3 }.attrs(), vec![3]);
         assert_eq!(Atom::EqAttr { left: 1, right: 4 }.attrs(), vec![1, 4]);
-        assert!(Atom::EqAttr { left: 1, right: 4 }.is_relational());
-        assert!(!Atom::IsNull { attr: 3 }.is_relational());
     }
 }

@@ -7,7 +7,7 @@
 //! rule set into checkable integrity constraints.
 
 use crate::atom::Atom;
-use crate::formula::{Formula, Rule};
+use crate::formula::{Formula, Rule, RuleSet};
 use dq_table::{Table, Value};
 use std::cmp::Ordering;
 
@@ -69,16 +69,18 @@ pub fn eval_rule(rule: &Rule, record: &[Value]) -> RuleStatus {
 
 /// Indices of all rows in `table` that violate `rule`.
 ///
-/// Compiles the rule into a [`RuleProgram`](crate::program::RuleProgram)
-/// and scans with it — semantically identical to
-/// [`violations_reference`], which row-by-row interpretation pins.
+/// Compiles the rule into a one-rule
+/// [`CompiledRuleSet`](crate::program::CompiledRuleSet) and scans with
+/// it — semantically identical to [`violations_reference`], which
+/// row-by-row interpretation pins.
 pub fn violations(rule: &Rule, table: &Table) -> Vec<usize> {
-    let program = crate::program::RuleProgram::compile(rule);
+    let rules = RuleSet::from_rules(vec![rule.clone()]);
+    let compiled = crate::program::CompiledRuleSet::compile(&rules, table.n_cols());
     let mut buf = Vec::with_capacity(table.n_cols());
     let mut out = Vec::new();
     for r in 0..table.n_rows() {
         table.row_into(r, &mut buf);
-        if program.violates(&buf) {
+        if compiled.violates_rule(0, &buf) {
             out.push(r);
         }
     }

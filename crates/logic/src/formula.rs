@@ -17,16 +17,6 @@ pub enum Formula {
 }
 
 impl Formula {
-    /// Convenience constructor for a conjunction of atoms.
-    pub fn and_of(atoms: impl IntoIterator<Item = Atom>) -> Formula {
-        Formula::And(atoms.into_iter().map(Formula::Atom).collect())
-    }
-
-    /// Convenience constructor for a disjunction of atoms.
-    pub fn or_of(atoms: impl IntoIterator<Item = Atom>) -> Formula {
-        Formula::Or(atoms.into_iter().map(Formula::Atom).collect())
-    }
-
     /// Number of atomic sub-formulae.
     pub fn atom_count(&self) -> usize {
         match self {

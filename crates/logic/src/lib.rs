@@ -52,5 +52,5 @@ pub use natural::{is_natural_formula, is_natural_rule, is_natural_rule_set, rule
 pub use negate::negate;
 pub use pairs::CachedRule;
 pub use parser::{parse_formula, parse_rule, ParseError};
-pub use program::{AttrMask, CompiledFormula, CompiledRuleSet, RecordView, RuleProgram, NONE_CODE};
+pub use program::{AttrMask, CompiledFormula, CompiledRuleSet, RecordView, NONE_CODE};
 pub use sat::{satisfiable, satisfiable_conjunction};

@@ -19,10 +19,11 @@
 //! * there is no recursion, no stack and no `Vec<Formula>` pointer
 //!   chasing at evaluation time.
 //!
-//! [`CompiledRuleSet`] adds what the rule consumers need on top:
-//! per-rule attribute masks, and a dirty-attribute → affected-rule
-//! inverted index so incremental consumers (the TDG repair loop)
-//! re-evaluate only the rules that can have changed.
+//! [`CompiledRuleSet`] fuses each rule's premise and consequent into
+//! one violation program, checked behind a guard conjunct, and adds a
+//! dirty-attribute → affected-rule inverted index so incremental
+//! consumers (the TDG repair loop) re-evaluate only the rules that can
+//! have changed.
 //!
 //! Semantics are pinned to the interpreter: for every formula `f` and
 //! record `r`, `compile(f).eval(r) == eval_formula(&f, r)` — including
@@ -31,7 +32,6 @@
 //! formulae).
 
 use crate::atom::Atom;
-use crate::eval::RuleStatus;
 use crate::formula::{Formula, Rule, RuleSet};
 use dq_table::{AttrIdx, Table, Value};
 use std::cmp::Ordering;
@@ -298,7 +298,6 @@ pub struct CompiledFormula {
     /// vacuously true, `Or([])` vacuously false, and those constants
     /// propagate through enclosing connectives).
     const_result: bool,
-    mask: AttrMask,
 }
 
 impl CompiledFormula {
@@ -307,30 +306,14 @@ impl CompiledFormula {
     /// compile time, so even degenerate formulae evaluate exactly like
     /// [`eval_formula`](crate::eval::eval_formula).
     pub fn compile(formula: &Formula) -> CompiledFormula {
-        let mut mask = AttrMask::default();
-        formula.visit_atoms(&mut |a| {
-            for attr in a.attrs() {
-                mask.set(attr);
-            }
-        });
         match fold_constants(formula) {
-            Err(const_result) => CompiledFormula { ops: Vec::new(), const_result, mask },
+            Err(const_result) => CompiledFormula { ops: Vec::new(), const_result },
             Ok(simplified) => {
                 let mut ops = Vec::with_capacity(simplified.atom_count());
                 emit(&simplified, ACCEPT, REJECT, &mut ops);
-                CompiledFormula { ops, const_result: false, mask }
+                CompiledFormula { ops, const_result: false }
             }
         }
-    }
-
-    /// Number of atom ops in the arena.
-    pub fn n_ops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Attributes the formula reads.
-    pub fn mask(&self) -> AttrMask {
-        self.mask
     }
 
     /// Truth value on a record — identical to
@@ -565,66 +548,9 @@ impl AttrMask {
         self.0 & other.0 != 0
     }
 
-    /// Union of the two masks.
-    pub fn union(&self, other: AttrMask) -> AttrMask {
-        AttrMask(self.0 | other.0)
-    }
-
     /// `true` when no attribute is marked.
     pub fn is_empty(&self) -> bool {
         self.0 == 0
-    }
-}
-
-/// A rule compiled into two branch programs plus its attribute mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleProgram {
-    premise: CompiledFormula,
-    consequent: CompiledFormula,
-    mask: AttrMask,
-}
-
-impl RuleProgram {
-    /// Compile one rule.
-    pub fn compile(rule: &Rule) -> RuleProgram {
-        let premise = CompiledFormula::compile(&rule.premise);
-        let consequent = CompiledFormula::compile(&rule.consequent);
-        let mask = premise.mask().union(consequent.mask());
-        RuleProgram { premise, consequent, mask }
-    }
-
-    /// All attributes the rule reads (premise ∪ consequent).
-    pub fn mask(&self) -> AttrMask {
-        self.mask
-    }
-
-    /// The compiled premise.
-    pub fn premise(&self) -> &CompiledFormula {
-        &self.premise
-    }
-
-    /// The compiled consequent.
-    pub fn consequent(&self) -> &CompiledFormula {
-        &self.consequent
-    }
-
-    /// Evaluate the rule — identical to
-    /// [`eval_rule`](crate::eval::eval_rule) on the source rule.
-    #[inline]
-    pub fn eval(&self, record: &[Value]) -> RuleStatus {
-        if !self.premise.eval(record) {
-            RuleStatus::NotApplicable
-        } else if self.consequent.eval(record) {
-            RuleStatus::Satisfied
-        } else {
-            RuleStatus::Violated
-        }
-    }
-
-    /// `true` iff the record violates the rule.
-    #[inline]
-    pub fn violates(&self, record: &[Value]) -> bool {
-        self.premise.eval(record) && !self.consequent.eval(record)
     }
 }
 
@@ -637,20 +563,18 @@ enum VEntry {
     Pc(u32),
 }
 
-/// A rule set compiled for repeated per-record evaluation: one
-/// [`RuleProgram`] per rule, a dirty-attribute → affected-rule
-/// inverted index, and — for the hottest consumers — per-rule *fused
-/// violation programs* in one contiguous arena (premise ops flow
-/// straight into consequent ops; the two sentinels mean
+/// A rule set compiled for repeated per-record evaluation: per-rule
+/// *fused violation programs* in one contiguous arena (premise ops
+/// flow straight into consequent ops; the two sentinels mean
 /// violated / not-violated) with an optional *guard atom* (a conjunct
 /// of the premise checked before entering the program — most rules'
 /// premises fail on their first conjunct, and the guard decides that
-/// without the program-loop overhead).
+/// without the program-loop overhead), plus a dirty-attribute →
+/// affected-rule inverted index.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledRuleSet {
-    programs: Vec<RuleProgram>,
-    /// `by_attr[a]` lists (ascending) the indices of rules whose mask
-    /// contains attribute `a`.
+    /// `by_attr[a]` lists (ascending) the indices of rules that read
+    /// attribute `a`.
     by_attr: Vec<Vec<u32>>,
     /// Shared arena of all fused violation programs.
     vops: Vec<Op>,
@@ -667,7 +591,6 @@ pub struct CompiledRuleSet {
 impl CompiledRuleSet {
     /// Compile a rule set over a schema of `n_attrs` attributes.
     pub fn compile(rules: &RuleSet, n_attrs: usize) -> CompiledRuleSet {
-        let programs: Vec<RuleProgram> = rules.iter().map(RuleProgram::compile).collect();
         let mut by_attr: Vec<Vec<u32>> = vec![Vec::new(); n_attrs];
         for (i, rule) in rules.iter().enumerate() {
             for attr in rule.attrs() {
@@ -687,40 +610,24 @@ impl CompiledRuleSet {
             postguard.push(after_guard);
             guards.push(guard);
         }
-        CompiledRuleSet { programs, by_attr, vops, ventries, postguard, guards }
+        CompiledRuleSet { by_attr, vops, ventries, postguard, guards }
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.programs.len()
+        self.ventries.len()
     }
 
     /// `true` when the set has no rules.
     pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
+        self.ventries.is_empty()
     }
 
-    /// The compiled programs, index-aligned with the source rule set.
-    pub fn programs(&self) -> &[RuleProgram] {
-        &self.programs
-    }
-
-    /// One compiled rule.
-    pub fn program(&self, rule: usize) -> &RuleProgram {
-        &self.programs[rule]
-    }
-
-    /// Indices of the rules whose attribute mask contains `attr` — the
+    /// Indices of the rules that read `attr` — the
     /// inverted index incremental consumers use to re-evaluate only
     /// affected rules after a cell changes.
     pub fn rules_on_attr(&self, attr: AttrIdx) -> &[u32] {
         &self.by_attr[attr]
-    }
-
-    /// Evaluate one rule on a record.
-    #[inline]
-    pub fn eval_rule(&self, rule: usize, record: &[Value]) -> RuleStatus {
-        self.programs[rule].eval(record)
     }
 
     /// The rule's guard when it is a nominal-equality conjunct of the
@@ -752,7 +659,8 @@ impl CompiledRuleSet {
     /// Does the record violate rule `rule`? The fastest `Value`-based
     /// entry point: guard atom first, then the rule's fused violation
     /// program — identical verdict to
-    /// `eval_rule(rule, record) == Violated`.
+    /// [`eval_rule`](crate::eval::eval_rule)` == Violated` on the
+    /// source rule.
     #[inline]
     pub fn violates_rule(&self, rule: usize, record: &[Value]) -> bool {
         if let Some(guard) = &self.guards[rule] {
@@ -847,22 +755,17 @@ impl CompiledRuleSet {
         }
     }
 
-    /// Count the rules a record violates.
-    pub fn count_violated(&self, record: &[Value]) -> usize {
-        self.programs.iter().filter(|p| p.violates(record)).count()
-    }
-
     /// Per-rule violating-row indices over a table — the compiled
     /// equivalent of running [`violations`](crate::eval::violations)
     /// once per rule, in one pass over the rows.
     pub fn violations(&self, table: &Table) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.programs.len()];
+        let mut out = vec![Vec::new(); self.len()];
         let mut buf = Vec::with_capacity(table.n_cols());
         for r in 0..table.n_rows() {
             table.row_into(r, &mut buf);
-            for (i, p) in self.programs.iter().enumerate() {
-                if p.violates(&buf) {
-                    out[i].push(r);
+            for (i, rows) in out.iter_mut().enumerate() {
+                if self.violates_rule(i, &buf) {
+                    rows.push(r);
                 }
             }
         }
@@ -873,7 +776,7 @@ impl CompiledRuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_formula, eval_rule};
+    use crate::eval::{eval_formula, eval_rule, RuleStatus};
     use dq_table::SchemaBuilder;
 
     fn eq(attr: AttrIdx, code: u32) -> Formula {
@@ -905,7 +808,6 @@ mod tests {
         for atom in &atoms {
             let f = Formula::Atom(*atom);
             let c = CompiledFormula::compile(&f);
-            assert_eq!(c.n_ops(), 1);
             for rec in &records {
                 assert_eq!(c.eval(rec), eval_formula(&f, rec), "{atom} on {rec:?}");
             }
@@ -923,7 +825,6 @@ mod tests {
             ]),
         ]);
         let c = CompiledFormula::compile(&f);
-        assert_eq!(c.n_ops(), f.atom_count());
         for bits in 0..(1u32 << 8) {
             let rec: Vec<Value> = (0..4)
                 .map(|i| match (bits >> (2 * i)) & 3 {
@@ -938,22 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn rule_program_matches_eval_rule() {
-        let rule = Rule::new(Formula::And(vec![eq(0, 0), eq(1, 1)]), eq(2, 2));
-        let p = RuleProgram::compile(&rule);
-        let cases = [
-            vec![Value::Nominal(0), Value::Nominal(1), Value::Nominal(2)],
-            vec![Value::Nominal(0), Value::Nominal(1), Value::Nominal(0)],
-            vec![Value::Nominal(1), Value::Nominal(1), Value::Nominal(0)],
-            vec![Value::Null, Value::Nominal(1), Value::Nominal(0)],
-        ];
-        for rec in &cases {
-            assert_eq!(p.eval(rec), eval_rule(&rule, rec), "{rec:?}");
-            assert_eq!(p.violates(rec), eval_rule(&rule, rec) == RuleStatus::Violated);
-        }
-    }
-
-    #[test]
     fn masks_and_inverted_index() {
         let rules = RuleSet::from_rules(vec![
             Rule::new(eq(0, 0), eq(1, 1)),
@@ -961,7 +846,6 @@ mod tests {
         ]);
         let c = CompiledRuleSet::compile(&rules, 4);
         assert_eq!(c.len(), 2);
-        assert!(c.program(0).mask().intersects(c.program(1).mask()), "both touch attr 1");
         assert_eq!(c.rules_on_attr(0), &[0]);
         assert_eq!(c.rules_on_attr(1), &[0, 1]);
         assert_eq!(c.rules_on_attr(2), &[1]);
@@ -980,8 +864,6 @@ mod tests {
         let rules = RuleSet::from_rules(vec![Rule::new(eq(0, 0), eq(1, 1))]);
         let c = CompiledRuleSet::compile(&rules, 2);
         assert_eq!(c.violations(&t), vec![vec![1, 3]]);
-        assert_eq!(c.count_violated(&[Value::Nominal(0), Value::Nominal(0)]), 1);
-        assert_eq!(c.count_violated(&[Value::Nominal(1), Value::Nominal(0)]), 0);
     }
 
     #[test]
@@ -1011,7 +893,7 @@ mod tests {
                 .collect();
             view.sync_all(&rec);
             for i in 0..c.len() {
-                let expected = c.eval_rule(i, &rec) == RuleStatus::Violated;
+                let expected = eval_rule(&rules.rules[i], &rec) == RuleStatus::Violated;
                 assert_eq!(c.violates_rule(i, &rec), expected, "rule {i} on {rec:?}");
                 if i != 4 {
                     // Rule 4 reads attrs 1/2 through an ordering atom;

@@ -205,16 +205,10 @@ impl Apriori {
         self.n_rows
     }
 
-    /// Code a record under the miner's attribute coding.
-    pub fn code_record(&self, record: &[Value]) -> Vec<Option<Item>> {
-        let mut coded = Vec::with_capacity(record.len());
-        self.code_record_into(record, &mut coded);
-        coded
-    }
-
-    /// [`Apriori::code_record`] into a caller-provided buffer — the
-    /// association auditor codes every row of the audited table, so
-    /// its scan reuses one buffer instead of allocating per record.
+    /// Code a record under the miner's attribute coding, into a
+    /// caller-provided buffer — the association auditor codes every
+    /// row of the audited table, so its scan reuses one buffer instead
+    /// of allocating per record.
     pub fn code_record_into(&self, record: &[Value], coded: &mut Vec<Option<Item>>) {
         coded.clear();
         coded.extend(
@@ -222,24 +216,9 @@ impl Apriori {
         );
     }
 
-    /// Hipp-style deviation score: the **sum of the confidences of all
-    /// violated rules** (a rule is violated when its antecedent holds
-    /// but the consequent attribute carries a different, non-NULL
-    /// value). The paper criticizes exactly this addition — "strictly
-    /// speaking only valid if all rules predict values for the same
-    /// attributes" — which is why the main tool takes the maximum
-    /// instead; both live here for the comparison experiment.
-    pub fn hipp_score(&self, coded: &[Option<Item>]) -> f64 {
-        self.violated(coded).map(|r| r.confidence).sum()
-    }
-
-    /// Maximum confidence among violated rules — the paper's
-    /// combination rule applied to the association auditor.
-    pub fn max_violated_confidence(&self, coded: &[Option<Item>]) -> f64 {
-        self.violated(coded).map(|r| r.confidence).fold(0.0, f64::max)
-    }
-
-    /// Iterate over the rules the coded record violates.
+    /// Iterate over the rules the coded record violates: its
+    /// antecedent holds but the consequent attribute carries a
+    /// different, non-NULL value.
     pub fn violated<'a>(
         &'a self,
         coded: &'a [Option<Item>],
@@ -341,24 +320,22 @@ mod tests {
     fn violation_scoring() {
         let t = quis_like_table();
         let ap = Apriori::mine(&t, AprioriConfig::default()).unwrap();
-        let clean = ap.code_record(&t.row(0));
-        assert_eq!(ap.hipp_score(&clean), 0.0);
-        assert_eq!(ap.max_violated_confidence(&clean), 0.0);
+        let mut coded = Vec::new();
+        ap.code_record_into(&t.row(0), &mut coded);
+        assert_eq!(ap.violated(&coded).count(), 0);
         // The deviating last record violates the rule.
-        let dirty = ap.code_record(&t.row(t.n_rows() - 1));
-        assert!(ap.hipp_score(&dirty) > 0.9);
-        let max = ap.max_violated_confidence(&dirty);
+        ap.code_record_into(&t.row(t.n_rows() - 1), &mut coded);
+        let max = ap.violated(&coded).map(|r| r.confidence).fold(0.0, f64::max);
         assert!(max > 0.9 && max <= 1.0);
-        // Hipp's sum can exceed the max when several rules fire.
-        assert!(ap.hipp_score(&dirty) >= max);
     }
 
     #[test]
     fn nulls_do_not_violate() {
         let t = quis_like_table();
         let ap = Apriori::mine(&t, AprioriConfig::default()).unwrap();
-        let coded = ap.code_record(&[Value::Nominal(0), Value::Null, Value::Null]);
-        assert_eq!(ap.hipp_score(&coded), 0.0);
+        let mut coded = Vec::new();
+        ap.code_record_into(&[Value::Nominal(0), Value::Null, Value::Null], &mut coded);
+        assert_eq!(ap.violated(&coded).count(), 0);
     }
 
     #[test]

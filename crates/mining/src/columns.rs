@@ -8,18 +8,22 @@
 //! constructs a [`dq_table::Value`] enum per cell access; over the
 //! `O(attributes × rows × depth)` accesses of a tree induction that
 //! dominates the runtime. [`ColumnarTraining`] is built **once** per
-//! training set and replaces every cell access with a dense typed
-//! array read:
+//! training set, from a table-level [`TableCache`], and replaces every
+//! cell access with a dense typed array read:
 //!
 //! * nominal base attributes become a `Vec<u32>` of codes
 //!   ([`NULL_CODE`] marks NULL — out-of-domain codes keep their value,
 //!   since the induction treats any code past the label list exactly
 //!   like a missing value);
 //! * ordered (numeric/date) base attributes become a `Vec<f64>` of
-//!   widened payloads plus a `Vec<bool>` null mask, and a **presorted
-//!   row index** (rows with known values, stably sorted by value) that
-//!   the SLIQ/SPRINT-style induction threads down the recursion
-//!   instead of re-sorting at every node;
+//!   widened payloads plus a `Vec<bool>` null mask, shared with the
+//!   cache, and a **presorted row index** (rows with known values,
+//!   stably sorted by value) that the SLIQ/SPRINT-style induction
+//!   threads down the recursion instead of re-sorting at every node.
+//!   The index is a stable filter of the cache's full-table sort: a
+//!   subsequence of a stably sorted sequence is exactly the stable
+//!   sort of the subset (training rows are ascending), so the order,
+//!   and every float downstream, equals a per-training-set sort;
 //! * the class column becomes dense pre-validated `u32` codes, so the
 //!   recursion never re-unwraps `Option<u32>` per instance.
 //!
@@ -79,9 +83,9 @@ struct OrderedCache {
 /// classification / regression auditor induces one tree per attribute
 /// over the *same* table — with this cache the expensive per-attribute
 /// sorts run once per table instead of once per class attribute
-/// (each [`ColumnarTraining::build_with`] then derives its
-/// training-row presort by a stable filter, which preserves the
-/// byte-exact order a direct stable sort would produce).
+/// (each [`ColumnarTraining::build`] then derives its training-row
+/// presort by a stable filter, which preserves the byte-exact order a
+/// direct stable sort would produce).
 #[derive(Debug, Clone, Default)]
 pub struct TableCache {
     /// Per table attribute; `None` for nominal attributes.
@@ -157,21 +161,13 @@ pub struct ColumnarTraining {
 }
 
 impl ColumnarTraining {
-    /// Materialize the cache: one pass per base attribute plus one
-    /// stable sort per ordered attribute. After this, induction never
-    /// touches `Table::get` or `Value` again.
-    pub fn build(train: &TrainingSet<'_>) -> ColumnarTraining {
-        Self::build_with(train, None)
-    }
-
-    /// [`ColumnarTraining::build`] with an optional shared
-    /// [`TableCache`]: ordered payloads are copied from the cache and
-    /// the training-row presort is derived by a **stable filter** of
-    /// the cached full-table sort — a subsequence of a stably sorted
-    /// sequence is exactly the stable sort of the subset, so the
-    /// resulting order (and every downstream float) is identical to
-    /// the sort the uncached path performs.
-    pub fn build_with(train: &TrainingSet<'_>, cache: Option<&TableCache>) -> ColumnarTraining {
+    /// Materialize the training set's columns against `cache`, a
+    /// [`TableCache`] of `train.table`: nominal codes are copied,
+    /// ordered payloads are shared with the cache, and each
+    /// training-row presort is a stable filter of the cached
+    /// full-table sort. After this, induction never touches
+    /// `Table::get` or `Value` again.
+    pub fn build(train: &TrainingSet<'_>, cache: &TableCache) -> ColumnarTraining {
         let n_rows = train.table.n_rows();
         assert!(
             u32::try_from(n_rows).is_ok(),
@@ -195,30 +191,17 @@ impl ColumnarTraining {
                         }
                     }
                     AttrType::Numeric { .. } | AttrType::Date { .. } => {
-                        if let Some(cached) = cache.and_then(|c| c.ordered[a].as_ref()) {
-                            let sorted_rows = cached
-                                .sorted_all
-                                .iter()
-                                .copied()
-                                .filter(|&r| class_codes[r as usize] != NULL_CODE)
-                                .collect();
-                            return BaseColumn::Ordered {
-                                values: Arc::clone(&cached.values),
-                                known: Arc::clone(&cached.known),
-                                sorted_rows,
-                            };
-                        }
-                        let (values, known) = widen_ordered(train.table, a);
-                        // Stable sort of the known training rows by value:
-                        // equal values keep row order, exactly like the
-                        // legacy per-node `sort_by(total_cmp)` did.
-                        let mut sorted_rows: Vec<u32> =
-                            train.rows.iter().filter(|&&r| known[r]).map(|&r| r as u32).collect();
-                        sorted_rows
-                            .sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+                        let cached =
+                            cache.ordered[a].as_ref().expect("cache of the training table");
+                        let sorted_rows = cached
+                            .sorted_all
+                            .iter()
+                            .copied()
+                            .filter(|&r| class_codes[r as usize] != NULL_CODE)
+                            .collect();
                         BaseColumn::Ordered {
-                            values: Arc::new(values),
-                            known: Arc::new(known),
+                            values: Arc::clone(&cached.values),
+                            known: Arc::clone(&cached.known),
                             sorted_rows,
                         }
                     }
@@ -259,7 +242,7 @@ mod tests {
     fn dense_codes_and_masks_mirror_the_table() {
         let t = table();
         let train = TrainingSet::full(&t, 0, 4).unwrap();
-        let cols = ColumnarTraining::build(&train);
+        let cols = ColumnarTraining::build(&train, &TableCache::build(&t));
         // Class codes: row 2 has a NULL class.
         assert_eq!(cols.class_codes, vec![0, 1, NULL_CODE, 0]);
         // Nominal base attribute `n`.
@@ -298,7 +281,7 @@ mod tests {
         let mut t = t;
         t.set(0, 1, Value::Nominal(99)).unwrap(); // past the 3-label list
         let train = TrainingSet::full(&t, 0, 4).unwrap();
-        let cols = ColumnarTraining::build(&train);
+        let cols = ColumnarTraining::build(&train, &TableCache::build(&t));
         match &cols.attrs[0] {
             BaseColumn::Nominal { codes, card } => {
                 assert_eq!(codes[0], 99);

@@ -653,27 +653,19 @@ impl C45Inducer {
     /// by the same operations in the same order; only the data layout
     /// changed.
     pub fn induce_tree(&self, train: &TrainingSet<'_>) -> Result<DecisionTree, MiningError> {
-        self.induce_tree_impl(train, None)
+        self.induce_tree_cached(train, &TableCache::build(train.table))
     }
 
     /// [`C45Inducer::induce_tree`] against a shared [`TableCache`] —
     /// the multiple classification / regression auditor induces one
     /// tree per attribute of one table, and the cache lets the
     /// per-attribute inductions share the table-level column widening
-    /// and presorts instead of redoing them per class attribute. The
-    /// induced tree is identical either way.
+    /// and presorts instead of redoing them per class attribute.
+    /// `cache` must be built from `train.table`.
     pub fn induce_tree_cached(
         &self,
         train: &TrainingSet<'_>,
         cache: &TableCache,
-    ) -> Result<DecisionTree, MiningError> {
-        self.induce_tree_impl(train, Some(cache))
-    }
-
-    fn induce_tree_impl(
-        &self,
-        train: &TrainingSet<'_>,
-        cache: Option<&TableCache>,
     ) -> Result<DecisionTree, MiningError> {
         self.config.validate()?;
         let ctx = InductionContext::new(train, &self.config, cache);
@@ -749,8 +741,8 @@ struct InductionContext<'a, 'b> {
 }
 
 impl<'a, 'b> InductionContext<'a, 'b> {
-    fn new(train: &'a TrainingSet<'b>, cfg: &'a C45Config, cache: Option<&TableCache>) -> Self {
-        let cols = ColumnarTraining::build_with(train, cache);
+    fn new(train: &'a TrainingSet<'b>, cfg: &'a C45Config, cache: &TableCache) -> Self {
+        let cols = ColumnarTraining::build(train, cache);
         let mut next_ordered = 0usize;
         let ordered_idx = cols
             .attrs

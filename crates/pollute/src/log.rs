@@ -112,11 +112,6 @@ impl PollutionLog {
         self.provenance.len()
     }
 
-    /// Corruptions of one dirty row.
-    pub fn cells_of(&self, dirty_row: RowIdx) -> impl Iterator<Item = &CellCorruption> {
-        self.cells.iter().filter(move |c| c.dirty_row == dirty_row)
-    }
-
     /// Was this specific cell corrupted?
     pub fn is_cell_corrupted(&self, dirty_row: RowIdx, attr: AttrIdx) -> bool {
         self.cells.iter().any(|c| c.dirty_row == dirty_row && c.attr == attr)
@@ -187,7 +182,6 @@ mod tests {
         assert!(!log.is_cell_corrupted(0, 0));
         assert_eq!(log.clean_value_of(0, 1), Some(Value::Number(5.0)));
         assert_eq!(log.clean_value_of(0, 0), None);
-        assert_eq!(log.cells_of(0).count(), 1);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl PollutionConfig {
         self.factor = factor;
         self
     }
-
-    /// The sum of effective activation probabilities — a rough expected
-    /// number of polluter strikes per record.
-    pub fn expected_strikes(&self) -> f64 {
-        self.steps.iter().map(|s| (s.activation * self.factor).clamp(0.0, 1.0)).sum()
-    }
 }
 
 /// Pollute `clean`, returning the dirty table and the ground-truth log.
@@ -287,19 +281,6 @@ mod tests {
             log4.n_corrupted_rows(),
             log1.n_corrupted_rows()
         );
-    }
-
-    #[test]
-    fn expected_strikes_accounts_for_factor_and_clamp() {
-        let cfg = PollutionConfig {
-            steps: vec![
-                PollutionStep { polluter: Polluter::NullValue { attr: None }, activation: 0.4 },
-                PollutionStep { polluter: Polluter::NullValue { attr: None }, activation: 0.8 },
-            ],
-            factor: 2.0,
-        };
-        // 0.8 and clamp(1.6) = 1.0.
-        assert!((cfg.expected_strikes() - 1.8).abs() < 1e-12);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! its rule set, the polluter corrupts some cells, and every row that
 //! now violates a rule must be a logged corruption. This module checks
 //! that contract at scale — the rule set is compiled once into a
-//! [`CompiledRuleSet`] and every record is scanned with the flat
-//! programs instead of re-walking formula trees per rule.
+//! [`CompiledRuleSet`] and every record is scanned with its fused
+//! violation programs instead of re-walking formula trees per rule.
 
 use crate::log::PollutionLog;
 use dq_logic::{CompiledRuleSet, RuleSet};
 use dq_table::{Table, Value};
 
 /// Per-rule violation counts over `table` (index-aligned with the rule
-/// set), via compiled rule programs.
+/// set), via the compiled rule set.
 pub fn count_violations(table: &Table, rules: &RuleSet) -> Vec<usize> {
     let compiled = CompiledRuleSet::compile(rules, table.n_cols());
     let mut counts = vec![0usize; rules.len()];
@@ -21,7 +21,7 @@ pub fn count_violations(table: &Table, rules: &RuleSet) -> Vec<usize> {
     for r in 0..table.n_rows() {
         table.row_into(r, &mut buf);
         for (i, count) in counts.iter_mut().enumerate() {
-            if compiled.program(i).violates(&buf) {
+            if compiled.violates_rule(i, &buf) {
                 *count += 1;
             }
         }
@@ -29,15 +29,15 @@ pub fn count_violations(table: &Table, rules: &RuleSet) -> Vec<usize> {
     counts
 }
 
-/// Rows of `table` violating at least one rule, via compiled rule
-/// programs.
+/// Rows of `table` violating at least one rule, via the compiled rule
+/// set.
 pub fn violating_rows(table: &Table, rules: &RuleSet) -> Vec<usize> {
     let compiled = CompiledRuleSet::compile(rules, table.n_cols());
     let mut out = Vec::new();
     let mut buf: Vec<Value> = Vec::with_capacity(table.n_cols());
     for r in 0..table.n_rows() {
         table.row_into(r, &mut buf);
-        if (0..compiled.len()).any(|i| compiled.program(i).violates(&buf)) {
+        if (0..compiled.len()).any(|i| compiled.violates_rule(i, &buf)) {
             out.push(r);
         }
     }

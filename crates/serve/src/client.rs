@@ -14,14 +14,19 @@
 //!
 //! Both read `Content-Length` bodies — exactly what the server emits —
 //! and send each request in one write on a `TCP_NODELAY` socket, so
-//! keep-alive round trips take well under a millisecond.
+//! keep-alive round trips take well under a millisecond. Responses are
+//! parsed by the server's own head reader ([`crate::http`]), under the
+//! same line and header-count caps, and a body is buffered only as its
+//! bytes arrive, so a hostile peer yields an `io::Error`, never an
+//! unbounded allocation.
 //! [`post_with_retry`] adds the production posture: bounded retry with
 //! exponential backoff and deterministic jitter on connect failures
 //! and queue-full `503`s (honoring `Retry-After`), returning
 //! immediately on a *draining* `503` — [`Unavailable`] is the typed
 //! split between the two.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use crate::http;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -288,39 +293,16 @@ pub(crate) fn write_request<W: Write>(
 
 /// Parse one response off `reader` (status line, headers,
 /// `Content-Length` body; read-to-close when the length is missing).
-fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<Response> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+    let (status_line, headers) = http::read_head(reader, "response")?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed before a response")
+    })?;
     let status =
         status_line.split(' ').nth(1).and_then(|s| s.parse::<u16>().ok()).ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidData, format!("bad status line `{status_line}`"))
         })?;
-    let mut headers: Vec<(String, String)> = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "headers cut short"));
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse::<usize>().ok();
-            }
-            headers.push((name, value));
-        }
-    }
-    let body = match content_length {
-        Some(n) => {
-            let mut body = vec![0u8; n];
-            reader.read_exact(&mut body)?;
-            body
-        }
+    let body = match http::content_length(&headers)? {
+        Some(n) => http::read_body(reader, n)?,
         None => {
             let mut body = Vec::new();
             reader.read_to_end(&mut body)?;
@@ -328,4 +310,56 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<Response> {
         }
     };
     Ok(Response { status, headers, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Serve one connection from an in-process listener: read the
+    /// request head, answer with `response`, hang up.
+    fn hostile_server(response: Vec<u8>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 && line != "\r\n" {
+                line.clear();
+            }
+            // The client may hang up mid-write once it has refused the
+            // head; that is the point, not a failure.
+            let _ = reader.get_mut().write_all(&response);
+        });
+        addr
+    }
+
+    #[test]
+    fn hostile_responses_are_io_errors_not_aborts() {
+        // A 1 TiB Content-Length with a 5-byte body: nothing close to
+        // the declared size is allocated, and the short body is EOF.
+        let addr = hostile_server(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nhello".to_vec(),
+        );
+        let err = get(addr, "/health").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+
+        // A header line over the line cap.
+        let mut response = b"HTTP/1.1 200 OK\r\nX-Big: ".to_vec();
+        response.resize(response.len() + http::MAX_LINE_BYTES + 1, b'b');
+        response.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
+        let err = get(hostile_server(response), "/health").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        // More header fields than the cap.
+        let mut response = b"HTTP/1.1 200 OK\r\n".to_vec();
+        for i in 0..1000 {
+            response.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
+        }
+        response.extend_from_slice(b"Content-Length: 0\r\n\r\n");
+        let err = get(hostile_server(response), "/health").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
 }

@@ -15,17 +15,19 @@
 //! head and body are formatted into one buffer and handed to the
 //! socket with a single `write_all`, so a keep-alive exchange never
 //! leaves a small tail segment for Nagle's algorithm to hold until the
-//! peer's delayed ACK (about 40 ms). And a request head is bounded
+//! peer's delayed ACK (about 40 ms). And a message head is bounded
 //! before it is buffered: a line longer than [`MAX_LINE_BYTES`] or
 //! more than [`MAX_HEADERS`] header fields is refused with
-//! [`HttpError::HeadersTooLarge`] (`431`) without reading further.
+//! [`HttpError::HeadersTooLarge`] (`431` for a request) without
+//! reading further. Requests and the responses [`crate::client`] reads
+//! share one head reader, so the caps hold in both directions.
 
 use std::io::{self, BufRead, Read, Write};
 
-/// Longest accepted request line or header line, terminator included.
+/// Longest accepted start line or header line, terminator included.
 pub const MAX_LINE_BYTES: usize = 8 << 10;
 
-/// Most header fields accepted on one request.
+/// Most header fields accepted on one message.
 pub const MAX_HEADERS: usize = 100;
 
 /// A parsed request: method, split path/query, lower-cased headers,
@@ -122,28 +124,110 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Read one line of the request head, at most [`MAX_LINE_BYTES`]
-/// bytes of it: a longer line is refused without buffering the rest.
-/// Returns the bytes read (0 at end of input).
-fn read_head_line<R: BufRead>(stream: &mut R, line: &mut String) -> Result<usize, HttpError> {
+/// The client side of the mapping: a response that cannot be read is
+/// an `io::Error` — end of input mid-head is `UnexpectedEof`, a bad or
+/// over-cap head is `InvalidData`.
+impl From<HttpError> for io::Error {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Io(e) => e,
+            HttpError::ConnectionClosed => {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "response head cut short")
+            }
+            HttpError::HeadersTooLarge(m) => io::Error::new(io::ErrorKind::InvalidData, m),
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
+/// Largest body buffer reserved before any body byte arrives; a longer
+/// body grows the buffer as it is read.
+const BODY_PREALLOC: usize = 64 << 10;
+
+/// Read one line of a `kind` (`request` or `response`) head, at most
+/// [`MAX_LINE_BYTES`] bytes of it: a longer line is refused without
+/// buffering the rest. Returns the bytes read (0 at end of input).
+fn read_head_line<R: BufRead>(
+    stream: &mut R,
+    kind: &str,
+    line: &mut String,
+) -> Result<usize, HttpError> {
     let n = stream.by_ref().take(MAX_LINE_BYTES as u64).read_line(line)?;
     if n == MAX_LINE_BYTES && !line.ends_with('\n') {
         return Err(HttpError::HeadersTooLarge(format!(
-            "a request line or header exceeds {MAX_LINE_BYTES} bytes"
+            "a {kind} line or header exceeds {MAX_LINE_BYTES} bytes"
         )));
     }
     Ok(n)
+}
+
+/// A message head: the start line (terminator stripped) and the
+/// header fields, names lower-cased, in arrival order.
+pub(crate) type Head = (String, Vec<(String, String)>);
+
+/// Read one `kind` (`request` or `response`) head under
+/// [`MAX_LINE_BYTES`] and [`MAX_HEADERS`], up to and including the
+/// blank line. `Ok(None)` when the input ends before the start line.
+pub(crate) fn read_head<R: BufRead>(stream: &mut R, kind: &str) -> Result<Option<Head>, HttpError> {
+    let mut start = String::new();
+    if read_head_line(stream, kind, &mut start)? == 0 {
+        return Ok(None);
+    }
+    start.truncate(start.trim_end_matches(['\r', '\n']).len());
+    let mut headers: Vec<(String, String)> = Vec::new();
+    loop {
+        let mut header_line = String::new();
+        if read_head_line(stream, kind, &mut header_line)? == 0 {
+            return Err(HttpError::ConnectionClosed);
+        }
+        let header_line = header_line.trim_end_matches(['\r', '\n']);
+        if header_line.is_empty() {
+            return Ok(Some((start, headers)));
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HttpError::HeadersTooLarge(format!(
+                "more than {MAX_HEADERS} header fields"
+            )));
+        }
+        let (name, value) = header_line
+            .split_once(':')
+            .ok_or_else(|| HttpError::Malformed(format!("bad header `{header_line}`")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+/// The declared `Content-Length` of a head, if it carries one.
+pub(crate) fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    headers
+        .iter()
+        .find(|(k, _)| k == "content-length")
+        .map(|(_, v)| {
+            v.parse::<usize>()
+                .map_err(|_| HttpError::Malformed(format!("bad content-length `{v}`")))
+        })
+        .transpose()
+}
+
+/// Read a body of `len` bytes through `take(len)`, so memory grows
+/// only with the bytes that arrive, not with the declared length. A
+/// body cut short is `UnexpectedEof`.
+pub(crate) fn read_body<R: Read>(stream: &mut R, len: usize) -> io::Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(len.min(BODY_PREALLOC));
+    stream.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body cut short: {} of {len} bytes", body.len()),
+        ));
+    }
+    Ok(body)
 }
 
 /// Read one request from `stream`. Bodies larger than `max_body`
 /// bytes are rejected without being read; so are heads that break
 /// [`MAX_LINE_BYTES`] or [`MAX_HEADERS`].
 pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Request, HttpError> {
-    let mut line = String::new();
-    if read_head_line(stream, &mut line)? == 0 {
-        return Err(HttpError::ConnectionClosed);
-    }
-    let line = line.trim_end_matches(['\r', '\n']);
+    let (line, headers) = read_head(stream, "request")?.ok_or(HttpError::ConnectionClosed)?;
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") && !m.is_empty() => (m, t, v),
@@ -163,38 +247,11 @@ pub fn read_request<R: BufRead>(stream: &mut R, max_body: usize) -> Result<Reque
         })
         .collect();
 
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let mut header_line = String::new();
-        if read_head_line(stream, &mut header_line)? == 0 {
-            return Err(HttpError::ConnectionClosed);
-        }
-        let header_line = header_line.trim_end_matches(['\r', '\n']);
-        if header_line.is_empty() {
-            break;
-        }
-        if headers.len() == MAX_HEADERS {
-            return Err(HttpError::HeadersTooLarge(format!(
-                "more than {MAX_HEADERS} header fields"
-            )));
-        }
-        let (name, value) = header_line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header `{header_line}`")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0usize,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length `{v}`")))?,
-    };
+    let content_length = content_length(&headers)?.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge { declared: content_length, limit: max_body });
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|_| HttpError::ConnectionClosed)?;
+    let body = read_body(stream, content_length).map_err(|_| HttpError::ConnectionClosed)?;
 
     Ok(Request { method: method.to_string(), path: path.to_string(), query, headers, body, http11 })
 }

@@ -17,10 +17,10 @@
 //! Two readers share one parsing core:
 //!
 //! * [`read_csv`] materializes the whole stream as a single [`Table`];
-//! * [`CsvChunkReader`] iterates the stream as bounded-size [`Table`]
-//!   batches, so a file (much) larger than RAM can be scanned at
-//!   O(chunk) memory — the substrate of `dq_core`'s streaming
-//!   deviation detection.
+//! * [`CsvChunkReader`] reads the stream as bounded-size [`Table`]
+//!   batches through [`BatchSource`](crate::BatchSource), so a file
+//!   (much) larger than RAM can be scanned at O(chunk) memory — the
+//!   substrate of `dq_core`'s streaming deviation detection.
 //!
 //! All cell-level errors are reported as [`TableError::CsvCell`] with
 //! the 1-based physical line number (the header is line 1) and the
@@ -149,15 +149,17 @@ pub struct QuarantinedRow {
     pub raw: String,
 }
 
-/// A bounded-memory CSV reader: iterates the stream as [`Table`]
-/// batches of at most `chunk_rows` rows each, over any [`BufRead`].
+/// A bounded-memory CSV reader: a [`BatchSource`](crate::BatchSource)
+/// of [`Table`] batches of at most `chunk_rows` rows each, over any
+/// [`BufRead`].
 ///
 /// The header row is read and validated eagerly by
 /// [`CsvChunkReader::new`], so a malformed header fails before any
 /// batch is produced. Blank lines are skipped and do not count toward
 /// batch sizes; line numbers in errors are physical 1-based stream
-/// lines (the header is line 1). After the first error the iterator
-/// fuses (returns `None` forever) — a torn stream is not resumable.
+/// lines (the header is line 1). After the first error the reader
+/// fuses (`next_batch` returns `Ok(None)` forever) — a torn stream is
+/// not resumable.
 #[derive(Debug)]
 pub struct CsvChunkReader<R: BufRead> {
     schema: Arc<Schema>,
@@ -294,7 +296,7 @@ impl<R: BufRead> CsvChunkReader<R> {
 
     /// Parse the next data row into `record` (cleared first), skipping
     /// blank lines. `Ok(false)` at end of stream. This is the single
-    /// parsing core both [`read_csv`] and the batch iterator run on.
+    /// parsing core both [`read_csv`] and the batch reader run on.
     fn next_record(&mut self, record: &mut Vec<Value>) -> Result<bool, TableError> {
         loop {
             self.line.clear();
@@ -325,19 +327,10 @@ impl<R: BufRead> CsvChunkReader<R> {
             }
         }
     }
-
-    fn next_batch(&mut self) -> Result<Option<Table>, TableError> {
-        let mut batch = Table::new(self.schema.clone());
-        let mut record = Vec::with_capacity(self.schema.len());
-        while batch.n_rows() < self.chunk_rows && self.next_record(&mut record)? {
-            batch.push_row_lenient(&record)?;
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
 }
 
-/// The trait view: same batches as the `Iterator` impl, fused after
-/// the end or the first error, with offset bookkeeping.
+/// Batches in stream order, fused after the end or the first error,
+/// with offset bookkeeping.
 impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -347,28 +340,25 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
         if self.done {
             return Ok(None);
         }
-        match CsvChunkReader::next_batch(self) {
-            Ok(Some(batch)) => {
-                self.rows_emitted += batch.n_rows();
-                Ok(Some(batch))
-            }
-            Ok(None) => {
-                self.done = true;
-                match self.expected_rows {
-                    Some(expected) if expected != self.rows_emitted => {
-                        Err(TableError::Csv(format!(
-                            "stream ended after {} data rows, expected {expected} \
-                             (line {}) — truncated input",
-                            self.rows_emitted, self.line_no
-                        )))
-                    }
-                    _ => Ok(None),
-                }
-            }
-            Err(e) => {
-                self.done = true;
-                Err(e)
-            }
+        // Fused unless a batch comes back: an error or the end of the
+        // stream leaves `done` set.
+        self.done = true;
+        let mut batch = Table::new(self.schema.clone());
+        let mut record = Vec::with_capacity(self.schema.len());
+        while batch.n_rows() < self.chunk_rows && self.next_record(&mut record)? {
+            batch.push_row_lenient(&record)?;
+        }
+        if !batch.is_empty() {
+            self.done = false;
+            self.rows_emitted += batch.n_rows();
+            return Ok(Some(batch));
+        }
+        match self.expected_rows {
+            Some(expected) if expected != self.rows_emitted => Err(TableError::Csv(format!(
+                "stream ended after {} data rows, expected {expected} (line {}) — truncated input",
+                self.rows_emitted, self.line_no
+            ))),
+            _ => Ok(None),
         }
     }
 
@@ -378,21 +368,6 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
 
     fn row_count_hint(&self) -> Option<usize> {
         self.expected_rows
-    }
-}
-
-impl<R: BufRead> Iterator for CsvChunkReader<R> {
-    type Item = Result<Table, TableError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match crate::batch::BatchSource::next_batch(self) {
-            Ok(Some(batch)) => Some(Ok(batch)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
     }
 }
 
@@ -458,6 +433,7 @@ fn parse_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchSource;
     use crate::builder::SchemaBuilder;
 
     fn schema() -> Arc<Schema> {
@@ -568,8 +544,11 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
         for chunk_rows in [1, 2, 7, 23, 100] {
-            let reader = CsvChunkReader::new(s.clone(), buf.as_slice(), chunk_rows).unwrap();
-            let batches: Vec<Table> = reader.map(|b| b.unwrap()).collect();
+            let mut reader = CsvChunkReader::new(s.clone(), buf.as_slice(), chunk_rows).unwrap();
+            let mut batches = Vec::new();
+            while let Some(b) = reader.next_batch().unwrap() {
+                batches.push(b);
+            }
             // All but the last batch are full.
             for b in &batches[..batches.len().saturating_sub(1)] {
                 assert_eq!(b.n_rows(), chunk_rows);
@@ -597,8 +576,8 @@ mod tests {
     fn chunk_reader_empty_body_yields_no_batches() {
         let s = schema();
         let mut reader = CsvChunkReader::new(s, "color,size,built\n\n".as_bytes(), 4).unwrap();
-        assert!(reader.next().is_none());
-        assert!(reader.next().is_none());
+        assert!(reader.next_batch().unwrap().is_none());
+        assert!(reader.next_batch().unwrap().is_none());
     }
 
     #[test]
@@ -606,15 +585,14 @@ mod tests {
         let s = schema();
         let input = "color,size,built\nred,1,\nred,1,\nmauve,1,\nred,1,\n";
         let mut reader = CsvChunkReader::new(s, input.as_bytes(), 2).unwrap();
-        assert_eq!(reader.next().unwrap().unwrap().n_rows(), 2);
-        let err = reader.next().unwrap().unwrap_err();
+        assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 2);
+        let err = reader.next_batch().unwrap_err();
         assert!(matches!(err, TableError::CsvCell { line: 4, .. }), "got {err:?}");
-        assert!(reader.next().is_none(), "the iterator must fuse after an error");
+        assert!(matches!(reader.next_batch(), Ok(None)), "the reader must fuse after an error");
     }
 
     #[test]
     fn expected_rows_turns_boundary_truncation_into_a_typed_error() {
-        use crate::batch::BatchSource;
         let input = "color,size,built\nred,1,\nred,2,\nred,3,\n";
         // A tear exactly at a line boundary: 3 rows arrive where 5 were
         // promised. Without the expectation this is a silently shorter
@@ -666,7 +644,6 @@ mod tests {
 
     #[test]
     fn skip_data_rows_fast_forwards_past_consumed_rows() {
-        use crate::batch::BatchSource;
         let s = schema();
         let input = "color,size,built\nred,1,\n\nred,2,\nred,3,\nred,4,\n";
         let mut reader = CsvChunkReader::new(s.clone(), input.as_bytes(), 100).unwrap();
@@ -686,7 +663,6 @@ mod tests {
 
     #[test]
     fn quarantine_reroutes_bad_rows_and_keeps_good_ones() {
-        use crate::batch::BatchSource;
         let s = schema();
         let input = "color,size,built\nred,1,\nmauve,2,\nred,notanumber,\nred,4,\nred,5\n";
         let mut reader = CsvChunkReader::new(s, input.as_bytes(), 2).unwrap().with_quarantine(10);
@@ -707,7 +683,6 @@ mod tests {
 
     #[test]
     fn quarantine_budget_overflow_is_a_typed_error() {
-        use crate::batch::BatchSource;
         let s = schema();
         let input = "color,size,built\nmauve,1,\nmauve,2,\nmauve,3,\nred,4,\n";
         let mut reader = CsvChunkReader::new(s, input.as_bytes(), 100).unwrap().with_quarantine(2);
@@ -727,9 +702,8 @@ mod tests {
     fn chunk_reader_clamps_zero_chunk_rows() {
         let s = schema();
         let input = "color,size,built\nred,1,\n";
-        let reader = CsvChunkReader::new(s, input.as_bytes(), 0).unwrap();
-        let batches: Vec<Table> = reader.map(|b| b.unwrap()).collect();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].n_rows(), 1);
+        let mut reader = CsvChunkReader::new(s, input.as_bytes(), 0).unwrap();
+        assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 1);
+        assert!(reader.next_batch().unwrap().is_none());
     }
 }

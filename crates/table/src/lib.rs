@@ -35,7 +35,6 @@ pub mod error;
 pub mod paged;
 pub mod schema;
 pub mod schema_io;
-pub mod stats;
 pub mod table;
 pub mod value;
 
@@ -48,7 +47,6 @@ pub use error::TableError;
 pub use paged::{PagedTable, PagedWriter};
 pub use schema::{AttrType, Attribute, Schema};
 pub use schema_io::{read_schema, render_schema, write_schema};
-pub use stats::ColumnSummary;
 pub use table::{RowSlice, Table};
 pub use value::Value;
 

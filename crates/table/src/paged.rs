@@ -15,11 +15,10 @@
 //! flags; numbers are stored as IEEE-754 bit patterns
 //! ([`f64::to_bits`]), so a round trip through disk is *exact* — the
 //! paged detect path is pinned byte-identical (CSV and f64 bits) to
-//! the in-memory one. The memory envelope of every consumer is
-//! O(page): [`PagedWriter`] buffers at most one page plus one incoming
-//! batch, [`PagedTable::batches`] decodes one page at a time, and
-//! random access ([`PagedTable::get`]) goes through a small LRU page
-//! cache of [`PagedTable::cache_pages`] decoded pages.
+//! the in-memory one. The spill is read sequentially, so the memory
+//! envelope of every consumer is O(page): [`PagedWriter`] buffers at
+//! most one page plus one incoming batch, and [`PagedTable::batches`]
+//! decodes one page at a time.
 //!
 //! This is the third canonical [`BatchSource`] implementation (after
 //! [`crate::TableBatches`] and [`crate::CsvChunkReader`]) and the
@@ -44,20 +43,15 @@ use crate::column::Column;
 use crate::error::TableError;
 use crate::schema::Schema;
 use crate::table::Table;
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const MANIFEST: &str = "manifest.dqpm";
 /// Staging name for the manifest during [`PagedWriter::finish`]; its
 /// presence without a `manifest.dqpm` marks a spill torn mid-commit.
 const MANIFEST_TMP: &str = "manifest.dqpm.tmp";
 const MAGIC: &[u8; 4] = b"DQPG";
-/// Default page size, rows — matches the generator's chunk unit.
-pub const DEFAULT_PAGE_ROWS: usize = 4096;
-/// Default LRU capacity, pages.
-pub const DEFAULT_CACHE_PAGES: usize = 4;
 
 fn located(path: &Path, what: impl std::fmt::Display) -> TableError {
     TableError::Io(format!("paged table `{}`: {what}", path.display()))
@@ -395,10 +389,8 @@ fn decode_page<R: Read>(schema: &Arc<Schema>, r: &mut R) -> Result<Table, String
     Table::from_parts(schema.clone(), columns, n_rows).map_err(|e| e.to_string())
 }
 
-/// A relation resident on disk as column pages, read back page by
-/// page. Random access goes through a small LRU cache of decoded
-/// pages; sequential scans use [`PagedTable::batches`] (which bypasses
-/// the cache so a full scan cannot evict a working set).
+/// A relation resident on disk as column pages, read back in row
+/// order one page at a time through [`PagedTable::batches`].
 #[derive(Debug)]
 pub struct PagedTable {
     dir: PathBuf,
@@ -406,32 +398,6 @@ pub struct PagedTable {
     page_rows: usize,
     n_rows: usize,
     n_pages: usize,
-    cache: Mutex<Lru>,
-}
-
-/// A tiny move-to-front LRU of decoded pages.
-#[derive(Debug)]
-struct Lru {
-    capacity: usize,
-    /// Front = most recently used.
-    entries: VecDeque<(usize, Arc<Table>)>,
-}
-
-impl Lru {
-    fn get(&mut self, page: usize) -> Option<Arc<Table>> {
-        let pos = self.entries.iter().position(|(p, _)| *p == page)?;
-        let entry = self.entries.remove(pos).expect("position came from iter");
-        let hit = entry.1.clone();
-        self.entries.push_front(entry);
-        Some(hit)
-    }
-
-    fn put(&mut self, page: usize, table: Arc<Table>) {
-        self.entries.push_front((page, table));
-        while self.entries.len() > self.capacity {
-            self.entries.pop_back();
-        }
-    }
 }
 
 impl PagedTable {
@@ -496,20 +462,7 @@ impl PagedTable {
                 return Err(located(&page, "page file missing from committed manifest"));
             }
         }
-        Ok(PagedTable {
-            dir,
-            schema,
-            page_rows,
-            n_rows,
-            n_pages,
-            cache: Mutex::new(Lru { capacity: DEFAULT_CACHE_PAGES, entries: VecDeque::new() }),
-        })
-    }
-
-    /// Resize the LRU page cache (clamped to at least 1 page).
-    pub fn with_cache_pages(self, pages: usize) -> Self {
-        self.cache.lock().expect("cache poisoned").capacity = pages.max(1);
-        self
+        Ok(PagedTable { dir, schema, page_rows, n_rows, n_pages })
     }
 
     /// The relation's schema.
@@ -532,12 +485,7 @@ impl PagedTable {
         self.n_pages
     }
 
-    /// Current LRU capacity, pages.
-    pub fn cache_pages(&self) -> usize {
-        self.cache.lock().expect("cache poisoned").capacity
-    }
-
-    /// Decode page `index` from disk, bypassing the cache.
+    /// Decode page `index` from disk.
     fn read_page(&self, index: usize) -> Result<Table, TableError> {
         let path = self.dir.join(format!("page-{index}.dqp"));
         let file = std::fs::File::open(&path).map_err(|e| located(&path, e))?;
@@ -557,42 +505,8 @@ impl PagedTable {
         Ok(page)
     }
 
-    /// Page `index` as a shared in-memory table, via the LRU cache.
-    pub fn page(&self, index: usize) -> Result<Arc<Table>, TableError> {
-        if index >= self.n_pages {
-            return Err(TableError::RowOutOfRange(index * self.page_rows));
-        }
-        if let Some(hit) = self.cache.lock().expect("cache poisoned").get(index) {
-            return Ok(hit);
-        }
-        let page = Arc::new(self.read_page(index)?);
-        self.cache.lock().expect("cache poisoned").put(index, page.clone());
-        Ok(page)
-    }
-
-    /// The value at (`row`, `col`) — the typed random accessor, one
-    /// page fault (at most) through the LRU.
-    pub fn get(&self, row: usize, col: usize) -> Result<crate::Value, TableError> {
-        if row >= self.n_rows {
-            return Err(TableError::RowOutOfRange(row));
-        }
-        let page = self.page(row / self.page_rows)?;
-        Ok(page.get(row % self.page_rows, col))
-    }
-
-    /// The typed cell at (`row`, `col`) without going through
-    /// [`crate::Value`] — the paged sibling of
-    /// [`Column::typed_cell`](crate::Column).
-    pub fn typed_cell(&self, row: usize, col: usize) -> Result<crate::TypedCell, TableError> {
-        if row >= self.n_rows {
-            return Err(TableError::RowOutOfRange(row));
-        }
-        let page = self.page(row / self.page_rows)?;
-        Ok(page.column(col).typed_cell(row % self.page_rows))
-    }
-
     /// Scan the pages in row order as a [`BatchSource`] (one decoded
-    /// page in memory at a time, LRU untouched).
+    /// page in memory at a time).
     pub fn batches(&self) -> PagedBatches<'_> {
         self.batches_from(0)
     }
@@ -709,34 +623,8 @@ mod tests {
                 }
             }
             assert_eq!(row, 23);
-            // Random access agrees cell-for-cell (f64 bits included).
-            for r in [0, 7, 11, 22] {
-                for c in 0..t.n_cols() {
-                    assert_eq!(paged.get(r, c).unwrap(), t.get(r, c));
-                    assert_eq!(paged.typed_cell(r, c).unwrap(), t.column(c).typed_cell(r));
-                }
-            }
             std::fs::remove_dir_all(&d).unwrap();
         }
-    }
-
-    #[test]
-    fn lru_cache_bounds_resident_pages() {
-        let t = fixture(40);
-        let d = dir("lru");
-        let paged = PagedWriter::create(&d, t.schema().clone(), 4)
-            .unwrap()
-            .spill(t.batches(9))
-            .unwrap()
-            .with_cache_pages(2);
-        assert_eq!(paged.cache_pages(), 2);
-        // Touch pages far apart, then re-touch: the cache never holds
-        // more than 2 entries and re-reads still agree.
-        for r in [0, 16, 32, 4, 0, 39] {
-            assert_eq!(paged.get(r, 1).unwrap(), t.get(r, 1));
-            assert!(paged.cache.lock().unwrap().entries.len() <= 2);
-        }
-        std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]

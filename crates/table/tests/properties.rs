@@ -2,8 +2,8 @@
 //! discretization invariants and row-surgery accounting.
 
 use dq_table::{
-    discretize_equal_frequency, discretize_equal_width, read_csv, write_csv, CsvChunkReader,
-    Schema, SchemaBuilder, Table, Value,
+    discretize_equal_frequency, discretize_equal_width, read_csv, write_csv, BatchSource,
+    CsvChunkReader, Schema, SchemaBuilder, Table, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -239,10 +239,9 @@ proptest! {
             prop_assert_eq!(back.row(r), t.row(r), "row {} differs (seed {})", r, seed);
         }
         // Chunked read ≡ full read, at any batch size.
-        let reader = CsvChunkReader::new(t.schema().clone(), buf.as_slice(), chunk).unwrap();
+        let mut reader = CsvChunkReader::new(t.schema().clone(), buf.as_slice(), chunk).unwrap();
         let mut row = 0usize;
-        for batch in reader {
-            let batch = batch.unwrap();
+        while let Some(batch) = reader.next_batch().unwrap() {
             prop_assert!(batch.n_rows() <= chunk);
             for r in 0..batch.n_rows() {
                 prop_assert_eq!(batch.row(r), t.row(row), "chunked row {} (seed {})", row, seed);

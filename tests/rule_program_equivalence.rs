@@ -5,7 +5,7 @@
 //! `eval_formula`/`eval_rule` verdict for verdict.
 
 use data_audit::logic::eval::{eval_formula, eval_rule, violations, violations_reference};
-use data_audit::logic::{CompiledFormula, CompiledRuleSet, RuleProgram, RuleStatus};
+use data_audit::logic::{CompiledFormula, CompiledRuleSet, RuleStatus};
 use data_audit::prelude::*;
 use data_audit::tdg::{AtomSampler, AtomWeights, FormulaShape};
 use proptest::prelude::*;
@@ -88,9 +88,9 @@ proptest! {
         }
     }
 
-    /// Rule programs and the compiled rule set agree with `eval_rule`,
-    /// and the compiled violation scan agrees with the retained
-    /// interpreted scan.
+    /// The compiled rule set's violation verdicts agree with
+    /// `eval_rule`, and the compiled violation scan agrees with the
+    /// retained interpreted scan.
     #[test]
     fn compiled_rules_match_interpreter(
         seed in 0u64..10_000,
@@ -115,13 +115,13 @@ proptest! {
         for _ in 0..60 {
             let record = random_record(&schema, &mut rng);
             for (i, rule) in rule_set.iter().enumerate() {
-                let expected = eval_rule(rule, &record);
-                let program = RuleProgram::compile(rule);
-                prop_assert_eq!(program.eval(&record), expected, "rule {} on {:?}", rule, record);
-                prop_assert_eq!(compiled.eval_rule(i, &record), expected);
+                let expected = eval_rule(rule, &record) == RuleStatus::Violated;
                 prop_assert_eq!(
-                    compiled.program(i).violates(&record),
-                    expected == RuleStatus::Violated
+                    compiled.violates_rule(i, &record),
+                    expected,
+                    "rule {} on {:?}",
+                    rule,
+                    record
                 );
             }
             table.push_row_lenient(&record).unwrap();
