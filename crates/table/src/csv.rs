@@ -1,11 +1,13 @@
-//! Minimal CSV import/export for tables.
+//! The CSV codec for tables: one byte-level writer and one reader,
+//! neither of which allocates per cell or per row.
 //!
 //! The format is deliberately simple (no quoting of separators inside
 //! labels): one header row with attribute names, then one row per
 //! record. NULL cells are written as the empty string, nominal cells as
-//! their labels, dates as ISO `YYYY-MM-DD`. This is enough to move
-//! generated benchmark tables and audit findings in and out of the
-//! workspace; it is not a general-purpose CSV engine.
+//! their labels, numbers in `f64`'s shortest round-trip `Display` form,
+//! dates as ISO `YYYY-MM-DD` ([`crate::date::write_iso`]). This is
+//! enough to move generated benchmark tables and audit findings in and
+//! out of the workspace; it is not a general-purpose CSV engine.
 //!
 //! **Dirty data is representable**: a nominal cell holding a code
 //! outside the label list (the switcher polluter produces those)
@@ -14,7 +16,18 @@
 //! workspace-generated table — polluted or clean — round-trips
 //! exactly. Labels starting with `#` are reserved for this escape.
 //!
-//! Two readers share one parsing core:
+//! **Writing** ([`CsvWriter`], behind [`write_csv`]) resolves each
+//! column of a batch to its typed vector once, then renders every row
+//! into one reused buffer: label bytes come straight from the schema,
+//! numbers and dates are formatted in place, and the finished row goes
+//! to the `BufWriter` in a single `write_all`.
+//!
+//! **Reading** ([`CsvChunkReader`], behind [`read_csv`]) reads each
+//! line with `read_until` into one reused byte buffer, splits it in a
+//! single pass with no intermediate vector, and maps labels to codes
+//! through a per-reader hash index built once from the schema. Rows are
+//! staged in a reused record before they reach the columns, so a
+//! quarantined row never leaves half a row behind.
 //!
 //! * [`read_csv`] materializes the whole stream as a single [`Table`];
 //! * [`CsvChunkReader`] reads the stream as bounded-size [`Table`]
@@ -22,17 +35,30 @@
 //!   (much) larger than RAM can be scanned at O(chunk) memory — the
 //!   substrate of `dq_core`'s streaming deviation detection.
 //!
+//! Memory stays O(chunk) whatever the input: no line, terminator
+//! included, may exceed [`MAX_LINE_BYTES`]. A longer line is a fatal
+//! [`TableError::Csv`] naming its line number — even in quarantine
+//! mode, since its raw text cannot be captured — and the reader fuses.
+//!
 //! All cell-level errors are reported as [`TableError::CsvCell`] with
 //! the 1-based physical line number (the header is line 1) and the
 //! column name, so the bad cell can be found in a million-row file.
 
-use crate::date::parse_iso;
+use crate::column::Column;
+use crate::date::{parse_iso, write_iso};
 use crate::error::TableError;
 use crate::schema::{AttrType, Schema};
 use crate::table::Table;
 use crate::value::Value;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
+
+/// The longest line, terminator included, a reader accepts (1 MiB).
+/// Lines are read through a window of this size, so a stream without
+/// newlines cannot grow the reader's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Write `table` as CSV.
 pub fn write_csv<W: Write>(table: &Table, out: W) -> Result<(), TableError> {
@@ -50,6 +76,8 @@ pub fn write_csv<W: Write>(table: &Table, out: W) -> Result<(), TableError> {
 pub struct CsvWriter<W: Write> {
     schema: Arc<Schema>,
     w: BufWriter<W>,
+    /// The row being rendered, reused across rows.
+    row: String,
 }
 
 impl<W: Write> CsvWriter<W> {
@@ -67,7 +95,7 @@ impl<W: Write> CsvWriter<W> {
     /// already exists, e.g. a checkpointed job resuming a CSV output
     /// truncated to its last committed watermark.
     pub fn append(schema: Arc<Schema>, out: W) -> Self {
-        CsvWriter { schema, w: BufWriter::new(out) }
+        CsvWriter { schema, w: BufWriter::new(out), row: String::new() }
     }
 
     /// Flush buffered rows to the underlying writer without closing.
@@ -91,23 +119,26 @@ impl<W: Write> CsvWriter<W> {
         if !Arc::ptr_eq(&self.schema, batch.schema()) && *self.schema != **batch.schema() {
             return Err(TableError::SchemaMismatch);
         }
-        let schema = &self.schema;
+        let columns: Vec<Cells<'_>> = (0..batch.n_cols())
+            .map(|c| match (batch.column(c), &self.schema.attr(c).ty) {
+                (Column::Nominal(codes), AttrType::Nominal { labels }) => {
+                    Cells::Nominal(codes, labels)
+                }
+                (Column::Nominal(codes), _) => Cells::Nominal(codes, &[]),
+                (Column::Number(xs), _) => Cells::Number(xs),
+                (Column::Date(days), _) => Cells::Date(days),
+            })
+            .collect();
         for r in 0..batch.n_rows() {
-            for c in 0..batch.n_cols() {
+            self.row.clear();
+            for (c, cells) in columns.iter().enumerate() {
                 if c > 0 {
-                    write!(self.w, ",")?;
+                    self.row.push(',');
                 }
-                match batch.get(r, c) {
-                    Value::Null => {}
-                    // Out-of-label codes escape as `#<code>` so polluted
-                    // tables round-trip.
-                    Value::Nominal(code) if schema.attr(c).label(code).is_none() => {
-                        write!(self.w, "#{code}")?;
-                    }
-                    v => write!(self.w, "{}", schema.display_value(c, &v))?,
-                }
+                cells.render(r, &mut self.row).expect("writing to a String cannot fail");
             }
-            writeln!(self.w)?;
+            self.row.push('\n');
+            self.w.write_all(self.row.as_bytes())?;
         }
         Ok(())
     }
@@ -116,6 +147,33 @@ impl<W: Write> CsvWriter<W> {
     pub fn finish(mut self) -> Result<(), TableError> {
         self.w.flush()?;
         Ok(())
+    }
+}
+
+/// One column of a batch, resolved once per batch to its typed cells
+/// (and, for nominal columns, the labels its codes index).
+enum Cells<'a> {
+    Nominal(&'a [Option<u32>], &'a [String]),
+    Number(&'a [Option<f64>]),
+    Date(&'a [Option<i64>]),
+}
+
+impl Cells<'_> {
+    /// Append the text of cell `row` to `out`; NULL appends nothing.
+    fn render(&self, row: usize, out: &mut String) -> fmt::Result {
+        match *self {
+            Cells::Nominal(codes, labels) => match codes[row] {
+                None => Ok(()),
+                Some(code) => match labels.get(code as usize) {
+                    Some(label) => out.write_str(label),
+                    // Out-of-label codes escape as `#<code>` so polluted
+                    // tables round-trip.
+                    None => write!(out, "#{code}"),
+                },
+            },
+            Cells::Number(xs) => xs[row].map_or(Ok(()), |x| write!(out, "{x}")),
+            Cells::Date(days) => days[row].map_or(Ok(()), |d| write_iso(out, d)),
+        }
     }
 }
 
@@ -163,11 +221,12 @@ pub struct QuarantinedRow {
 #[derive(Debug)]
 pub struct CsvChunkReader<R: BufRead> {
     schema: Arc<Schema>,
-    reader: R,
+    /// Per column, label → code for nominal columns (first occurrence
+    /// wins, like [`Attribute::code`](crate::Attribute::code)); empty
+    /// for the others.
+    codes: Vec<HashMap<Box<str>, u32>>,
+    lines: Lines<R>,
     chunk_rows: usize,
-    line_no: usize,
-    /// Scratch line buffer, reused across rows.
-    line: String,
     done: bool,
     rows_emitted: usize,
     /// Out-of-band row count the stream must deliver exactly; see
@@ -187,12 +246,12 @@ pub struct CsvChunkReader<R: BufRead> {
 impl<R: BufRead> CsvChunkReader<R> {
     /// Open a chunked reader: reads and validates the header row.
     /// `chunk_rows` is clamped to at least 1.
-    pub fn new(schema: Arc<Schema>, mut reader: R, chunk_rows: usize) -> Result<Self, TableError> {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+    pub fn new(schema: Arc<Schema>, reader: R, chunk_rows: usize) -> Result<Self, TableError> {
+        let mut lines = Lines { reader, buf: Vec::new(), line_no: 0 };
+        let Some((_, header)) = lines.next()? else {
             return Err(TableError::Csv("missing header row".into()));
-        }
-        let names: Vec<&str> = header.trim_end_matches(['\n', '\r']).split(',').collect();
+        };
+        let names: Vec<&str> = header.split(',').collect();
         if names.len() != schema.len() {
             return Err(TableError::Csv(format!(
                 "header has {} columns, schema has {}",
@@ -208,12 +267,24 @@ impl<R: BufRead> CsvChunkReader<R> {
                 )));
             }
         }
+        let codes = schema
+            .attributes()
+            .iter()
+            .map(|attr| {
+                let mut index = HashMap::new();
+                if let AttrType::Nominal { labels } = &attr.ty {
+                    for (code, label) in labels.iter().enumerate() {
+                        index.entry(label.as_str().into()).or_insert(code as u32);
+                    }
+                }
+                index
+            })
+            .collect();
         Ok(CsvChunkReader {
             schema,
-            reader,
+            codes,
+            lines,
             chunk_rows: chunk_rows.max(1),
-            line_no: 1,
-            line: String::new(),
             done: false,
             rows_emitted: 0,
             expected_rows: None,
@@ -239,9 +310,9 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// malformed data rows (wrong arity or unparseable cells) are
     /// captured as [`QuarantinedRow`]s instead of aborting the stream.
     /// One malformed row beyond the budget is a typed
-    /// [`TableError::QuarantineBudget`]. I/O errors and header errors
-    /// are never quarantined — they mean the stream itself is broken,
-    /// not a row.
+    /// [`TableError::QuarantineBudget`]. I/O errors, header errors and
+    /// lines over [`MAX_LINE_BYTES`] are never quarantined — they mean
+    /// the stream itself is broken, not a row.
     pub fn with_quarantine(mut self, max_bad_rows: usize) -> Self {
         self.max_bad_rows = Some(max_bad_rows);
         self
@@ -270,19 +341,17 @@ impl<R: BufRead> CsvChunkReader<R> {
     pub fn skip_data_rows(&mut self, n: usize) -> Result<(), TableError> {
         let mut skipped = 0;
         while skipped < n {
-            self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            // A broken stream fuses the reader, as in `next_batch`.
+            let Some((_, line)) = self.lines.next().inspect_err(|_| self.done = true)? else {
                 return Err(TableError::Csv(format!(
                     "stream ended after {skipped} data rows while skipping {n} \
                      already-consumed rows (line {}) — input shorter than its journal",
-                    self.line_no
+                    self.lines.line_no
                 )));
+            };
+            if !line.is_empty() {
+                skipped += 1;
             }
-            self.line_no += 1;
-            if self.line.trim_end_matches(['\n', '\r']).is_empty() {
-                continue;
-            }
-            skipped += 1;
         }
         self.rows_emitted += n;
         Ok(())
@@ -291,7 +360,7 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// The physical line number of the last line read (1-based; the
     /// header is line 1).
     pub fn line_no(&self) -> usize {
-        self.line_no
+        self.lines.line_no
     }
 
     /// Parse the next data row into `record` (cleared first), skipping
@@ -299,16 +368,13 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// parsing core both [`read_csv`] and the batch reader run on.
     fn next_record(&mut self, record: &mut Vec<Value>) -> Result<bool, TableError> {
         loop {
-            self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            let Some((line_no, line)) = self.lines.next()? else {
                 return Ok(false);
-            }
-            self.line_no += 1;
-            let trimmed = self.line.trim_end_matches(['\n', '\r']);
-            if trimmed.is_empty() {
+            };
+            if line.is_empty() {
                 continue;
             }
-            match parse_record(&self.schema, trimmed, self.line_no, record) {
+            match parse_record(&self.schema, &self.codes, line, line_no, record) {
                 Ok(()) => return Ok(true),
                 Err(e) => match self.max_bad_rows {
                     None => return Err(e),
@@ -316,12 +382,12 @@ impl<R: BufRead> CsvChunkReader<R> {
                         if self.quarantined_total >= budget {
                             return Err(TableError::QuarantineBudget {
                                 max_bad_rows: budget,
-                                line: self.line_no,
+                                line: line_no,
                             });
                         }
                         self.quarantined_total += 1;
-                        let raw = trimmed.to_string();
-                        self.quarantined.push(QuarantinedRow { line: self.line_no, error: e, raw });
+                        let raw = line.to_string();
+                        self.quarantined.push(QuarantinedRow { line: line_no, error: e, raw });
                     }
                 },
             }
@@ -356,7 +422,7 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
         match self.expected_rows {
             Some(expected) if expected != self.rows_emitted => Err(TableError::Csv(format!(
                 "stream ended after {} data rows, expected {expected} (line {}) — truncated input",
-                self.rows_emitted, self.line_no
+                self.rows_emitted, self.lines.line_no
             ))),
             _ => Ok(None),
         }
@@ -371,31 +437,76 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
     }
 }
 
+/// The physical lines of a stream, read through one reused buffer and
+/// a [`MAX_LINE_BYTES`] window.
+#[derive(Debug)]
+struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    /// The 1-based number of the last line read (0 before the header).
+    line_no: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// The next line's number and text, trailing `\r`/`\n` trimmed, or
+    /// `None` at end of stream. A line over the cap is a
+    /// [`TableError::Csv`]; invalid UTF-8 is the [`TableError::Io`] that
+    /// `BufRead::read_line` gives.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, TableError> {
+        self.buf.clear();
+        let n =
+            (&mut self.reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut self.buf)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if n > MAX_LINE_BYTES {
+            return Err(TableError::Csv(format!(
+                "line {}: longer than {MAX_LINE_BYTES} bytes, the line cap",
+                self.line_no + 1
+            )));
+        }
+        let text = std::str::from_utf8(&self.buf)
+            .map_err(|_| TableError::Io("stream did not contain valid UTF-8".into()))?;
+        self.line_no += 1;
+        Ok(Some((self.line_no, text.trim_end_matches(['\n', '\r']))))
+    }
+}
+
 /// Parse one non-blank data line into `record` (cleared first): the
-/// row-level core shared by the fatal and quarantining paths.
+/// row-level core shared by the fatal and quarantining paths. The line
+/// is split in one pass; an arity error, which needs the full cell
+/// count, takes precedence over a bad cell.
 fn parse_record(
     schema: &Schema,
+    codes: &[HashMap<Box<str>, u32>],
     line: &str,
     line_no: usize,
     record: &mut Vec<Value>,
 ) -> Result<(), TableError> {
-    let cells: Vec<&str> = line.split(',').collect();
-    if cells.len() != schema.len() {
+    record.clear();
+    let mut n_cells = 0;
+    let mut bad_cell = None;
+    for cell in line.split(',') {
+        if n_cells < schema.len() && bad_cell.is_none() {
+            match parse_cell(schema, codes, n_cells, cell, line_no) {
+                Ok(v) => record.push(v),
+                Err(e) => bad_cell = Some(e),
+            }
+        }
+        n_cells += 1;
+    }
+    if n_cells != schema.len() {
         return Err(TableError::Csv(format!(
-            "line {line_no}: {} cells, schema has {}",
-            cells.len(),
+            "line {line_no}: {n_cells} cells, schema has {}",
             schema.len()
         )));
     }
-    record.clear();
-    for (i, cell) in cells.iter().enumerate() {
-        record.push(parse_cell(schema, i, cell, line_no)?);
-    }
-    Ok(())
+    bad_cell.map_or(Ok(()), Err)
 }
 
 fn parse_cell(
     schema: &Schema,
+    codes: &[HashMap<Box<str>, u32>],
     col: usize,
     cell: &str,
     line_no: usize,
@@ -416,8 +527,9 @@ fn parse_cell(
                     .map(Value::Nominal)
                     .map_err(|_| located(format!("`{cell}` is not a `#<code>` escape")));
             }
-            attr.code(cell)
-                .map(Value::Nominal)
+            codes[col]
+                .get(cell)
+                .map(|&code| Value::Nominal(code))
                 .ok_or_else(|| located(format!("`{cell}` is not a label of the domain")))
         }
         AttrType::Numeric { .. } => cell
@@ -482,11 +594,81 @@ mod tests {
     #[test]
     fn rejects_bad_cells() {
         let s = schema();
-        let head = "color,size,built\n";
-        assert!(read_csv(s.clone(), format!("{head}mauve,1,\n").as_bytes()).is_err());
-        assert!(read_csv(s.clone(), format!("{head}red,xx,\n").as_bytes()).is_err());
-        assert!(read_csv(s.clone(), format!("{head}red,1,tuesday\n").as_bytes()).is_err());
-        assert!(read_csv(s, format!("{head}red,1\n").as_bytes()).is_err());
+        let err = |row: &str| {
+            let input = format!("color,size,built\nred,1,\n{row}\n");
+            read_csv(s.clone(), input.as_bytes()).unwrap_err().to_string()
+        };
+        assert_eq!(err("red,1"), "csv error: line 3: 2 cells, schema has 3");
+        assert_eq!(err("red,1,,x"), "csv error: line 3: 4 cells, schema has 3");
+        // The arity error wins over a bad cell on the same line.
+        assert_eq!(err("mauve,xx,,"), "csv error: line 3: 4 cells, schema has 3");
+        assert_eq!(
+            err("mauve,1,"),
+            "csv error: line 3, column `color`: `mauve` is not a label of the domain"
+        );
+        assert_eq!(
+            err("#x,1,"),
+            "csv error: line 3, column `color`: `#x` is not a `#<code>` escape"
+        );
+        assert_eq!(err("red,xx,"), "csv error: line 3, column `size`: `xx` is not a number");
+        assert_eq!(
+            err("red,1,tuesday"),
+            "csv error: line 3, column `built`: `tuesday` is not an ISO date"
+        );
+
+        // Invalid UTF-8 is a broken stream, fatal even in quarantine mode.
+        let input = b"color,size,built\nred,1,\nr\xffd,1,\nred,2,\n";
+        let utf8 = TableError::Io("stream did not contain valid UTF-8".into());
+        assert_eq!(read_csv(s.clone(), &input[..]).unwrap_err(), utf8);
+        let mut reader = CsvChunkReader::new(s.clone(), &input[..], 1).unwrap().with_quarantine(9);
+        assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 1);
+        assert_eq!(reader.next_batch().unwrap_err(), utf8);
+        assert!(matches!(reader.next_batch(), Ok(None)), "fused");
+
+        // Quarantine keeps the raw text of a too-long row, CR trimmed.
+        let input = "color,size,built\nred,1,,x\r\n";
+        let mut reader = CsvChunkReader::new(s, input.as_bytes(), 4).unwrap().with_quarantine(1);
+        assert!(reader.next_batch().unwrap().is_none());
+        let arity = TableError::Csv("line 2: 4 cells, schema has 3".into());
+        let quarantined = QuarantinedRow { line: 2, error: arity, raw: "red,1,,x".into() };
+        assert_eq!(reader.take_quarantined(), vec![quarantined]);
+    }
+
+    #[test]
+    fn lines_over_the_cap_are_fatal_and_fuse_the_reader() {
+        // A valid row of exactly `len` bytes, newline included.
+        let row = |len: usize| format!("red,{}1,\n", "0".repeat(len - 7));
+        let cap_error =
+            TableError::Csv(format!("line 3: longer than {MAX_LINE_BYTES} bytes, the line cap"));
+        let long = "r".repeat(2 << 20);
+        let cases = [
+            (format!("{long}\nred,2,\n"), false),
+            (long.clone(), false),
+            (format!("{long},1,\nred,2,\n"), true),
+            (row(MAX_LINE_BYTES + 1), false),
+        ];
+        for (body, quarantine) in cases {
+            let input = format!("color,size,built\nred,1,\n{body}");
+            let mut reader = CsvChunkReader::new(schema(), input.as_bytes(), 1).unwrap();
+            if quarantine {
+                reader = reader.with_quarantine(9);
+            }
+            assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 1);
+            assert_eq!(reader.next_batch().unwrap_err(), cap_error);
+            assert!(matches!(reader.next_batch(), Ok(None)), "the reader must fuse");
+            assert_eq!(reader.quarantined_total(), 0, "an over-cap line is never quarantined");
+        }
+
+        // A line exactly at the cap is an ordinary row.
+        let input = format!("color,size,built\nred,1,\n{}", row(MAX_LINE_BYTES));
+        let t = read_csv(schema(), input.as_bytes()).unwrap();
+        assert_eq!(t.get(1, 1), Value::Number(1.0));
+
+        // Skipping reads through the same cap, and fuses too.
+        let input = format!("color,size,built\nred,1,\n{long}\nred,2,\n");
+        let mut reader = CsvChunkReader::new(schema(), input.as_bytes(), 1).unwrap();
+        assert_eq!(reader.skip_data_rows(2).unwrap_err(), cap_error);
+        assert!(matches!(reader.next_batch(), Ok(None)), "the reader must fuse");
     }
 
     #[test]

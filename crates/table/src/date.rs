@@ -5,6 +5,8 @@
 //! `days_from_civil` / `civil_from_days` algorithms (Howard Hinnant),
 //! exact over the whole proleptic Gregorian calendar.
 
+use std::fmt;
+
 /// Day number of a civil date `(year, month, day)`, relative to
 /// 1970-01-01. Months are 1-12, days 1-31.
 pub fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
@@ -32,6 +34,34 @@ pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let d = (doy - (153 * mp + 2) / 5 + 1) as u32; // [1, 31]
     let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u32; // [1, 12]
     (if m <= 2 { y + 1 } else { y }, m, d)
+}
+
+/// Write day number `z` as ISO `YYYY-MM-DD` — the one date renderer
+/// behind both `Value`'s `Display` and the CSV writer. Years 0..=9999
+/// take a digit-by-digit path with no formatting machinery; any other
+/// year falls back to `{y:04}-{m:02}-{d:02}` (e.g. `-001-03-01`,
+/// `10000-01-01`).
+pub fn write_iso<W: fmt::Write>(out: &mut W, z: i64) -> fmt::Result {
+    let (y, m, d) = civil_from_days(z);
+    if !(0..=9999).contains(&y) {
+        return write!(out, "{y:04}-{m:02}-{d:02}");
+    }
+    let y = y as u32;
+    let mut text = *b"0000-00-00";
+    let digits = [
+        (0, y / 1000),
+        (1, y / 100),
+        (2, y / 10),
+        (3, y),
+        (5, m / 10),
+        (6, m),
+        (8, d / 10),
+        (9, d),
+    ];
+    for (at, x) in digits {
+        text[at] += (x % 10) as u8;
+    }
+    out.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
 }
 
 /// Parse an ISO `YYYY-MM-DD` string into a day number.
@@ -91,6 +121,23 @@ mod tests {
             assert!(cur != prev, "dates must strictly advance");
             prev = cur;
         }
+    }
+
+    #[test]
+    fn write_iso_pads_and_falls_back_outside_four_digit_years() {
+        let iso = |y, m, d| {
+            let mut s = String::new();
+            write_iso(&mut s, days_from_civil(y, m, d)).unwrap();
+            s
+        };
+        assert_eq!(iso(1970, 1, 1), "1970-01-01");
+        assert_eq!(iso(2003, 9, 9), "2003-09-09");
+        assert_eq!(iso(0, 1, 1), "0000-01-01");
+        assert_eq!(iso(7, 12, 31), "0007-12-31");
+        assert_eq!(iso(9999, 12, 31), "9999-12-31");
+        assert_eq!(iso(10000, 1, 1), "10000-01-01");
+        assert_eq!(iso(-1, 3, 1), "-001-03-01");
+        assert_eq!(iso(-12345, 6, 7), "-12345-06-07");
     }
 
     #[test]

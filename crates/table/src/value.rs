@@ -88,10 +88,7 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Nominal(c) => write!(f, "#{c}"),
             Value::Number(x) => write!(f, "{x}"),
-            Value::Date(d) => {
-                let (y, m, day) = crate::date::civil_from_days(*d);
-                write!(f, "{y:04}-{m:02}-{day:02}")
-            }
+            Value::Date(d) => crate::date::write_iso(f, *d),
         }
     }
 }

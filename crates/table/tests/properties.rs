@@ -1,9 +1,10 @@
 //! Property-based checks of the table substrate: CSV round-trips,
 //! discretization invariants and row-surgery accounting.
 
+use dq_table::date::{civil_from_days, days_from_civil};
 use dq_table::{
     discretize_equal_frequency, discretize_equal_width, read_csv, write_csv, BatchSource,
-    CsvChunkReader, Schema, SchemaBuilder, Table, Value,
+    CsvChunkReader, CsvWriter, Schema, SchemaBuilder, Table, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -66,6 +67,109 @@ fn random_table(seed: u64) -> Table {
         t.push_row_lenient(&record).unwrap();
     }
     t
+}
+
+/// A random table over a random schema whose cells include values the
+/// generators never produce: signed zeros, subnormals, huge and
+/// non-finite doubles, integers at and past 2^53, dates in years 0,
+/// 9999, 10000 and before year 0, out-of-label codes up to `u32::MAX`,
+/// and all-NULL rows.
+fn edge_table(seed: u64) -> Table {
+    const NUMBERS: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -1.1125369292536007e-308,
+        f64::MIN_POSITIVE,
+        1e300,
+        -1e300,
+        f64::MAX,
+        9007199254740992.0,
+        9007199254740994.0,
+        1.8446744073709552e19,
+        0.1,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    let days = [
+        days_from_civil(0, 1, 1),
+        days_from_civil(0, 12, 31),
+        days_from_civil(9999, 12, 31),
+        days_from_civil(10000, 1, 1),
+        days_from_civil(-1, 12, 31),
+        days_from_civil(-4713, 11, 24),
+        days_from_civil(1970, 1, 1),
+        -1,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_attrs = 1 + (rng.gen::<u64>() % 6) as usize;
+    let mut b = SchemaBuilder::new();
+    for i in 0..n_attrs {
+        b = match rng.gen::<u64>() % 3 {
+            0 => b.nominal_sized(&format!("a{i}"), 1 + (rng.gen::<u64>() % 5) as usize),
+            1 => b.numeric(&format!("a{i}"), -1.0, 1.0),
+            _ => b.date_ymd(&format!("a{i}"), (2000, 1, 1), (2000, 12, 31)),
+        };
+    }
+    let schema = b.build().unwrap();
+    let mut t = Table::new(schema.clone());
+    let mut record = Vec::with_capacity(n_attrs);
+    for _ in 0..(rng.gen::<u64>() % 30) {
+        record.clear();
+        let all_null = rng.gen::<u64>() % 6 == 0;
+        for attr in schema.attributes() {
+            let pick = rng.gen::<u64>();
+            let v = match &attr.ty {
+                _ if all_null || pick % 7 == 0 => Value::Null,
+                dq_table::AttrType::Nominal { labels } => Value::Nominal(match pick % 4 {
+                    0 => u32::MAX - (pick >> 40) as u32 % 3,
+                    1 => labels.len() as u32 + (pick >> 40) as u32 % 1000,
+                    _ => ((pick >> 8) % labels.len() as u64) as u32,
+                }),
+                dq_table::AttrType::Numeric { .. } => Value::Number(match pick % 3 {
+                    0 => NUMBERS[(pick >> 8) as usize % NUMBERS.len()],
+                    // Any bit pattern: every sign, exponent and mantissa.
+                    1 => f64::from_bits(rng.gen::<u64>()),
+                    _ => ((pick >> 8) % 20_000) as f64 / 8.0 - 1250.0,
+                }),
+                dq_table::AttrType::Date { .. } => Value::Date(match pick % 3 {
+                    0 => days[(pick >> 8) as usize % days.len()],
+                    // Years from about -27000 to +31000.
+                    _ => ((pick >> 8) % 21_000_000) as i64 - 10_500_000,
+                }),
+            };
+            record.push(v);
+        }
+        t.push_row_lenient(&record).unwrap();
+    }
+    t
+}
+
+/// The CSV bytes of `t`, built independently of the writer: labels or
+/// `#code` for nominal cells, `Value`'s `Display` for numbers, dates
+/// from their civil fields, the empty string for NULL.
+fn csv_oracle(t: &Table) -> Vec<u8> {
+    let schema = t.schema();
+    let names: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
+    let mut out = format!("{}\n", names.join(","));
+    for r in 0..t.n_rows() {
+        let cells: Vec<String> = (0..t.n_cols())
+            .map(|c| match t.get(r, c) {
+                Value::Null => String::new(),
+                Value::Nominal(code) => {
+                    schema.attr(c).label(code).map_or_else(|| format!("#{code}"), str::to_string)
+                }
+                Value::Date(d) => {
+                    let (y, m, day) = civil_from_days(d);
+                    format!("{y:04}-{m:02}-{day:02}")
+                }
+                v => v.to_string(),
+            })
+            .collect();
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    out.into_bytes()
 }
 
 fn schema() -> Arc<Schema> {
@@ -249,6 +353,41 @@ proptest! {
             }
         }
         prop_assert_eq!(row, t.n_rows());
+    }
+
+    /// Every write path renders exactly the oracle's bytes: the whole
+    /// table through `write_csv`, arbitrary batch splits through one
+    /// `CsvWriter`, and a header-less `CsvWriter::append` resuming after
+    /// a prefix. `Value`'s `Display` renders dates as the oracle does.
+    #[test]
+    fn csv_writer_matches_an_independent_oracle(seed in 0u64..u64::MAX, cut in 0usize..31) {
+        let t = edge_table(seed);
+        let expected = csv_oracle(&t);
+        let mut whole = Vec::new();
+        write_csv(&t, &mut whole).unwrap();
+        prop_assert_eq!(String::from_utf8_lossy(&whole), String::from_utf8_lossy(&expected));
+
+        let cut = cut.min(t.n_rows());
+        let mut batched = Vec::new();
+        let mut w = CsvWriter::new(t.schema().clone(), &mut batched).unwrap();
+        for (start, end) in [(0, cut / 2), (cut / 2, cut), (cut, cut), (cut, t.n_rows())] {
+            w.write_batch(&t.slice_rows(start, end).unwrap()).unwrap();
+        }
+        w.finish().unwrap();
+        prop_assert_eq!(&batched, &expected);
+
+        let mut resumed = Vec::new();
+        let mut w = CsvWriter::new(t.schema().clone(), &mut resumed).unwrap();
+        w.write_batch(&t.slice_rows(0, cut).unwrap()).unwrap();
+        w.finish().unwrap();
+        let mut w = CsvWriter::append(t.schema().clone(), &mut resumed);
+        w.write_batch(&t.slice_rows(cut, t.n_rows()).unwrap()).unwrap();
+        w.finish().unwrap();
+        prop_assert_eq!(&resumed, &expected);
+
+        let day = ((seed >> 8) % 21_000_000) as i64 - 10_500_000;
+        let (y, m, d) = civil_from_days(day);
+        prop_assert_eq!(Value::Date(day).to_string(), format!("{y:04}-{m:02}-{d:02}"));
     }
 
     /// Pushed records validate; domain violations only report non-NULL
