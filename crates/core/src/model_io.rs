@@ -447,7 +447,9 @@ pub fn parse_model<R: BufRead>(schema: &Schema, input: R) -> Result<StructureMod
     let n_models = r.parse_usize(get("models")?)?;
 
     // --- model sections ------------------------------------------------
-    let mut models = Vec::with_capacity(n_models);
+    // `n_models` is untrusted until the sections are counted, so it
+    // sizes nothing.
+    let mut models = Vec::new();
     let mut section_line = first_model_line;
     while let Some(line) = section_line.take() {
         models.push(parse_attr_model(&mut r, &line, config.level)?);
@@ -967,6 +969,18 @@ mod tests {
         // Header promises more models than the file carries.
         let fewer = good.replacen("models = ", "models = 9", 1);
         assert!(StructureModel::load(schema.as_ref(), fewer.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn an_inflated_model_count_is_an_error_not_an_allocation() {
+        let t = mixed_table();
+        let schema = t.schema();
+        let good = render_model(&Auditor::default().induce(&t).unwrap(), schema).unwrap();
+        let count = good.lines().find(|l| l.starts_with("models = ")).unwrap();
+        let inflated = good.replacen(count, "models = 999999999999999", 1);
+        let err = StructureModel::load(schema.as_ref(), inflated.as_bytes()).unwrap_err();
+        assert!(matches!(err, AuditError::Persistence(_)), "{err:?}");
+        assert!(err.to_string().contains("999999999999999"), "{err}");
     }
 
     #[test]

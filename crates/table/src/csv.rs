@@ -22,18 +22,22 @@
 //! numbers and dates are formatted in place, and the finished row goes
 //! to the `BufWriter` in a single `write_all`.
 //!
-//! **Reading** ([`CsvChunkReader`], behind [`read_csv`]) reads each
-//! line with `read_until` into one reused byte buffer, splits it in a
-//! single pass with no intermediate vector, and maps labels to codes
-//! through a per-reader hash index built once from the schema. Rows are
-//! staged in a reused record before they reach the columns, so a
-//! quarantined row never leaves half a row behind.
+//! **Reading** ([`CsvChunkReader`]) reads each line with `read_until`
+//! into one reused byte buffer and splits it in a single pass with no
+//! intermediate vector. Each batch's columns are resolved to their
+//! typed vectors once, and every cell is parsed straight into its
+//! column: labels map to codes through a per-reader FNV-1a index built
+//! once from the schema, canonical dates are decoded byte by byte
+//! ([`parse_iso`]). A row that fails part-way is rolled back by
+//! truncating every column to the batch's row count, so a quarantined
+//! row never leaves half a row behind.
 //!
-//! * [`read_csv`] materializes the whole stream as a single [`Table`];
 //! * [`CsvChunkReader`] reads the stream as bounded-size [`Table`]
-//!   batches through [`BatchSource`](crate::BatchSource), so a file
-//!   (much) larger than RAM can be scanned at O(chunk) memory — the
-//!   substrate of `dq_core`'s streaming deviation detection.
+//!   batches through [`BatchSource`], so a file (much) larger than RAM
+//!   can be scanned at O(chunk) memory — the substrate of `dq_core`'s
+//!   streaming deviation detection;
+//! * [`read_csv`] drains the same reader as one unbounded batch, the
+//!   whole stream as a single [`Table`].
 //!
 //! Memory stays O(chunk) whatever the input: no line, terminator
 //! included, may exceed [`MAX_LINE_BYTES`]. A longer line is a fatal
@@ -44,14 +48,16 @@
 //! the 1-based physical line number (the header is line 1) and the
 //! column name, so the bad cell can be found in a million-row file.
 
+use crate::batch::BatchSource;
 use crate::column::Column;
 use crate::date::{parse_iso, write_iso};
 use crate::error::TableError;
-use crate::schema::{AttrType, Schema};
+use crate::schema::{AttrType, Attribute, Schema};
+use crate::schema_io::Fnv1a;
 use crate::table::Table;
-use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::hash::BuildHasherDefault;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
@@ -59,6 +65,14 @@ use std::sync::Arc;
 /// Lines are read through a window of this size, so a stream without
 /// newlines cannot grow the reader's buffer without bound.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most rows a batch's columns reserve up front. A larger
+/// `chunk_rows` (or [`read_csv`]'s unbounded batch) grows the columns
+/// as rows arrive, so the reservation never follows a caller's bound.
+const BATCH_RESERVE_ROWS: usize = 4096;
+
+/// Label → code for one nominal column.
+type LabelIndex = HashMap<Box<str>, u32, BuildHasherDefault<Fnv1a>>;
 
 /// Write `table` as CSV.
 pub fn write_csv<W: Write>(table: &Table, out: W) -> Result<(), TableError> {
@@ -184,13 +198,8 @@ impl Cells<'_> {
 /// label list (with the `#<code>` escape for out-of-label codes);
 /// unknown labels are an error.
 pub fn read_csv<R: Read>(schema: Arc<Schema>, input: R) -> Result<Table, TableError> {
-    let mut reader = CsvChunkReader::new(schema.clone(), BufReader::new(input), 1)?;
-    let mut table = Table::new(schema);
-    let mut record = Vec::with_capacity(table.n_cols());
-    while reader.next_record(&mut record)? {
-        table.push_row_lenient(&record)?;
-    }
-    Ok(table)
+    let mut reader = CsvChunkReader::new(schema.clone(), BufReader::new(input), usize::MAX)?;
+    Ok(reader.next_batch()?.unwrap_or_else(|| Table::new(schema)))
 }
 
 /// A malformed CSV row captured by a quarantining reader instead of
@@ -207,7 +216,7 @@ pub struct QuarantinedRow {
     pub raw: String,
 }
 
-/// A bounded-memory CSV reader: a [`BatchSource`](crate::BatchSource)
+/// A bounded-memory CSV reader: a [`BatchSource`]
 /// of [`Table`] batches of at most `chunk_rows` rows each, over any
 /// [`BufRead`].
 ///
@@ -224,7 +233,7 @@ pub struct CsvChunkReader<R: BufRead> {
     /// Per column, label → code for nominal columns (first occurrence
     /// wins, like [`Attribute::code`](crate::Attribute::code)); empty
     /// for the others.
-    codes: Vec<HashMap<Box<str>, u32>>,
+    codes: Vec<LabelIndex>,
     lines: Lines<R>,
     chunk_rows: usize,
     done: bool,
@@ -232,15 +241,7 @@ pub struct CsvChunkReader<R: BufRead> {
     /// Out-of-band row count the stream must deliver exactly; see
     /// [`CsvChunkReader::with_expected_rows`].
     expected_rows: Option<usize>,
-    /// Error budget for quarantine mode; `None` means any malformed
-    /// row is fatal (the default).
-    max_bad_rows: Option<usize>,
-    /// Malformed rows absorbed so far (in quarantine mode), in stream
-    /// order, awaiting [`CsvChunkReader::take_quarantined`]. Bounded
-    /// by the error budget.
-    quarantined: Vec<QuarantinedRow>,
-    /// Total malformed rows absorbed, including already-drained ones.
-    quarantined_total: usize,
+    quarantine: Quarantine,
 }
 
 impl<R: BufRead> CsvChunkReader<R> {
@@ -271,7 +272,7 @@ impl<R: BufRead> CsvChunkReader<R> {
             .attributes()
             .iter()
             .map(|attr| {
-                let mut index = HashMap::new();
+                let mut index = LabelIndex::default();
                 if let AttrType::Nominal { labels } = &attr.ty {
                     for (code, label) in labels.iter().enumerate() {
                         index.entry(label.as_str().into()).or_insert(code as u32);
@@ -288,9 +289,7 @@ impl<R: BufRead> CsvChunkReader<R> {
             done: false,
             rows_emitted: 0,
             expected_rows: None,
-            max_bad_rows: None,
-            quarantined: Vec::new(),
-            quarantined_total: 0,
+            quarantine: Quarantine::default(),
         })
     }
 
@@ -314,19 +313,19 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// lines over [`MAX_LINE_BYTES`] are never quarantined — they mean
     /// the stream itself is broken, not a row.
     pub fn with_quarantine(mut self, max_bad_rows: usize) -> Self {
-        self.max_bad_rows = Some(max_bad_rows);
+        self.quarantine.max_bad_rows = Some(max_bad_rows);
         self
     }
 
     /// Drain the malformed rows captured since the last call, in
     /// stream order. Memory held here is bounded by the error budget.
     pub fn take_quarantined(&mut self) -> Vec<QuarantinedRow> {
-        std::mem::take(&mut self.quarantined)
+        std::mem::take(&mut self.quarantine.rows)
     }
 
     /// Total malformed rows absorbed so far, drained or not.
     pub fn quarantined_total(&self) -> usize {
-        self.quarantined_total
+        self.quarantine.total
     }
 
     /// Skip the next `n` data rows without parsing their cells — the
@@ -336,8 +335,6 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// expected-row check), and line numbering stays physical. End of
     /// stream before `n` rows is a typed error: the input is shorter
     /// than its journal says was already consumed.
-    ///
-    /// [`BatchSource::rows_emitted`]: crate::batch::BatchSource::rows_emitted
     pub fn skip_data_rows(&mut self, n: usize) -> Result<(), TableError> {
         let mut skipped = 0;
         while skipped < n {
@@ -363,41 +360,34 @@ impl<R: BufRead> CsvChunkReader<R> {
         self.lines.line_no
     }
 
-    /// Parse the next data row into `record` (cleared first), skipping
-    /// blank lines. `Ok(false)` at end of stream. This is the single
-    /// parsing core both [`read_csv`] and the batch reader run on.
-    fn next_record(&mut self, record: &mut Vec<Value>) -> Result<bool, TableError> {
-        loop {
+    /// Parse data rows straight into `columns` until the batch holds
+    /// `chunk_rows` rows or the stream ends, skipping blank lines and
+    /// absorbing malformed rows in quarantine mode. Returns the batch's
+    /// row count, which every column's length equals.
+    fn fill(&mut self, columns: &mut [Column]) -> Result<usize, TableError> {
+        let mut sinks: Vec<Sink<'_>> =
+            columns.iter_mut().zip(&self.codes).map(|(col, codes)| Sink::new(col, codes)).collect();
+        let attrs = self.schema.attributes();
+        let mut n_rows = 0;
+        while n_rows < self.chunk_rows {
             let Some((line_no, line)) = self.lines.next()? else {
-                return Ok(false);
+                break;
             };
             if line.is_empty() {
                 continue;
             }
-            match parse_record(&self.schema, &self.codes, line, line_no, record) {
-                Ok(()) => return Ok(true),
-                Err(e) => match self.max_bad_rows {
-                    None => return Err(e),
-                    Some(budget) => {
-                        if self.quarantined_total >= budget {
-                            return Err(TableError::QuarantineBudget {
-                                max_bad_rows: budget,
-                                line: line_no,
-                            });
-                        }
-                        self.quarantined_total += 1;
-                        let raw = line.to_string();
-                        self.quarantined.push(QuarantinedRow { line: line_no, error: e, raw });
-                    }
-                },
+            match push_row(&mut sinks, attrs, line, line_no, n_rows) {
+                Ok(()) => n_rows += 1,
+                Err(e) => self.quarantine.absorb(line_no, line, e)?,
             }
         }
+        Ok(n_rows)
     }
 }
 
 /// Batches in stream order, fused after the end or the first error,
 /// with offset bookkeeping.
-impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
+impl<R: BufRead> BatchSource for CsvChunkReader<R> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
@@ -409,15 +399,22 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
         // Fused unless a batch comes back: an error or the end of the
         // stream leaves `done` set.
         self.done = true;
-        let mut batch = Table::new(self.schema.clone());
-        let mut record = Vec::with_capacity(self.schema.len());
-        while batch.n_rows() < self.chunk_rows && self.next_record(&mut record)? {
-            batch.push_row_lenient(&record)?;
-        }
-        if !batch.is_empty() {
+        let reserve = self.chunk_rows.min(BATCH_RESERVE_ROWS);
+        let mut columns: Vec<Column> = self
+            .schema
+            .attributes()
+            .iter()
+            .map(|attr| {
+                let mut col = Column::for_type(&attr.ty);
+                col.reserve(reserve);
+                col
+            })
+            .collect();
+        let n_rows = self.fill(&mut columns)?;
+        if n_rows > 0 {
             self.done = false;
-            self.rows_emitted += batch.n_rows();
-            return Ok(Some(batch));
+            self.rows_emitted += n_rows;
+            return Table::from_parts(self.schema.clone(), columns, n_rows).map(Some);
         }
         match self.expected_rows {
             Some(expected) if expected != self.rows_emitted => Err(TableError::Csv(format!(
@@ -434,6 +431,36 @@ impl<R: BufRead> crate::batch::BatchSource for CsvChunkReader<R> {
 
     fn row_count_hint(&self) -> Option<usize> {
         self.expected_rows
+    }
+}
+
+/// A reader's malformed-row policy and what it has absorbed.
+#[derive(Debug, Default)]
+struct Quarantine {
+    /// Error budget for quarantine mode; `None` means any malformed
+    /// row is fatal (the default).
+    max_bad_rows: Option<usize>,
+    /// Malformed rows absorbed so far, in stream order, awaiting
+    /// [`CsvChunkReader::take_quarantined`]. Bounded by the budget.
+    rows: Vec<QuarantinedRow>,
+    /// Total malformed rows absorbed, including already-drained ones.
+    total: usize,
+}
+
+impl Quarantine {
+    /// Capture the malformed row at `line`, or hand back its error: in
+    /// fatal mode, and (as [`TableError::QuarantineBudget`]) once the
+    /// budget is spent.
+    fn absorb(&mut self, line: usize, raw: &str, error: TableError) -> Result<(), TableError> {
+        let Some(budget) = self.max_bad_rows else {
+            return Err(error);
+        };
+        if self.total >= budget {
+            return Err(TableError::QuarantineBudget { max_bad_rows: budget, line });
+        }
+        self.total += 1;
+        self.rows.push(QuarantinedRow { line, error, raw: raw.to_string() });
+        Ok(())
     }
 }
 
@@ -472,81 +499,118 @@ impl<R: BufRead> Lines<R> {
     }
 }
 
-/// Parse one non-blank data line into `record` (cleared first): the
-/// row-level core shared by the fatal and quarantining paths. The line
-/// is split in one pass; an arity error, which needs the full cell
-/// count, takes precedence over a bad cell.
-fn parse_record(
-    schema: &Schema,
-    codes: &[HashMap<Box<str>, u32>],
-    line: &str,
-    line_no: usize,
-    record: &mut Vec<Value>,
-) -> Result<(), TableError> {
-    record.clear();
-    let mut n_cells = 0;
-    let mut bad_cell = None;
-    for cell in line.split(',') {
-        if n_cells < schema.len() && bad_cell.is_none() {
-            match parse_cell(schema, codes, n_cells, cell, line_no) {
-                Ok(v) => record.push(v),
-                Err(e) => bad_cell = Some(e),
-            }
-        }
-        n_cells += 1;
-    }
-    if n_cells != schema.len() {
-        return Err(TableError::Csv(format!(
-            "line {line_no}: {n_cells} cells, schema has {}",
-            schema.len()
-        )));
-    }
-    bad_cell.map_or(Ok(()), Err)
+/// One batch column resolved to its typed vector (and, for nominal
+/// columns, the label index its cells are looked up in).
+enum Sink<'a> {
+    Nominal(&'a mut Vec<Option<u32>>, &'a LabelIndex),
+    Number(&'a mut Vec<Option<f64>>),
+    Date(&'a mut Vec<Option<i64>>),
 }
 
-fn parse_cell(
-    schema: &Schema,
-    codes: &[HashMap<Box<str>, u32>],
-    col: usize,
-    cell: &str,
-    line_no: usize,
-) -> Result<Value, TableError> {
-    if cell.is_empty() {
-        return Ok(Value::Null);
-    }
-    let attr = schema.attr(col);
-    let located =
-        |message: String| TableError::CsvCell { line: line_no, column: attr.name.clone(), message };
-    match &attr.ty {
-        AttrType::Nominal { .. } => {
-            // `#<code>` is the escape for out-of-label codes written by
-            // `write_csv` for polluted cells.
-            if let Some(code) = cell.strip_prefix('#') {
-                return code
-                    .parse::<u32>()
-                    .map(Value::Nominal)
-                    .map_err(|_| located(format!("`{cell}` is not a `#<code>` escape")));
-            }
-            codes[col]
-                .get(cell)
-                .map(|&code| Value::Nominal(code))
-                .ok_or_else(|| located(format!("`{cell}` is not a label of the domain")))
+impl<'a> Sink<'a> {
+    fn new(column: &'a mut Column, codes: &'a LabelIndex) -> Self {
+        match column {
+            Column::Nominal(cells) => Sink::Nominal(cells, codes),
+            Column::Number(cells) => Sink::Number(cells),
+            Column::Date(cells) => Sink::Date(cells),
         }
-        AttrType::Numeric { .. } => cell
-            .parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| located(format!("`{cell}` is not a number"))),
-        AttrType::Date { .. } => parse_iso(cell)
-            .map(Value::Date)
-            .ok_or_else(|| located(format!("`{cell}` is not an ISO date"))),
+    }
+
+    /// Parse `cell` onto the column; the empty cell is NULL. A bad cell
+    /// pushes nothing and returns the error's message.
+    fn push(&mut self, cell: &str) -> Result<(), String> {
+        match self {
+            Sink::Nominal(cells, codes) => {
+                let code = if cell.is_empty() {
+                    None
+                } else if let Some(code) = cell.strip_prefix('#') {
+                    // `#<code>` is the escape for out-of-label codes
+                    // written by the writer for polluted cells.
+                    let code = code.parse::<u32>();
+                    Some(code.map_err(|_| format!("`{cell}` is not a `#<code>` escape"))?)
+                } else {
+                    let code = codes.get(cell);
+                    Some(*code.ok_or_else(|| format!("`{cell}` is not a label of the domain"))?)
+                };
+                cells.push(code);
+            }
+            Sink::Number(cells) => cells.push(match cell {
+                "" => None,
+                _ => Some(cell.parse::<f64>().map_err(|_| format!("`{cell}` is not a number"))?),
+            }),
+            Sink::Date(cells) => cells.push(match cell {
+                "" => None,
+                _ => Some(parse_iso(cell).ok_or_else(|| format!("`{cell}` is not an ISO date"))?),
+            }),
+        }
+        Ok(())
+    }
+
+    /// Drop every cell past the first `n_rows`.
+    fn truncate(&mut self, n_rows: usize) {
+        match self {
+            Sink::Nominal(cells, _) => cells.truncate(n_rows),
+            Sink::Number(cells) => cells.truncate(n_rows),
+            Sink::Date(cells) => cells.truncate(n_rows),
+        }
+    }
+}
+
+/// Parse one non-blank data line onto the columns behind `sinks`, which
+/// hold `n_rows` rows. On error every column is truncated back to
+/// `n_rows`, so a rejected row leaves no cells behind.
+fn push_row(
+    sinks: &mut [Sink<'_>],
+    attrs: &[Attribute],
+    line: &str,
+    line_no: usize,
+    n_rows: usize,
+) -> Result<(), TableError> {
+    let pushed = push_cells(sinks, attrs, line, line_no);
+    if pushed.is_err() {
+        for sink in sinks {
+            sink.truncate(n_rows);
+        }
+    }
+    pushed
+}
+
+/// The cells of [`push_row`], split off the line in one pass. An arity
+/// error, which needs the full cell count, takes precedence over a bad
+/// cell.
+fn push_cells(
+    sinks: &mut [Sink<'_>],
+    attrs: &[Attribute],
+    line: &str,
+    line_no: usize,
+) -> Result<(), TableError> {
+    let width = sinks.len();
+    let arity = |n_cells: usize| {
+        TableError::Csv(format!("line {line_no}: {n_cells} cells, schema has {width}"))
+    };
+    let mut cells = line.split(',');
+    for (c, sink) in sinks.iter_mut().enumerate() {
+        let cell = cells.next().ok_or_else(|| arity(c))?;
+        if let Err(message) = sink.push(cell) {
+            let n_cells = c + 1 + cells.count();
+            return Err(if n_cells == width {
+                TableError::CsvCell { line: line_no, column: attrs[c].name.clone(), message }
+            } else {
+                arity(n_cells)
+            });
+        }
+    }
+    match cells.count() {
+        0 => Ok(()),
+        extra => Err(arity(width + extra)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchSource;
     use crate::builder::SchemaBuilder;
+    use crate::value::Value;
 
     fn schema() -> Arc<Schema> {
         SchemaBuilder::new()
@@ -878,6 +942,28 @@ mod tests {
         assert_eq!(err, TableError::QuarantineBudget { max_bad_rows: 2, line: 4 });
         assert!(matches!(BatchSource::next_batch(&mut reader), Ok(None)), "fused");
         assert_eq!(reader.take_quarantined().len(), 2, "budgeted rows were still captured");
+    }
+
+    #[test]
+    fn a_rejected_row_leaves_every_column_at_the_row_count() {
+        let s = schema();
+        let codes: Vec<LabelIndex> = (0..s.len()).map(|_| LabelIndex::default()).collect();
+        let mut columns: Vec<Column> =
+            s.attributes().iter().map(|a| Column::for_type(&a.ty)).collect();
+        let mut n_rows = 0;
+        // Good, bad last cell, too short, too long, bad first cell, good
+        // (all NULL), bad last cell, good.
+        let lines =
+            [",1,2000-01-01", "#3,1,2000-02-30", ",1", ",1,,", "#x,1,", ",,", ",2,x", ",3,"];
+        for (i, line) in lines.into_iter().enumerate() {
+            let mut sinks: Vec<Sink<'_>> =
+                columns.iter_mut().zip(&codes).map(|(col, codes)| Sink::new(col, codes)).collect();
+            if push_row(&mut sinks, s.attributes(), line, i + 2, n_rows).is_ok() {
+                n_rows += 1;
+            }
+            assert!(columns.iter().all(|c| c.len() == n_rows), "after `{line}`: {columns:?}");
+        }
+        assert_eq!(n_rows, 3);
     }
 
     #[test]

@@ -65,7 +65,43 @@ pub fn write_iso<W: fmt::Write>(out: &mut W, z: i64) -> fmt::Result {
 }
 
 /// Parse an ISO `YYYY-MM-DD` string into a day number.
+///
+/// The canonical ten-byte shape (four-digit year, two-digit month and
+/// day — everything the CSV writer produces) is decoded byte by byte.
+/// Any other shape takes the general path, which also accepts what
+/// `str::parse` does per field (`+2000-1-1`, `02000-01-01`, …); both
+/// paths agree on every input.
 pub fn parse_iso(s: &str) -> Option<i64> {
+    let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = s.as_bytes() else {
+        return parse_iso_fields(s);
+    };
+    let digits = [y0, y1, y2, y3, m0, m1, d0, d1];
+    if !digits.iter().all(u8::is_ascii_digit) {
+        return parse_iso_fields(s);
+    }
+    let [y0, y1, y2, y3, m0, m1, d0, d1] = digits.map(|b| u32::from(b - b'0'));
+    let y = y0 * 1000 + y1 * 100 + y2 * 10 + y3;
+    let m = m0 * 10 + m1;
+    let d = d0 * 10 + d1;
+    if !(1..=12).contains(&m) || d == 0 || d > days_in_month(y, m) {
+        return None;
+    }
+    Some(days_from_civil(i64::from(y), m, d))
+}
+
+/// Days in month `m` (1-12) of the non-negative year `y`.
+fn days_in_month(y: u32, m: u32) -> u32 {
+    match m {
+        2 if y % 4 == 0 && (y % 100 != 0 || y % 400 == 0) => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        _ => 31,
+    }
+}
+
+/// The general path of [`parse_iso`]: three `-`-separated integer
+/// fields, checked by a round trip through the day number.
+fn parse_iso_fields(s: &str) -> Option<i64> {
     let mut parts = s.splitn(3, '-');
     // A leading '-' would make the year part empty; QUIS-era data does
     // not carry BCE dates, so reject them rather than guessing.
@@ -138,6 +174,26 @@ mod tests {
         assert_eq!(iso(10000, 1, 1), "10000-01-01");
         assert_eq!(iso(-1, 3, 1), "-001-03-01");
         assert_eq!(iso(-12345, 6, 7), "-12345-06-07");
+    }
+
+    #[test]
+    fn canonical_dates_parse_as_the_general_path_does() {
+        for y in [0, 1, 4, 99, 100, 400, 1900, 1970, 2000, 2001, 2004, 2100, 2400, 9999] {
+            for m in 0..100 {
+                for d in 0..100 {
+                    let s = format!("{y:04}-{m:02}-{d:02}");
+                    assert_eq!(parse_iso(&s), parse_iso_fields(&s), "{s}");
+                }
+            }
+        }
+        // Shapes off the canonical one keep the general path's answer.
+        assert_eq!(parse_iso("+2000-01-01"), Some(days_from_civil(2000, 1, 1)));
+        assert_eq!(parse_iso("2000-1-1"), Some(days_from_civil(2000, 1, 1)));
+        assert_eq!(parse_iso("02000-01-01"), Some(days_from_civil(2000, 1, 1)));
+        assert_eq!(parse_iso("10000-01-01"), Some(days_from_civil(10000, 1, 1)));
+        assert_eq!(parse_iso("-001-01-01"), None);
+        assert_eq!(parse_iso("2000-01-0a"), None);
+        assert_eq!(parse_iso("2000/01/01"), None);
     }
 
     #[test]

@@ -125,17 +125,9 @@ impl PagedWriter {
         if committed_pages > 0 {
             let path = dir.join(format!("page-{}.dqp", committed_pages - 1));
             let file = std::fs::File::open(&path).map_err(|e| located(&path, e))?;
-            let page = decode_page(&schema, &mut BufReader::new(file))
+            // Mid-stream pages are always full.
+            decode_page(&schema, file, page_rows)
                 .map_err(|e| located(&path, format!("{e} — journaled page torn")))?;
-            if page.n_rows() != page_rows {
-                return Err(located(
-                    &path,
-                    format!(
-                        "journaled page has {} rows, expected a full page of {page_rows}",
-                        page.n_rows()
-                    ),
-                ));
-            }
         }
         prune_from(&dir, committed_pages)?;
         Ok(PagedWriter {
@@ -315,7 +307,14 @@ fn encode_page<W: Write>(page: &Table, w: &mut W) -> std::io::Result<()> {
     Ok(())
 }
 
-fn decode_page<R: Read>(schema: &Arc<Schema>, r: &mut R) -> Result<Table, String> {
+/// Decode a page that the manifest (or the journal) says holds
+/// `n_rows` rows. The header's row count must say the same, and the
+/// file must be long enough for that many cells (one NULL flag byte
+/// each at least), both checked before any column is allocated: a
+/// corrupt count is an error, never an allocation of its size.
+fn decode_page(schema: &Arc<Schema>, file: std::fs::File, n_rows: usize) -> Result<Table, String> {
+    let file_len = file.metadata().map_err(|e| e.to_string())?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic).map_err(|e| e.to_string())?;
     if &magic != MAGIC {
@@ -323,7 +322,16 @@ fn decode_page<R: Read>(schema: &Arc<Schema>, r: &mut R) -> Result<Table, String
     }
     let mut len = [0u8; 8];
     r.read_exact(&mut len).map_err(|e| e.to_string())?;
-    let n_rows = u64::from_le_bytes(len) as usize;
+    let declared = u64::from_le_bytes(len);
+    if declared != n_rows as u64 {
+        return Err(format!("page header declares {declared} rows, expected {n_rows}"));
+    }
+    // Magic and count, then per column a kind tag and a flag per cell.
+    let per_column = (n_rows as u64).saturating_add(1);
+    let min_len = (schema.len() as u64).saturating_mul(per_column).saturating_add(12);
+    if file_len < min_len {
+        return Err(format!("page of {file_len} bytes is too short for {n_rows} rows"));
+    }
     let mut columns = Vec::with_capacity(schema.len());
     for attr in schema.attributes() {
         let mut kind = [0u8; 1];
@@ -489,20 +497,12 @@ impl PagedTable {
     fn read_page(&self, index: usize) -> Result<Table, TableError> {
         let path = self.dir.join(format!("page-{index}.dqp"));
         let file = std::fs::File::open(&path).map_err(|e| located(&path, e))?;
-        let page =
-            decode_page(&self.schema, &mut BufReader::new(file)).map_err(|e| located(&path, e))?;
-        let expected = if index + 1 == self.n_pages && self.n_rows % self.page_rows != 0 {
+        let n_rows = if index + 1 == self.n_pages && self.n_rows % self.page_rows != 0 {
             self.n_rows % self.page_rows
         } else {
             self.page_rows
         };
-        if page.n_rows() != expected {
-            return Err(located(
-                &path,
-                format!("page has {} rows, expected {expected}", page.n_rows()),
-            ));
-        }
-        Ok(page)
+        decode_page(&self.schema, file, n_rows).map_err(|e| located(&path, e))
     }
 
     /// Scan the pages in row order as a [`BatchSource`] (one decoded
@@ -719,6 +719,47 @@ mod tests {
         let err = src.next_batch().unwrap_err();
         assert!(err.to_string().contains("page-1.dqp"), "{err}");
         assert!(matches!(src.next_batch(), Ok(None)), "fused after the tear");
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_page_row_count_is_a_located_error_not_an_allocation() {
+        let t = fixture(10);
+        let d = dir("count");
+        let paged =
+            PagedWriter::create(&d, t.schema().clone(), 4).unwrap().spill(t.batches(3)).unwrap();
+        let page = d.join("page-0.dqp");
+        let bytes = std::fs::read(&page).unwrap();
+        for declared in [1u64 << 61, 5] {
+            let mut corrupt = bytes.clone();
+            corrupt[4..12].copy_from_slice(&declared.to_le_bytes());
+            std::fs::write(&page, &corrupt).unwrap();
+            let err = paged.batches().next_batch().unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, TableError::Io(_)), "{err:?}");
+            assert!(msg.contains("page-0.dqp"), "{msg}");
+            assert!(msg.contains(&format!("header declares {declared} rows, expected 4")), "{msg}");
+            // Resuming trusts the journaled pages no further.
+            let err = PagedWriter::resume(&d, t.schema().clone(), 4, 1).unwrap_err();
+            assert!(err.to_string().contains("header declares"), "{err}");
+        }
+
+        // A manifest promising more rows than the pages can hold is
+        // refused the same way before the columns are reserved.
+        std::fs::write(&page, &bytes).unwrap();
+        let manifest = std::fs::read_to_string(d.join(MANIFEST)).unwrap();
+        let huge = 1usize << 61;
+        let manifest = manifest
+            .replace("page_rows 4", &format!("page_rows {huge}"))
+            .replace("n_rows 10", &format!("n_rows {huge}"))
+            .replace("n_pages 3", "n_pages 1");
+        std::fs::write(d.join(MANIFEST), manifest).unwrap();
+        let mut header = bytes.clone();
+        header[4..12].copy_from_slice(&(huge as u64).to_le_bytes());
+        std::fs::write(&page, &header).unwrap();
+        let paged = PagedTable::open(&d, t.schema().clone()).unwrap();
+        let err = paged.batches().next_batch().unwrap_err();
+        assert!(err.to_string().contains("too short"), "{err}");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -1,5 +1,5 @@
-//! Allocation budget of the CSV codec: writing and reading must not
-//! allocate per cell or per row. A counting global allocator (this
+//! Allocation budget of the CSV codec: writing and reading (batched or
+//! whole-table) must not allocate per cell or per row. A counting global allocator (this
 //! file is its own test binary, so no other suite sees it) counts the
 //! heap allocations made on the test's own thread while the codec runs.
 
@@ -108,4 +108,9 @@ fn the_csv_codec_does_not_allocate_per_row() {
     });
     assert_eq!(rows, ROWS);
     assert!(read < 2_000, "reading {ROWS} rows took {read} allocations");
+
+    // `read_csv` drains the same reader as one growing batch.
+    let (loaded, table) = allocations(|| dq_table::read_csv(t.schema().clone(), csv.as_slice()));
+    assert_eq!(table.unwrap().n_rows(), ROWS);
+    assert!(loaded < 500, "read_csv of {ROWS} rows took {loaded} allocations");
 }

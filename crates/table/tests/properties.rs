@@ -3,8 +3,8 @@
 
 use dq_table::date::{civil_from_days, days_from_civil};
 use dq_table::{
-    discretize_equal_frequency, discretize_equal_width, read_csv, write_csv, BatchSource,
-    CsvChunkReader, CsvWriter, Schema, SchemaBuilder, Table, Value,
+    discretize_equal_frequency, discretize_equal_width, read_csv, write_csv, AttrType, BatchSource,
+    CsvChunkReader, CsvWriter, Schema, SchemaBuilder, Table, TableError, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -170,6 +170,260 @@ fn csv_oracle(t: &Table) -> Vec<u8> {
         out.push('\n');
     }
     out.into_bytes()
+}
+
+/// A random schema whose nominal domains may repeat a label, and a
+/// random CSV text over it: good rows, rows with one bad cell (the last
+/// column included), rows too short or too long, blank lines and CRLF
+/// endings. Cells come from pools of the tricky spellings each kind's
+/// parser must agree on, plus random `YYYY-MM-DD` strings around the
+/// valid month and day ranges.
+fn dirty_csv(seed: u64) -> (Arc<Schema>, String) {
+    const NUMBERS: [&str; 20] = [
+        "1", "-0.0", "0", "2.5", "+7", ".5", "5.", "1e308", "1e309", "-1e-320", "inf", "-inf",
+        "NaN", "nan", "infinity", "1_000", "0x10", "abc", " 1", "1,5",
+    ];
+    const DATES: [&str; 20] = [
+        "2000-01-01",
+        "+2000-01-01",
+        "2000-1-1",
+        "02000-01-01",
+        "2000-02-30",
+        "-001-01-01",
+        "2000-02-29",
+        "1900-02-29",
+        "9999-12-31",
+        "0000-01-01",
+        "10000-01-01",
+        "2000-13-01",
+        "2000-00-10",
+        "2000/01/01",
+        "2000-01-01x",
+        "2000-01-+1",
+        "20000101",
+        "2000-01-1 ",
+        "２000-01-01",
+        "-",
+    ];
+    const ESCAPES: [&str; 9] =
+        ["#0", "#7", "#4294967295", "#4294967296", "#x", "#", "#-1", "#+3", "mauve"];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_attrs = 1 + (rng.gen::<u64>() % 5) as usize;
+    let mut b = SchemaBuilder::new();
+    for i in 0..n_attrs {
+        b = match rng.gen::<u64>() % 3 {
+            0 => {
+                let pool = ["red", "green", "blue", "red", "Red", "green"];
+                let n = 1 + (rng.gen::<u64>() % pool.len() as u64) as usize;
+                b.nominal(&format!("a{i}"), pool[..n].iter().copied())
+            }
+            1 => b.numeric(&format!("a{i}"), -1e4, 1e4),
+            _ => b.date_ymd(&format!("a{i}"), (1995, 1, 1), (2005, 12, 31)),
+        };
+    }
+    let schema = b.build().unwrap();
+    let pick =
+        |rng: &mut StdRng, pool: &[&str]| pool[rng.gen::<u64>() as usize % pool.len()].to_string();
+    let cell = |rng: &mut StdRng, attr: &dq_table::Attribute, dirty: bool| -> String {
+        let roll = rng.gen::<u64>() % 8;
+        if roll == 0 {
+            return String::new();
+        }
+        match &attr.ty {
+            AttrType::Nominal { .. } if dirty || roll == 1 => pick(rng, &ESCAPES),
+            AttrType::Nominal { labels } => {
+                labels[rng.gen::<u64>() as usize % labels.len()].clone()
+            }
+            AttrType::Numeric { .. } if dirty || roll == 1 => pick(rng, &NUMBERS),
+            AttrType::Numeric { .. } => (rng.gen::<f64>() * 2e4 - 1e4).to_string(),
+            AttrType::Date { .. } if dirty || roll == 1 => pick(rng, &DATES),
+            AttrType::Date { .. } => {
+                // Every other year is a century, where leap rules bite.
+                let y = rng.gen::<u64>() % 10_000;
+                let y = if y % 2 == 0 { y % 100 * 100 } else { y };
+                let m = if rng.gen::<u64>() % 3 == 0 { 2 } else { rng.gen::<u64>() % 14 };
+                let d = rng.gen::<u64>() % 33;
+                format!("{y:04}-{m:02}-{d:02}")
+            }
+        }
+    };
+    let names: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
+    let mut text = format!("{}\n", names.join(","));
+    for _ in 0..(rng.gen::<u64>() % 60) {
+        let shape = rng.gen::<u64>() % 10;
+        let mut cells: Vec<String> = if shape == 0 {
+            Vec::new() // a blank line
+        } else {
+            let bad = if shape == 1 { Some(rng.gen::<u64>() as usize % n_attrs) } else { None };
+            let attrs = schema.attributes();
+            (0..n_attrs).map(|c| cell(&mut rng, &attrs[c], bad == Some(c))).collect()
+        };
+        match shape {
+            2 => cells.truncate(rng.gen::<u64>() as usize % n_attrs),
+            3 => cells.push(pick(&mut rng, &["", "x", "1"])),
+            _ => {}
+        }
+        text.push_str(&cells.join(","));
+        text.push_str(if rng.gen::<u64>() % 5 == 0 { "\r\n" } else { "\n" });
+    }
+    (schema, text)
+}
+
+/// One cell, numbers by bit pattern so `-0.0` and NaN compare exactly.
+#[derive(Debug, PartialEq)]
+enum Cell {
+    Null,
+    Nominal(u32),
+    Number(u64),
+    Date(i64),
+}
+
+/// What a read produced: the batches' cells, the quarantined rows as
+/// `(line, error, raw)`, and the error that ended the stream, if any.
+#[derive(Debug, PartialEq)]
+struct ReadOutcome {
+    batches: Vec<Vec<Vec<Cell>>>,
+    quarantined: Vec<(usize, TableError, String)>,
+    error: Option<TableError>,
+}
+
+fn cells(t: &Table) -> Vec<Vec<Cell>> {
+    (0..t.n_rows())
+        .map(|r| {
+            (0..t.n_cols())
+                .map(|c| match t.get(r, c) {
+                    Value::Null => Cell::Null,
+                    Value::Nominal(code) => Cell::Nominal(code),
+                    Value::Number(x) => Cell::Number(x.to_bits()),
+                    Value::Date(d) => Cell::Date(d),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The date parser as it was before the byte-level fast path: three
+/// `-`-separated `str::parse` fields and a round trip.
+fn oracle_date(s: &str) -> Option<i64> {
+    let mut parts = s.splitn(3, '-');
+    let y: i64 = parts.next()?.parse().ok()?;
+    let m: u32 = parts.next()?.parse().ok()?;
+    let d: u32 = parts.next()?.parse().ok()?;
+    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+        return None;
+    }
+    let days = days_from_civil(y, m, d);
+    (civil_from_days(days) == (y, m, d)).then_some(days)
+}
+
+/// A naive reader of a header-valid CSV text: split lines and cells
+/// with `str::split`, parse each cell with `str::parse` or
+/// [`oracle_date`], stage each row as `Value`s and push it through
+/// `push_row_lenient`; cut batches of `chunk` rows, quarantine up to
+/// `budget` malformed rows, and stop at the first error, dropping the
+/// unfinished batch.
+fn oracle_read(
+    schema: &Arc<Schema>,
+    text: &str,
+    chunk: usize,
+    budget: Option<usize>,
+) -> ReadOutcome {
+    let mut out = ReadOutcome { batches: Vec::new(), quarantined: Vec::new(), error: None };
+    let mut batch = Table::new(schema.clone());
+    for (i, line) in text.split_inclusive('\n').enumerate().skip(1) {
+        let line_no = i + 1;
+        let line = line.trim_end_matches(['\n', '\r']);
+        if line.is_empty() {
+            continue;
+        }
+        let parsed = (|| {
+            let raw: Vec<&str> = line.split(',').collect();
+            if raw.len() != schema.len() {
+                return Err(TableError::Csv(format!(
+                    "line {line_no}: {} cells, schema has {}",
+                    raw.len(),
+                    schema.len()
+                )));
+            }
+            let mut record = Vec::new();
+            for (cell, attr) in raw.iter().zip(schema.attributes()) {
+                let bad = |what: &str| TableError::CsvCell {
+                    line: line_no,
+                    column: attr.name.clone(),
+                    message: format!("`{cell}` is not {what}"),
+                };
+                record.push(match &attr.ty {
+                    _ if cell.is_empty() => Value::Null,
+                    AttrType::Nominal { .. } if cell.starts_with('#') => {
+                        Value::Nominal(cell[1..].parse().map_err(|_| bad("a `#<code>` escape"))?)
+                    }
+                    AttrType::Nominal { .. } => {
+                        Value::Nominal(attr.code(cell).ok_or_else(|| bad("a label of the domain"))?)
+                    }
+                    AttrType::Numeric { .. } => {
+                        Value::Number(cell.parse().map_err(|_| bad("a number"))?)
+                    }
+                    AttrType::Date { .. } => {
+                        Value::Date(oracle_date(cell).ok_or_else(|| bad("an ISO date"))?)
+                    }
+                });
+            }
+            Ok(record)
+        })();
+        match (parsed, budget) {
+            (Ok(record), _) => {
+                batch.push_row_lenient(&record).unwrap();
+                if batch.n_rows() == chunk {
+                    out.batches.push(cells(&batch));
+                    batch = Table::new(schema.clone());
+                }
+            }
+            (Err(e), Some(budget)) if out.quarantined.len() < budget => {
+                out.quarantined.push((line_no, e, line.to_string()));
+            }
+            (Err(_), Some(budget)) => {
+                out.error =
+                    Some(TableError::QuarantineBudget { max_bad_rows: budget, line: line_no });
+                return out;
+            }
+            (Err(e), None) => {
+                out.error = Some(e);
+                return out;
+            }
+        }
+    }
+    if !batch.is_empty() {
+        out.batches.push(cells(&batch));
+    }
+    out
+}
+
+/// The product reader's outcome on the same input.
+fn product_read(
+    schema: &Arc<Schema>,
+    text: &str,
+    chunk: usize,
+    budget: Option<usize>,
+) -> ReadOutcome {
+    let mut reader = CsvChunkReader::new(schema.clone(), text.as_bytes(), chunk).unwrap();
+    if let Some(budget) = budget {
+        reader = reader.with_quarantine(budget);
+    }
+    let mut out = ReadOutcome { batches: Vec::new(), quarantined: Vec::new(), error: None };
+    loop {
+        match reader.next_batch() {
+            Ok(Some(batch)) => out.batches.push(cells(&batch)),
+            Ok(None) => break,
+            Err(e) => {
+                out.error = Some(e);
+                break;
+            }
+        }
+    }
+    assert!(matches!(reader.next_batch(), Ok(None)), "the reader must stay fused");
+    out.quarantined =
+        reader.take_quarantined().into_iter().map(|q| (q.line, q.error, q.raw)).collect();
+    out
 }
 
 fn schema() -> Arc<Schema> {
@@ -401,6 +655,37 @@ proptest! {
             t.set(0, 1, Value::Number(1e9)).unwrap();
             let v = t.domain_violations();
             prop_assert!(v.contains(&(0, 1)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The reader agrees with a naive staged-record oracle on dirty
+    /// text: every cell (floats bit for bit), every batch boundary,
+    /// every quarantined row and every error, in fatal mode and under
+    /// a quarantine budget; `read_csv` is the one-batch fatal read.
+    #[test]
+    fn csv_reader_matches_a_naive_oracle(seed in 0u64..u64::MAX, budget in 0usize..6) {
+        let (schema, text) = dirty_csv(seed);
+        for chunk in [1, 7, 4096] {
+            for budget in [None, Some(budget)] {
+                let expected = oracle_read(&schema, &text, chunk, budget);
+                let got = product_read(&schema, &text, chunk, budget);
+                prop_assert_eq!(
+                    got, expected, "chunk {}, budget {:?}, seed {}", chunk, budget, seed
+                );
+            }
+        }
+        let expected = oracle_read(&schema, &text, usize::MAX, None);
+        match read_csv(schema.clone(), text.as_bytes()) {
+            Ok(t) => {
+                prop_assert!(expected.error.is_none(), "seed {}", seed);
+                let rows: Vec<_> = expected.batches.into_iter().flatten().collect();
+                prop_assert_eq!(cells(&t), rows, "seed {}", seed);
+            }
+            Err(e) => prop_assert_eq!(Some(e), expected.error, "seed {}", seed),
         }
     }
 }
