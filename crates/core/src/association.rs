@@ -103,8 +103,8 @@ impl AssociationAuditor {
     /// walking every mined rule through [`Apriori::violated`]'s
     /// interpreted item matching. Kept — serial and unoptimized on
     /// purpose — as the ground truth the audit-program equivalence
-    /// suite pins [`AssociationAuditor::detect`] against, and as the
-    /// "before" side of the `detection/association` benchmarks.
+    /// suite pins [`AssociationAuditor::detect`] against; no user path
+    /// runs it.
     pub fn detect_reference(&self, miner: &Apriori, table: &Table) -> AuditReport {
         let mut findings = Vec::new();
         let mut record_confidence = vec![0.0f64; table.n_rows()];

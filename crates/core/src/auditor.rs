@@ -223,9 +223,8 @@ impl Auditor {
 
     /// Reference structure induction: identical to [`Auditor::induce`]
     /// but running the pre-columnar row-at-a-time C4.5 recursion
-    /// ([`C45Inducer::induce_tree_reference`]). Kept as the ground
-    /// truth of the columnar-equivalence property suite and as the
-    /// "before" side of the `induction/presort` benchmarks; the
+    /// ([`C45Inducer::induce_tree_reference`]). Kept only as the
+    /// ground truth of the columnar-equivalence property suite; the
     /// returned model is byte-identical to [`Auditor::induce`]'s.
     pub fn induce_reference(&self, table: &Table) -> Result<StructureModel, AuditError> {
         self.induce_impl(table, true)
@@ -305,10 +304,9 @@ impl Auditor {
 
     /// Reference deviation detection: identical to [`Auditor::detect`]
     /// but scanning row-at-a-time through materialized `Vec<Value>`
-    /// records and the boxed [`Node`](dq_mining::Node) trees. Kept as
-    /// the ground truth of the columnar-equivalence property suite and
-    /// as the "before" side of the `detection/flat` benchmarks; the
-    /// returned report is byte-identical to [`Auditor::detect`]'s.
+    /// records and the boxed [`Node`](dq_mining::Node) trees. Kept only
+    /// as the ground truth of the columnar-equivalence property suite;
+    /// the returned report is byte-identical to [`Auditor::detect`]'s.
     pub fn detect_reference(&self, model: &StructureModel, table: &Table) -> AuditReport {
         engine::detect_table(model, table, self.config.threads, engine::scan_chunk_reference)
     }

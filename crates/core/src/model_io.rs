@@ -68,6 +68,12 @@ use std::path::Path;
 /// The version line every model file starts with.
 const HEADER: &str = "dq-structure-model v1";
 
+/// The largest `config.c45.max-depth` a model file may declare. Trees
+/// are rebuilt, compiled and rendered recursively, one stack frame per
+/// level, and the depth line is as untrusted as the tree lines it
+/// bounds; induced trees stay far below this (the default bound is 64).
+const MAX_TREE_DEPTH: usize = 1024;
+
 // ---------------------------------------------------------------------------
 // Saving
 // ---------------------------------------------------------------------------
@@ -431,6 +437,13 @@ pub fn parse_model<R: BufRead>(schema: &Schema, input: R) -> Result<StructureMod
         max_depth: r.parse_usize(get("config.c45.max-depth")?)?,
         min_detect_conf: r.parse_f64(get("config.c45.min-detect-conf")?)?,
     };
+    if c45.max_depth > MAX_TREE_DEPTH {
+        return Err(AuditError::Persistence(format!(
+            "config.c45.max-depth = {} exceeds the loader's limit of {MAX_TREE_DEPTH}",
+            c45.max_depth
+        )));
+    }
+    let max_depth = c45.max_depth;
     let config = AuditConfig {
         inducer: InducerKind::C45(c45),
         min_confidence: r.parse_f64(get("config.min-confidence")?)?,
@@ -452,7 +465,7 @@ pub fn parse_model<R: BufRead>(schema: &Schema, input: R) -> Result<StructureMod
     let mut models = Vec::new();
     let mut section_line = first_model_line;
     while let Some(line) = section_line.take() {
-        models.push(parse_attr_model(&mut r, &line, config.level)?);
+        models.push(parse_attr_model(&mut r, &line, config.level, max_depth)?);
         section_line = r.next_significant()?;
         if let Some(l) = &section_line {
             if !l.starts_with("model attr") {
@@ -473,6 +486,7 @@ fn parse_attr_model<R: BufRead>(
     r: &mut ModelReader<'_, R>,
     header_line: &str,
     level: f64,
+    max_depth: usize,
 ) -> Result<AttrModel, AuditError> {
     // `model attr = <idx> (<name>)` — the name is documentation only;
     // the fingerprint already pinned the schema.
@@ -524,6 +538,11 @@ fn parse_attr_model<R: BufRead>(
     }
     if specs.is_empty() {
         return Err(r.bad("model section has no tree"));
+    }
+    // Checked before assembly: `build_node` recurses once per level.
+    let depth = tree_depth(&specs);
+    if depth > max_depth {
+        return Err(r.bad(format!("tree depth {depth} exceeds config.c45.max-depth = {max_depth}")));
     }
     let mut pos = 0usize;
     let root = build_node(r, &specs, &mut pos)?;
@@ -678,6 +697,32 @@ fn parse_node_spec<R: BufRead>(
         }
         other => Err(r.bad(format!("unknown tree node kind `{}`", other.unwrap_or("")))),
     }
+}
+
+/// Depth of the tree a pre-order node list encodes (a lone leaf has
+/// depth 1, as in [`DecisionTree::depth`]), counted without recursion.
+fn tree_depth(specs: &[NodeSpec]) -> usize {
+    // Children still owed by each split on the path to the current node.
+    let mut owed: Vec<usize> = Vec::new();
+    let mut depth = 0;
+    for spec in specs {
+        depth = depth.max(owed.len() + 1);
+        match spec {
+            NodeSpec::Split { n_children, .. } => owed.push(*n_children),
+            // A leaf completes its parent's next child, and every split
+            // whose last child that was.
+            NodeSpec::Leaf { .. } => {
+                while let Some(n) = owed.last_mut() {
+                    *n -= 1;
+                    if *n > 0 {
+                        break;
+                    }
+                    owed.pop();
+                }
+            }
+        }
+    }
+    depth
 }
 
 /// Assemble the pre-order node list back into a tree.
@@ -981,6 +1026,53 @@ mod tests {
         let err = StructureModel::load(schema.as_ref(), inflated.as_bytes()).unwrap_err();
         assert!(matches!(err, AuditError::Persistence(_)), "{err:?}");
         assert!(err.to_string().contains("999999999999999"), "{err}");
+    }
+
+    /// `good` with its first tree replaced by a chain of `n_splits`
+    /// nested two-way splits (depth `n_splits + 1`) and its declared
+    /// `config.c45.max-depth` set to `max_depth`.
+    fn with_split_chain(good: &str, n_splits: usize, max_depth: usize) -> String {
+        let lines: Vec<&str> = good.lines().collect();
+        let first = lines.iter().position(|l| l.starts_with("tree = ")).unwrap();
+        let n_tree = lines[first..].iter().take_while(|l| l.starts_with("tree = ")).count();
+        let leaf = lines[first..first + n_tree].iter().find(|l| l.starts_with("tree = L")).unwrap();
+        let counts = leaf.split_whitespace().find(|f| f.starts_with("c=")).unwrap();
+        let split = format!("tree = S a=3 k=t:50 n=2 f=0.5,0.5 {counts}");
+        let mut out: Vec<&str> = lines[..first].to_vec();
+        for _ in 0..n_splits {
+            out.extend([split.as_str(), leaf]);
+        }
+        out.push(leaf);
+        out.extend(&lines[first + n_tree..]);
+        let depth_line = good.lines().find(|l| l.starts_with("config.c45.max-depth = ")).unwrap();
+        let text = out.join("\n") + "\n";
+        text.replacen(depth_line, &format!("config.c45.max-depth = {max_depth}"), 1)
+    }
+
+    #[test]
+    fn a_tree_deeper_than_its_max_depth_is_an_error_not_a_stack_overflow() {
+        let t = mixed_table();
+        let schema = t.schema();
+        let good = render_model(&Auditor::default().induce(&t).unwrap(), schema).unwrap();
+
+        // Assembling this chain recursively would overflow the stack.
+        let deep = with_split_chain(&good, 50_000, 64);
+        let err = StructureModel::load(schema.as_ref(), deep.as_bytes()).unwrap_err();
+        assert!(matches!(err, AuditError::Persistence(_)), "{err:?}");
+        assert!(err.to_string().contains("tree depth 50001"), "{err}");
+
+        // The bound is the file's own max-depth, exact at the boundary.
+        let at_bound = with_split_chain(&good, 99, 100);
+        StructureModel::load(schema.as_ref(), at_bound.as_bytes()).unwrap();
+        let past_bound = with_split_chain(&good, 100, 100);
+        let err = StructureModel::load(schema.as_ref(), past_bound.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("tree depth 101"), "{err}");
+
+        // The max-depth line is untrusted too.
+        let unbounded = with_split_chain(&good, 50_000, 1_000_000);
+        let err = StructureModel::load(schema.as_ref(), unbounded.as_bytes()).unwrap_err();
+        assert!(matches!(err, AuditError::Persistence(_)), "{err:?}");
+        assert!(err.to_string().contains("max-depth = 1000000"), "{err}");
     }
 
     #[test]

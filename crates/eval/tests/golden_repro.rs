@@ -15,7 +15,7 @@
 //! Regenerate the snapshot after an *intentional* change with:
 //!
 //! ```text
-//! GOLDEN_REGEN=1 cargo test -p dq_bench --test golden_repro
+//! GOLDEN_REGEN=1 cargo test -p dq_eval --test golden_repro
 //! ```
 
 use dq_eval::{ablation, classifier_comparison, fig3, fig4, fig5, quis_audit, Scale, Series};

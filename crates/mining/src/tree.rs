@@ -679,8 +679,8 @@ impl C45Inducer {
     /// induction, which re-sorts every ordered attribute at every tree
     /// node and reads cells through [`dq_table::Table::get`]. Kept —
     /// unoptimized on purpose — as the ground truth the equivalence
-    /// property suite pins [`C45Inducer::induce_tree`] against, and as
-    /// the "before" side of the `induction/presort` benchmarks.
+    /// property suite pins [`C45Inducer::induce_tree`] against; no user
+    /// path runs it.
     pub fn induce_tree_reference(
         &self,
         train: &TrainingSet<'_>,
@@ -783,8 +783,7 @@ impl<'a, 'b> InductionContext<'a, 'b> {
     /// Context for the row-at-a-time reference recursion: only the
     /// dense class codes are materialized — the reference path reads
     /// cells through [`dq_table::Table::get`], so building the typed
-    /// columns and presorts here would charge the columnar setup cost
-    /// to the "before" side of the presort benchmarks.
+    /// columns and presorts here would be wasted work.
     fn reference(train: &'a TrainingSet<'b>, cfg: &'a C45Config) -> Self {
         let n_rows = train.table.n_rows();
         let mut class_codes = vec![crate::columns::NULL_CODE; n_rows];

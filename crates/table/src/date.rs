@@ -99,6 +99,11 @@ fn days_in_month(y: u32, m: u32) -> u32 {
     }
 }
 
+/// The largest year whose day number, and that day number's way back
+/// through [`civil_from_days`], stay inside `i64` (the era term of both
+/// conversions is `year / 400 * 146097`).
+const MAX_YEAR: i64 = (i64::MAX - 146_096) / 146_097 * 400 + 399;
+
 /// The general path of [`parse_iso`]: three `-`-separated integer
 /// fields, checked by a round trip through the day number.
 fn parse_iso_fields(s: &str) -> Option<i64> {
@@ -108,7 +113,7 @@ fn parse_iso_fields(s: &str) -> Option<i64> {
     let y: i64 = parts.next()?.parse().ok()?;
     let m: u32 = parts.next()?.parse().ok()?;
     let d: u32 = parts.next()?.parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    if !(1..=12).contains(&m) || !(1..=31).contains(&d) || y > MAX_YEAR {
         return None;
     }
     // Round-trip to reject impossible dates such as Feb 30.
@@ -194,6 +199,31 @@ mod tests {
         assert_eq!(parse_iso("-001-01-01"), None);
         assert_eq!(parse_iso("2000-01-0a"), None);
         assert_eq!(parse_iso("2000/01/01"), None);
+    }
+
+    #[test]
+    fn years_past_the_day_number_range_are_rejected_not_overflowed() {
+        assert_eq!(parse_iso("100000000000000000-03-01"), None);
+        assert_eq!(parse_iso(&format!("{}-01-01", MAX_YEAR + 1)), None);
+        assert_eq!(parse_iso(&format!("{}-01-01", i64::MAX)), None);
+        let last = parse_iso(&format!("{MAX_YEAR}-12-31")).expect("the last representable year");
+        assert_eq!(civil_from_days(last), (MAX_YEAR, 12, 31));
+    }
+
+    #[test]
+    fn an_overflowing_year_in_a_csv_date_cell_is_a_cell_error() {
+        let schema = crate::builder::SchemaBuilder::new()
+            .date_ymd("built", (2000, 1, 1), (2010, 1, 1))
+            .build()
+            .unwrap();
+        let input = "built\n2003-09-09\n100000000000000000-03-01\n";
+        match crate::csv::read_csv(schema, input.as_bytes()) {
+            Err(crate::TableError::CsvCell { line: 3, column, message }) => {
+                assert_eq!(column, "built");
+                assert!(message.contains("100000000000000000-03-01"), "got {message}");
+            }
+            other => panic!("expected a cell error on line 3, got {other:?}"),
+        }
     }
 
     #[test]

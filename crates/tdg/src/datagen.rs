@@ -227,8 +227,8 @@ impl ChunkGenerator {
 
 /// The retained serial row-at-a-time generator: interpreted rule
 /// evaluation ([`eval_rule`]), per-repair [`negate()`], full rule-set
-/// re-scan every pass. Ground truth for the compiled path and the
-/// "before" side of the `tdg/data` benches. Chunk seeding is shared
+/// re-scan every pass. Ground truth for the compiled path in the
+/// equivalence tests; no user path runs it. Chunk seeding is shared
 /// with [`generate_table`], so the two paths must emit *byte-identical*
 /// tables and equal reports (pinned by the equivalence suite).
 pub fn generate_reference<R: Rng + ?Sized>(

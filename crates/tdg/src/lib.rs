@@ -104,7 +104,7 @@ impl TestDataGenerator {
 
     /// [`TestDataGenerator::generate_with_rules`] on the retained
     /// serial interpreted path ([`generate_reference`]) — ground truth
-    /// for equivalence tests and the "before" side of the benches.
+    /// for the equivalence tests only.
     pub fn generate_with_rules_reference<R: Rng + ?Sized>(
         &self,
         rules: &RuleSet,

@@ -74,8 +74,7 @@
 //!         │   pollute ──┘  └── tdg ─┘        └── core (exec)   │
 //!         │      │          (exec)                │  │         │
 //!         └──── quis ──────────┴─── eval (exec) ──┘  serve ────┘
-//!                                         │         (exec)
-//!                                       bench (+ the `repro` bin)
+//!                          (+ the `repro` bin)      (exec)
 //! ```
 //!
 //! In words: `stats`, `logic`, `bayes` and `mining` build directly on
@@ -85,14 +84,14 @@
 //! record scan into row chunks); `serve` wraps `core`'s resident audit
 //! engine in a std-only HTTP daemon; `quis` composes
 //! `logic`/`pollute`/`stats`; `eval` sits on top of everything below
-//! it; `dq_bench` hosts fixtures for the criterion benches. `exec`
-//! itself is std-only and depends on nothing: it supplies the shared
-//! [`exec::Parallelism`] knob (explicit count > `DQ_THREADS` > cores)
-//! and worker pool to `tdg`, `core`, `serve`, `eval`, `bench` and the
-//! CLI. `fault` depends only on `table`: it wraps any
+//! it and ships the `repro` binary that regenerates the paper's
+//! figures. `exec` itself is std-only and depends on nothing: it
+//! supplies the shared [`exec::Parallelism`] knob (explicit count >
+//! `DQ_THREADS` > cores) and worker pool to `tdg`, `core`, `serve`,
+//! `eval` and the CLI. `fault` depends only on `table`: it wraps any
 //! `BatchSource` or byte stream with a seeded, replayable fault
 //! schedule (the chaos suite's instrument — see the README's "Fault
-//! tolerance" section). The `rand`/`proptest`/`criterion` dependencies
+//! tolerance" section). The `rand`/`proptest` dependencies
 //! resolve to offline, API-compatible shims under `shims/` because the
 //! build environment has no crates.io access.
 //!
