@@ -9,12 +9,17 @@
 //! the same attributes" and takes the maximum instead. Both scorings
 //! are available here so the comparison experiment can quantify the
 //! difference.
+//!
+//! There is one scan, [`AssociationAuditor::detect`]: every record is
+//! coded into the miner's item space and walked through the mined
+//! rules in mined (confidence-descending) order by
+//! [`Apriori::violated`]. Only `repro compare` runs this auditor and no
+//! benchmark workload times it, so the scan is this plain walk rather
+//! than a compiled dispatch.
 
 use crate::engine::scan_sharded;
 use crate::error::AuditError;
 use crate::report::{AuditReport, Finding};
-use dq_logic::{Atom, CompiledRuleSet, Formula, RecordView, Rule, RuleSet, NONE_CODE};
-use dq_mining::apriori::item_parts;
 use dq_mining::{Apriori, AprioriConfig, AssociationRule};
 use dq_table::{RowSlice, Table, Value};
 
@@ -77,132 +82,34 @@ impl AssociationAuditor {
 
     /// Score `table` against an already mined rule base.
     ///
-    /// This is the **compiled** scan: the mined rules are lowered once
-    /// into [`CompiledRuleSet`] violation programs over the miner's
-    /// coded item space (see [`association_rule_set`]) and every record
-    /// is checked through a [`RecordView`] of its coded cells — flat
-    /// guard-first branch programs instead of the per-rule
-    /// `contains_all` item walk. The scan shards into one row chunk per
-    /// worker ([`AssociationAuditConfig::threads`]); rules are
-    /// evaluated in mined (confidence-descending) order within each
-    /// record, so scores accumulate in exactly the reference order and
-    /// the report is byte-identical to [`AssociationAuditor::detect_reference`]
-    /// at every thread count.
+    /// The scan shards into one row chunk per worker
+    /// ([`AssociationAuditConfig::threads`]); within a record the rules
+    /// are walked in mined order, so the Sum fold accumulates in one
+    /// fixed order and the report is byte-identical at every thread
+    /// count.
     pub fn detect(&self, miner: &Apriori, table: &Table) -> AuditReport {
-        let rules = association_rule_set(miner);
-        let compiled = CompiledRuleSet::compile(&rules, table.n_cols());
-        let index = GuardIndex::build(&compiled, table.n_cols());
         let (findings, record_confidence) =
             scan_sharded(self.config.threads.pool(), table, 0, |chunk| {
-                self.scan_chunk(miner, &compiled, &index, chunk)
+                self.scan_chunk(miner, chunk)
             });
         AuditReport::new(findings, record_confidence, self.config.min_confidence)
     }
 
-    /// Reference detection: the pre-compilation record-at-a-time loop,
-    /// walking every mined rule through [`Apriori::violated`]'s
-    /// interpreted item matching. Kept — serial and unoptimized on
-    /// purpose — as the ground truth the audit-program equivalence
-    /// suite pins [`AssociationAuditor::detect`] against; no user path
-    /// runs it.
-    pub fn detect_reference(&self, miner: &Apriori, table: &Table) -> AuditReport {
+    /// Score one row chunk: code each record, fold the confidences of
+    /// the rules it violates, and report the strongest violated rule
+    /// of every record scoring at or above the threshold.
+    fn scan_chunk(&self, miner: &Apriori, chunk: &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>) {
+        let table = chunk.table();
         let mut findings = Vec::new();
-        let mut record_confidence = vec![0.0f64; table.n_rows()];
+        let mut confidences = Vec::with_capacity(chunk.len());
         let mut record: Vec<Value> = Vec::with_capacity(table.n_cols());
         let mut coded = Vec::with_capacity(table.n_cols());
-        #[allow(clippy::needless_range_loop)] // row indexes the table, not just the vec
-        for row in 0..table.n_rows() {
+        for row in chunk.rows() {
             table.row_into(row, &mut record);
             miner.code_record_into(&record, &mut coded);
             let mut score = 0.0f64;
             let mut best: Option<&AssociationRule> = None;
             for rule in miner.violated(&coded) {
-                match self.config.scoring {
-                    AssociationScoring::Sum => score += rule.confidence,
-                    AssociationScoring::Max => score = score.max(rule.confidence),
-                }
-                if best.is_none_or(|b| rule.confidence > b.confidence) {
-                    best = Some(rule);
-                }
-            }
-            let score = score.min(1.0);
-            record_confidence[row] = score;
-            if score >= self.config.min_confidence {
-                if let Some(rule) = best {
-                    findings.push(Finding {
-                        row,
-                        attr: rule.attr,
-                        observed: record[rule.attr],
-                        // Only nominal consequents map back to concrete
-                        // cell values; binned consequents keep the
-                        // observed value as a placeholder proposal.
-                        proposed: proposed_value(table, rule.attr, rule.code, record[rule.attr]),
-                        confidence: score,
-                        support: rule.support,
-                    });
-                }
-            }
-        }
-        AuditReport::new(findings, record_confidence, self.config.min_confidence)
-    }
-
-    /// Scan one row chunk through the compiled violation programs.
-    ///
-    /// Dispatch is guard-first: a record only walks the rules in the
-    /// [`GuardIndex`] buckets its own codes select (entering each fused
-    /// program one op past the already-verified guard), so the per-row
-    /// cost is proportional to the matching rules, not the whole rule
-    /// base. The violated indices are then re-sorted into mined order,
-    /// so the Sum accumulation and the strict-greater best-rule
-    /// selection replay the reference loop exactly (the rules are
-    /// confidence-sorted, so the first violated rule is the best one
-    /// in both).
-    fn scan_chunk(
-        &self,
-        miner: &Apriori,
-        compiled: &CompiledRuleSet,
-        index: &GuardIndex,
-        chunk: &RowSlice<'_>,
-    ) -> (Vec<Finding>, Vec<f64>) {
-        let table = chunk.table();
-        let rules = miner.rules();
-        let mut findings = Vec::new();
-        let mut confidences = Vec::with_capacity(chunk.len());
-        let mut record: Vec<Value> = Vec::with_capacity(table.n_cols());
-        let mut coded = Vec::with_capacity(table.n_cols());
-        let mut view = RecordView::new(table.n_cols());
-        let mut violated: Vec<u32> = Vec::new();
-        for row in chunk.rows() {
-            table.row_into(row, &mut record);
-            miner.code_record_into(&record, &mut coded);
-            for (a, c) in coded.iter().enumerate() {
-                view.sync_nominal(a, c.map(|it| item_parts(it).1));
-            }
-            violated.clear();
-            for (a, &code) in view.codes().iter().enumerate() {
-                if code == NONE_CODE {
-                    continue;
-                }
-                if let Some(bucket) = index.bucket(a, code) {
-                    for &i in bucket {
-                        if compiled.violates_rule_view_postguard(i as usize, &view) {
-                            violated.push(i);
-                        }
-                    }
-                }
-            }
-            for &i in &index.unguarded {
-                if compiled.violates_rule_view(i as usize, &view) {
-                    violated.push(i);
-                }
-            }
-            // Buckets surface rules attribute-major; mined order is what
-            // the f64 Sum fold (and the reference) accumulate in.
-            violated.sort_unstable();
-            let mut score = 0.0f64;
-            let mut best: Option<&AssociationRule> = None;
-            for &i in &violated {
-                let rule = &rules[i as usize];
                 match self.config.scoring {
                     AssociationScoring::Sum => score += rule.confidence,
                     AssociationScoring::Max => score = score.max(rule.confidence),
@@ -219,6 +126,9 @@ impl AssociationAuditor {
                         row,
                         attr: rule.attr,
                         observed: record[rule.attr],
+                        // Only nominal consequents map back to concrete
+                        // cell values; binned consequents keep the
+                        // observed value as a placeholder proposal.
                         proposed: proposed_value(table, rule.attr, rule.code, record[rule.attr]),
                         confidence: score,
                         support: rule.support,
@@ -228,83 +138,6 @@ impl AssociationAuditor {
         }
         (findings, confidences)
     }
-}
-
-/// Rules bucketed by their nominal guard — the `(attr, code)` equality
-/// every mined antecedent opens with ([`CompiledRuleSet::guard_nominal`]).
-/// A record can only violate a rule whose guard cell it actually
-/// carries, so the scan looks up one bucket per non-NULL code instead
-/// of testing the guard of every rule in the base.
-struct GuardIndex {
-    /// `buckets[attr]`: guard codes (ascending) paired with the
-    /// ascending indices of the rules they select.
-    buckets: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Rules without a nominal guard (degenerate premises) — walked on
-    /// every record through the full violation program.
-    unguarded: Vec<u32>,
-}
-
-impl GuardIndex {
-    fn build(compiled: &CompiledRuleSet, n_attrs: usize) -> GuardIndex {
-        let mut buckets: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); n_attrs];
-        let mut unguarded = Vec::new();
-        for i in 0..compiled.len() {
-            match compiled.guard_nominal(i) {
-                Some((attr, code)) if attr < n_attrs => {
-                    let bucket = &mut buckets[attr];
-                    match bucket.binary_search_by_key(&code, |&(c, _)| c) {
-                        Ok(pos) => bucket[pos].1.push(i as u32),
-                        Err(pos) => bucket.insert(pos, (code, vec![i as u32])),
-                    }
-                }
-                _ => unguarded.push(i as u32),
-            }
-        }
-        GuardIndex { buckets, unguarded }
-    }
-
-    /// The rules guarded by `attr = code`, if any.
-    #[inline]
-    fn bucket(&self, attr: usize, code: u32) -> Option<&[u32]> {
-        let bucket = &self.buckets[attr];
-        bucket.binary_search_by_key(&code, |&(c, _)| c).ok().map(|pos| bucket[pos].1.as_slice())
-    }
-}
-
-/// Lower the mined rule base into a [`dq_logic`] rule set over the
-/// miner's **coded item space**: each [`AssociationRule`] becomes
-/// `∧ᵢ (attrᵢ = codeᵢ) → (attr = code ∨ attr isnull)`, whose violation
-/// (premise holds, consequent fails) is exactly [`Apriori::violated`]'s
-/// predicate — antecedent matched, consequent attribute non-NULL and
-/// carrying a different code. Rule order is preserved (mined,
-/// confidence-descending), which scoring relies on.
-///
-/// The formulae read a record whose cells are the miner's codes
-/// (`Value::Nominal(code)` / NULL) — e.g. a [`RecordView`] synced
-/// through [`RecordView::sync_nominal`] — *not* the raw table values:
-/// binned ordered attributes live here as their bin codes.
-pub fn association_rule_set(miner: &Apriori) -> RuleSet {
-    let rules = miner
-        .rules()
-        .iter()
-        .map(|r| {
-            let premise = Formula::And(
-                r.antecedent
-                    .iter()
-                    .map(|&it| {
-                        let (attr, code) = item_parts(it);
-                        Formula::Atom(Atom::EqConst { attr, value: Value::Nominal(code) })
-                    })
-                    .collect(),
-            );
-            let consequent = Formula::Or(vec![
-                Formula::Atom(Atom::EqConst { attr: r.attr, value: Value::Nominal(r.code) }),
-                Formula::Atom(Atom::IsNull { attr: r.attr }),
-            ]);
-            Rule::new(premise, consequent)
-        })
-        .collect();
-    RuleSet::from_rules(rules)
 }
 
 fn proposed_value(table: &Table, attr: usize, code: u32, observed: Value) -> Value {
@@ -394,46 +227,71 @@ mod tests {
         assert_eq!(auditor.run(&empty).unwrap_err(), AuditError::EmptyTable);
     }
 
-    /// The table with NULLs and an out-of-label code mixed in.
-    fn messy_table() -> Table {
-        let mut t = table();
-        t.push_row(&[Value::Nominal(0), Value::Null, Value::Nominal(1)]).unwrap();
-        t.push_row(&[Value::Null, Value::Nominal(1), Value::Null]).unwrap();
-        t.set(3, 1, Value::Nominal(77)).unwrap(); // out-of-label code
-        t
-    }
-
+    /// An oracle worked out by hand from row counts. Rows with `x = 0`
+    /// (50 of them) carry `y = 0` in 25 and `z = 0` in 21; a full
+    /// factorial over `x ∈ {1,2,3}`, `y`, `z` keeps every other pair
+    /// rule below the 0.4 mining threshold or satisfied by the deviant
+    /// row `(0, 1, 1)`. That row therefore violates exactly
+    /// `x=0 → y=0` (confidence 25/50) and `x=0 → z=0` (21/50).
     #[test]
-    fn compiled_detect_is_byte_identical_to_reference() {
-        let t = messy_table();
-        for scoring in [AssociationScoring::Sum, AssociationScoring::Max] {
-            let auditor = AssociationAuditor::new(AssociationAuditConfig {
-                scoring,
-                ..AssociationAuditConfig::default()
-            });
-            let (miner, _) = auditor.run(&t).unwrap();
-            let reference = auditor.detect_reference(&miner, &t);
-            for threads in [1, 2, 4] {
-                let par = AssociationAuditor::new(AssociationAuditConfig {
-                    scoring,
-                    threads: threads.into(),
-                    ..AssociationAuditConfig::default()
-                });
-                let report = par.detect(&miner, &t);
-                assert_eq!(report.findings, reference.findings, "threads={threads}");
-                for (a, b) in report.record_confidence.iter().zip(&reference.record_confidence) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+    fn scores_match_confidences_worked_out_by_hand() {
+        let labels = ["0", "1", "2", "3"];
+        let schema =
+            SchemaBuilder::new().nominal("x", labels).nominal("y", labels).nominal("z", labels);
+        let mut t = Table::new(schema.build().unwrap());
+        let mut push = |x: u32, y: u32, z: u32| {
+            t.push_row(&[Value::Nominal(x), Value::Nominal(y), Value::Nominal(z)]).unwrap();
+        };
+        for x in 1..4 {
+            for y in 0..4 {
+                for z in 0..4 {
+                    push(x, y, z);
                 }
             }
         }
-    }
+        let block = [
+            (0, 0, 21),
+            (0, 2, 2),
+            (0, 3, 2),
+            (1, 2, 2),
+            (1, 3, 2),
+            (2, 1, 4),
+            (2, 2, 3),
+            (2, 3, 3),
+            (3, 1, 4),
+            (3, 2, 3),
+            (3, 3, 3),
+        ];
+        for (y, z, n) in block {
+            (0..n).for_each(|_| push(0, y, z));
+        }
+        push(0, 1, 1);
+        let deviant = t.n_rows() - 1;
+        let (c1, c2) = (25.0 / 50.0, 21.0 / 50.0);
+        let apriori = AprioriConfig { min_confidence: 0.4, max_len: 2, ..AprioriConfig::default() };
+        for (scoring, expected) in
+            [(AssociationScoring::Sum, f64::min(1.0, c1 + c2)), (AssociationScoring::Max, c1)]
+        {
+            let auditor = AssociationAuditor::new(AssociationAuditConfig {
+                apriori: apriori.clone(),
+                scoring,
+                min_confidence: 0.45,
+                ..AssociationAuditConfig::default()
+            });
+            let (miner, report) = auditor.run(&t).unwrap();
+            let mut record = Vec::new();
+            let mut coded = Vec::new();
+            t.row_into(deviant, &mut record);
+            miner.code_record_into(&record, &mut coded);
+            let violated: Vec<(usize, u32, f64)> =
+                miner.violated(&coded).map(|r| (r.attr, r.code, r.confidence)).collect();
+            assert_eq!(violated, vec![(1, 0, c1), (2, 0, c2)], "the oracle table drifted");
 
-    #[test]
-    fn lowered_rule_set_matches_the_miner_order() {
-        let t = table();
-        let auditor = AssociationAuditor::new(AssociationAuditConfig::default());
-        let (miner, _) = auditor.run(&t).unwrap();
-        let rules = association_rule_set(&miner);
-        assert_eq!(rules.len(), miner.rules().len());
+            assert_eq!(report.record_confidence[deviant].to_bits(), expected.to_bits());
+            let f = report.best_finding_for(deviant).unwrap();
+            assert_eq!((f.attr, f.observed, f.proposed), (1, Value::Nominal(1), Value::Nominal(0)));
+            assert_eq!(f.confidence.to_bits(), expected.to_bits());
+            assert_eq!(f.support, 25.0);
+        }
     }
 }

@@ -56,9 +56,7 @@ pub mod error;
 pub mod model_io;
 pub mod report;
 
-pub use association::{
-    association_rule_set, AssociationAuditConfig, AssociationAuditor, AssociationScoring,
-};
+pub use association::{AssociationAuditConfig, AssociationAuditor, AssociationScoring};
 pub use auditor::{AttrModel, AuditConfig, Auditor, StructureModel};
 pub use confidence::{min_instances_for_confidence, null_error_confidence};
 pub use correction::{apply_corrections, corrections_to_csv, propose_corrections, Correction};

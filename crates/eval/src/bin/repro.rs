@@ -13,42 +13,51 @@
 //! budgets. `--threads N` fixes the sweep worker count (`--threads 1`
 //! is the exact legacy serial order); the default uses every hardware
 //! thread. The figure/table numbers are identical at every thread
-//! count — see `tests/golden/`.
+//! count — see `tests/golden/`. An unknown experiment name, or a
+//! `--threads` value that is not a positive integer, is a usage error:
+//! `repro` exits 2 before running anything.
 
 use dq_eval::{ablation, classifier_comparison, fig3, fig4, fig5, quis_audit, Scale, Series};
 
+/// Every experiment `repro` knows, in the order `all` runs them.
+const EXPERIMENTS: [&str; 6] = ["fig3", "fig4", "fig5", "compare", "ablation", "quis"];
+
+/// Report a usage error and exit 2 before anything runs.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}");
+    eprintln!(
+        "usage: repro [--smoke] [--large] [--threads N] [fig3|fig4|fig5|compare|ablation|quis|all]..."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let large = args.iter().any(|a| a == "--large");
+    let (mut smoke, mut large) = (false, false);
     let mut threads: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(n) => threads = Some(n),
-            None => {
-                eprintln!("--threads needs a positive integer (got {:?})", args.get(i + 1));
-                std::process::exit(2);
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--smoke" => smoke = true,
+            "--large" => large = true,
+            "--threads" => {
+                let value = args.next();
+                match value.and_then(|v| v.parse::<usize>().ok()) {
+                    Some(n) if n >= 1 => threads = Some(n),
+                    _ => {
+                        usage_error(&format!("--threads needs a positive integer (got {value:?})"))
+                    }
+                }
             }
+            name if name == "all" || EXPERIMENTS.contains(&name) => wanted.push(name),
+            other => usage_error(&format!(
+                "unknown experiment `{other}` (try fig3|fig4|fig5|compare|ablation|quis|all)"
+            )),
         }
     }
-    let mut skip_next = false;
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--threads" {
-                skip_next = true;
-                return false;
-            }
-            *a != "--smoke" && *a != "--large"
-        })
-        .collect();
     if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec!["fig3", "fig4", "fig5", "compare", "ablation", "quis"];
+        wanted = EXPERIMENTS.to_vec();
     }
     let mut scale = match (large, smoke) {
         (true, true) => Scale::large_smoke(),
@@ -99,9 +108,7 @@ fn main() {
                 println!("{}", ablation(&scale).expect("ablation runs").render());
             }
             "quis" => print_quis(&scale),
-            other => {
-                eprintln!("unknown experiment `{other}` (try fig3|fig4|fig5|compare|ablation|quis)")
-            }
+            other => unreachable!("`{other}` was validated while parsing"),
         }
     }
 }

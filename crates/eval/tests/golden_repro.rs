@@ -149,3 +149,22 @@ fn repro_binary_reproduces_the_deterministic_fig3_columns() {
         );
     }
 }
+
+#[test]
+fn repro_refuses_unknown_experiments_and_bad_thread_counts() {
+    // A usage error exits 2 before any experiment runs, so a mistyped
+    // name cannot pass as a successful (empty) reproduction.
+    for args in [
+        &["--smoke", "fig9"][..],
+        &["--smoke", "--threads", "0", "fig3"],
+        &["--smoke", "--threads", "two", "fig3"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} exited with {:?}", out.status);
+        let stdout = String::from_utf8(out.stdout).expect("repro output is UTF-8");
+        assert!(!stdout.contains("##"), "repro {args:?} ran an experiment:\n{stdout}");
+    }
+}

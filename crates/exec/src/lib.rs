@@ -26,40 +26,12 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, always
 //! ```
 //!
-//! Worker panics are captured and surfaced as [`ExecError::WorkerPanic`]
-//! by [`WorkerPool::try_map_indexed`] (or re-raised by
-//! [`WorkerPool::map_indexed`]) instead of poisoning the scope.
+//! A worker panic is re-raised on the caller's thread with the worker's
+//! own payload, as the same panic in a plain serial loop would be.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
-
-/// Errors surfaced by pool execution.
-#[derive(Debug)]
-pub enum ExecError {
-    /// A worker closure panicked while processing the item at `index`.
-    WorkerPanic {
-        /// Input index of the item whose closure panicked (the lowest
-        /// one, when several workers panic).
-        index: usize,
-        /// The panic payload, rendered (`&str`/`String` payloads are
-        /// kept verbatim).
-        message: String,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::WorkerPanic { index, message } => {
-                write!(f, "worker panicked on item {index}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
 
 /// The number of hardware threads, with a fallback of 1 when the
 /// platform cannot tell.
@@ -186,31 +158,12 @@ impl WorkerPool {
 
     /// Apply `f` to every item, returning results **in input order**
     /// regardless of completion order. `f` receives the input index
-    /// alongside the item. On one effective worker the closure runs
-    /// unguarded on the caller's thread, so a panic unwinds exactly as
-    /// in a plain serial loop (original payload and location); with
-    /// more workers a panic is re-raised on the caller's thread with a
-    /// rendered message (see [`WorkerPool::try_map_indexed`] for the
-    /// error-returning variant).
+    /// alongside the item. On one effective worker the closure runs on
+    /// the caller's thread. With more workers a panicking closure is
+    /// re-raised on the caller's thread, once every worker has stopped,
+    /// with its original payload — so a panic looks the same at every
+    /// thread count.
     pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        if self.threads.min(items.len()) <= 1 {
-            // The exact legacy serial path, including panic semantics.
-            return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-        }
-        match self.try_map_indexed(items, f) {
-            Ok(results) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`WorkerPool::map_indexed`], but a panicking worker closure
-    /// yields `Err(ExecError::WorkerPanic)` instead of unwinding.
-    pub fn try_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, ExecError>
     where
         T: Sync,
         R: Send,
@@ -219,54 +172,38 @@ impl WorkerPool {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            // The exact legacy serial path: caller's thread, input order.
-            let mut out = Vec::with_capacity(n);
-            for (i, item) in items.iter().enumerate() {
-                out.push(guarded(i, || f(i, item))?);
-            }
-            return Ok(out);
+            return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
         }
-        // Slot-per-item storage keeps completion order irrelevant: each
-        // worker steals the next index and writes into that index's slot.
-        let slots: Vec<Mutex<Option<Result<R, ExecError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        // Each worker steals the next index from the cursor and keeps
+        // its (index, result) pairs; completion order is irrelevant
+        // because every result goes back into its input slot.
         let cursor = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = guarded(i, || f(i, &items[i]));
-                    *slots[i].lock().expect("result slot is never poisoned") = Some(result);
-                });
-            }
+        let parts: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return done;
+                            }
+                            done.push((i, f(i, &items[i])));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
         });
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            let result = slot
-                .into_inner()
-                .expect("result slot is never poisoned")
-                .expect("every index below the cursor was filled");
-            out.push(result?);
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (i, result) in parts.into_iter().flatten() {
+            slots[i] = Some(result);
         }
-        Ok(out)
+        slots.into_iter().map(|r| r.expect("every index below the cursor was filled")).collect()
     }
-}
-
-/// Run one job under a panic guard, mapping unwinds to [`ExecError`].
-fn guarded<R>(index: usize, job: impl FnOnce() -> R) -> Result<R, ExecError> {
-    catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        ExecError::WorkerPanic { index, message }
-    })
 }
 
 #[cfg(test)]
@@ -300,29 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_becomes_error_with_lowest_index() {
-        let items: Vec<usize> = (0..40).collect();
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let err = pool
-                .try_map_indexed(&items, |_, &x| {
-                    if x % 10 == 3 {
-                        panic!("boom at {x}");
-                    }
-                    x
-                })
-                .unwrap_err();
-            match err {
-                ExecError::WorkerPanic { index, message } => {
-                    assert_eq!(index, 3, "threads={threads}");
-                    assert!(message.contains("boom at 3"), "got: {message}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked on item 2")]
+    #[should_panic(expected = "kaboom")]
     fn map_indexed_reraises_worker_panics() {
         WorkerPool::new(4).map_indexed(&[0, 1, 2, 3], |_, &x| {
             if x == 2 {
@@ -351,6 +266,22 @@ mod tests {
         // typed payload survives, not a rendered string.
         let caught = std::panic::catch_unwind(|| {
             WorkerPool::new(1).map_indexed(&[1u32, 2], |_, &x| {
+                if x == 2 {
+                    std::panic::panic_any(42usize);
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<usize>(), Some(&42));
+    }
+
+    #[test]
+    fn parallel_map_unwinds_with_the_original_payload() {
+        // Several workers re-raise the same typed payload as the
+        // serial loop.
+        let caught = std::panic::catch_unwind(|| {
+            WorkerPool::new(4).map_indexed(&[1u32, 2, 3, 4, 5], |_, &x| {
                 if x == 2 {
                     std::panic::panic_any(42usize);
                 }

@@ -1,8 +1,7 @@
 //! Property-based checks of the worker pool: deterministic input-order
-//! results for arbitrary (item count, thread count) combinations, and
-//! panic propagation as errors from arbitrary positions.
+//! results for arbitrary (item count, thread count) combinations.
 
-use dq_exec::{ExecError, WorkerPool};
+use dq_exec::WorkerPool;
 use proptest::prelude::*;
 
 proptest! {
@@ -29,28 +28,5 @@ proptest! {
             prop_assert_eq!(idx, i);
             prop_assert_eq!(x, i);
         }
-    }
-
-    /// A panic in any single item surfaces as `WorkerPanic` naming that
-    /// item's index; panic-free runs never error.
-    #[test]
-    fn panics_propagate_as_errors(n in 1usize..60, bad in 0usize..60, threads in 1usize..9) {
-        let bad = bad % n;
-        let items: Vec<usize> = (0..n).collect();
-        let pool = WorkerPool::new(threads);
-        let err = pool
-            .try_map_indexed(&items, |_, &x| {
-                if x == bad {
-                    panic!("injected failure at {x}");
-                }
-                x
-            })
-            .unwrap_err();
-        let ExecError::WorkerPanic { index, message } = err;
-        prop_assert_eq!(index, bad);
-        prop_assert!(message.contains("injected failure"));
-
-        let clean = pool.try_map_indexed(&items, |_, &x| x + 1);
-        prop_assert!(clean.is_ok());
     }
 }

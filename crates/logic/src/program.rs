@@ -258,17 +258,6 @@ impl RecordView {
         }
     }
 
-    /// Mirror one cell of a purely nominal coded space: `Some(code)`
-    /// behaves like [`Value::Nominal`], `None` like [`Value::Null`].
-    /// Consumers that evaluate rules over a *coded* view of a table
-    /// (the association auditor's item space) sync through this
-    /// instead of materializing intermediate [`Value`]s.
-    #[inline]
-    pub fn sync_nominal(&mut self, attr: AttrIdx, code: Option<u32>) {
-        self.codes[attr] = code.unwrap_or(NONE_CODE);
-        self.nums[attr] = f64::NAN;
-    }
-
     /// Mirror a whole record.
     pub fn sync_all(&mut self, record: &[Value]) {
         for (a, v) in record.iter().enumerate() {

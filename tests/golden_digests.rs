@@ -10,7 +10,11 @@
 //!   little-endian bit patterns of every per-record confidence,
 //!
 //! and checks the in-memory, streamed and per-batch detection paths
-//! all land on the same report digest. The snapshot lives in
+//! all land on the same report digest. It pins the association
+//! auditor the same way: the report digest of
+//! `AssociationAuditor::detect` on a polluted sec. 6.1 baseline table
+//! with injected NULLs and out-of-label codes, per seed, scoring and
+//! thread count. The snapshot lives in
 //! `tests/golden/audit_digests.txt`; regenerate it after an
 //! *intentional* change with:
 //!
@@ -19,11 +23,12 @@
 //! ```
 
 use data_audit::prelude::*;
-use dq_core::AuditEngine;
+use dq_core::{AssociationAuditConfig, AssociationAuditor, AssociationScoring, AuditEngine};
+use dq_eval::Baseline;
 use dq_job::fnv1a;
 use dq_quis::{generate_quis, QuisConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -33,6 +38,9 @@ const THREADS: [usize; 2] = [1, 2];
 /// Deliberately not a divisor of any row count, so batches straddle
 /// the detection shards.
 const STREAM_BATCH_ROWS: usize = 997;
+/// Rows and rules of the association auditor's baseline table.
+const ASSOCIATION_ROWS: usize = 3_000;
+const ASSOCIATION_RULES: usize = 20;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/audit_digests.txt")
@@ -44,6 +52,52 @@ fn report_digest(report: &AuditReport, schema: &Schema) -> u64 {
         bytes.extend_from_slice(&c.to_bits().to_le_bytes());
     }
     fnv1a(&bytes)
+}
+
+/// The sec. 6.1 baseline, generated and polluted by the standard
+/// suite, then roughed up with NULL cells and out-of-label nominal
+/// codes that no generator emits.
+fn polluted_baseline(seed: u64) -> Table {
+    let baseline = Baseline::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let benchmark = baseline.generator(ASSOCIATION_RULES, ASSOCIATION_ROWS).generate(&mut rng);
+    let (mut dirty, _) = pollute(&benchmark.clean, &baseline.pollution, &mut rng);
+    let n = dirty.n_rows();
+    for _ in 0..60 {
+        let (row, col) = (rng.gen_range(0..n), rng.gen_range(0..dirty.n_cols()));
+        dirty.set(row, col, Value::Null).unwrap();
+    }
+    // The first six attributes are nominal with at most 12 labels.
+    for _ in 0..40 {
+        let (row, col) = (rng.gen_range(0..n), rng.gen_range(0..6usize));
+        dirty.set(row, col, Value::Nominal(20 + rng.gen_range(0..5) as u32)).unwrap();
+    }
+    dirty
+}
+
+/// One snapshot line per (seed, scoring, threads) configuration of the
+/// association auditor.
+fn render_association(out: &mut String) {
+    out.push_str("# association seed scoring threads report_fnv1a\n");
+    for seed in SEEDS {
+        let table = polluted_baseline(seed);
+        let (miner, _) = AssociationAuditor::new(AssociationAuditConfig::default())
+            .run(&table)
+            .expect("the baseline table mines");
+        for scoring in [AssociationScoring::Sum, AssociationScoring::Max] {
+            for threads in THREADS {
+                let auditor = AssociationAuditor::new(AssociationAuditConfig {
+                    scoring,
+                    threads: threads.into(),
+                    ..AssociationAuditConfig::default()
+                });
+                let report = auditor.detect(&miner, &table);
+                assert!(report.n_suspicious() > 0, "the digest must cover flagged records");
+                let report = report_digest(&report, table.schema());
+                let _ = writeln!(out, "{seed} {scoring:?} {threads} {report:016x}");
+            }
+        }
+    }
 }
 
 /// One snapshot line per (seed, rows, threads) configuration.
@@ -88,6 +142,7 @@ fn render_snapshot() -> String {
             }
         }
     }
+    render_association(&mut out);
     out
 }
 
