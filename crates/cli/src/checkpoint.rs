@@ -17,7 +17,7 @@
 use crate::args::{CliError, Flags};
 use crate::io_util::{at, create_file, say};
 use dq_job::{fnv1a, resume_file, CheckpointDir, CountingWriter, JobError, Journal, Watermark};
-use dq_table::{CsvWriter, PagedWriter, Schema, Table};
+use dq_table::{CsvWriter, Schema, Table};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -110,23 +110,13 @@ impl JobFlags {
 #[derive(Debug, Clone, Copy)]
 pub struct OutputId(usize);
 
-/// What an output writes to, and so how it is watermarked.
-#[derive(Debug)]
-enum Sink {
-    /// A flat file, watermarked in bytes.
-    Bytes(CountingWriter<File>),
-    /// A paged spill, watermarked in sealed pages.
-    Pages(PagedWriter),
-    /// A paged spill whose manifest [`Job::finish`] committed.
-    Spilled(u64),
-}
-
+/// One flat output file, watermarked in bytes.
 #[derive(Debug)]
 struct Output {
     /// The output's name in the journal.
     name: &'static str,
     path: PathBuf,
-    sink: Sink,
+    file: CountingWriter<File>,
 }
 
 /// One run of a streaming stage: its outputs and, under
@@ -204,11 +194,6 @@ impl Job {
         self.resumed.then_some(&self.journal)
     }
 
-    fn register(&mut self, name: &'static str, path: &Path, sink: Sink) -> OutputId {
-        self.outputs.push(Output { name, path: path.to_path_buf(), sink });
-        OutputId(self.outputs.len() - 1)
-    }
-
     /// Open the flat output `name` at `path`: a fresh run creates it
     /// and writes `header`; a resumed run reopens it at its journaled
     /// byte watermark, truncating whatever a crashed incarnation wrote
@@ -221,7 +206,9 @@ impl Job {
     ) -> Result<OutputId, CliError> {
         let file = if self.resumed {
             let Some(Watermark::Bytes(mark)) = self.journal.output(name) else {
-                return Err(missing_watermark(name));
+                return Err(CliError::Runtime(format!(
+                    "journal has no watermark for output `{name}`; refusing to resume"
+                )));
             };
             CountingWriter::new(resume_file(path, mark).map_err(jerr)?, mark)
         } else {
@@ -229,61 +216,21 @@ impl Job {
             file.write_all(header).map_err(|e| at(path, e))?;
             file
         };
-        Ok(self.register(name, path, Sink::Bytes(file)))
+        self.outputs.push(Output { name, path: path.to_path_buf(), file });
+        Ok(OutputId(self.outputs.len() - 1))
     }
 
-    /// Open the paged spill `name` in `dir`: a fresh run creates it
-    /// (clearing any spill already there); a resumed run reopens it
-    /// trusting exactly its journaled page count.
-    pub fn pages(
-        &mut self,
-        name: &'static str,
-        dir: &Path,
-        schema: Arc<Schema>,
-        page_rows: usize,
-    ) -> Result<OutputId, CliError> {
-        let writer = if self.resumed {
-            let Some(Watermark::Pages(pages)) = self.journal.output(name) else {
-                return Err(missing_watermark(name));
-            };
-            PagedWriter::resume(dir, schema, page_rows, pages as usize)
-        } else {
-            PagedWriter::create(dir, schema, page_rows)
-        }
-        .map_err(|e| at(dir, e))?;
-        Ok(self.register(name, dir, Sink::Pages(writer)))
-    }
-
-    /// The paged writer behind a [`Job::pages`] output.
-    pub fn spill(&self, id: OutputId) -> &PagedWriter {
-        match &self.outputs[id.0].sink {
-            Sink::Pages(writer) => writer,
-            _ => panic!("output `{}` is not an open paged spill", self.outputs[id.0].name),
-        }
-    }
-
-    /// Append raw bytes to a flat output.
+    /// Append raw bytes to an output.
     pub fn write(&mut self, id: OutputId, bytes: &[u8]) -> Result<(), CliError> {
         let out = &mut self.outputs[id.0];
-        match &mut out.sink {
-            Sink::Bytes(file) => file.write_all(bytes).map_err(|e| at(&out.path, e).into()),
-            _ => panic!("output `{}` is not a flat file", out.name),
-        }
+        out.file.write_all(bytes).map_err(|e| at(&out.path, e).into())
     }
 
-    /// Append a batch to an output: CSV rows to a flat file, rows to a
-    /// paged spill.
+    /// Append a batch to an output as CSV rows.
     pub fn write_batch(&mut self, id: OutputId, batch: &Table) -> Result<(), CliError> {
         let out = &mut self.outputs[id.0];
-        let written = match &mut out.sink {
-            Sink::Bytes(file) => {
-                let mut csv = CsvWriter::append(batch.schema().clone(), file);
-                csv.write_batch(batch).and_then(|()| csv.finish())
-            }
-            Sink::Pages(writer) => writer.append_batch(batch),
-            Sink::Spilled(_) => panic!("output `{}` is already committed", out.name),
-        };
-        written.map_err(|e| at(&out.path, e).into())
+        let mut csv = CsvWriter::append(batch.schema().clone(), &mut out.file);
+        csv.write_batch(batch).and_then(|()| csv.finish()).map_err(|e| at(&out.path, e).into())
     }
 
     /// Count one batch; every `--checkpoint-every` batches,
@@ -303,15 +250,8 @@ impl Job {
     pub fn commit(&mut self, state: impl FnOnce(&mut Journal)) -> Result<(), CliError> {
         self.since_commit = 0;
         for out in &mut self.outputs {
-            let mark = match &mut out.sink {
-                Sink::Bytes(file) => {
-                    file.flush().map_err(|e| at(&out.path, e))?;
-                    Watermark::Bytes(file.count())
-                }
-                Sink::Pages(writer) => Watermark::Pages(writer.n_pages() as u64),
-                Sink::Spilled(pages) => Watermark::Pages(*pages),
-            };
-            self.journal.set_output(out.name, mark);
+            out.file.flush().map_err(|e| at(&out.path, e))?;
+            self.journal.set_output(out.name, Watermark::Bytes(out.file.count()));
         }
         state(&mut self.journal);
         match &mut self.ckpt {
@@ -320,27 +260,12 @@ impl Job {
         }
     }
 
-    /// End the job: commit every paged spill's manifest, then make the
-    /// closing commit, marked done so a re-resume is a no-op instead of
-    /// a re-run.
+    /// End the job with the closing commit, marked done so a re-resume
+    /// is a no-op instead of a re-run.
     pub fn finish(mut self, state: impl FnOnce(&mut Journal)) -> Result<(), CliError> {
-        for out in &mut self.outputs {
-            out.sink = match std::mem::replace(&mut out.sink, Sink::Spilled(0)) {
-                Sink::Pages(writer) => {
-                    Sink::Spilled(writer.finish().map_err(|e| at(&out.path, e))?.n_pages() as u64)
-                }
-                sink => sink,
-            };
-        }
         self.journal.done = true;
         self.commit(state)
     }
-}
-
-/// The one loud refusal when a resumed journal lacks the watermark of
-/// an output it must reopen.
-fn missing_watermark(name: &str) -> CliError {
-    CliError::Runtime(format!("journal has no watermark for output `{name}`; refusing to resume"))
 }
 
 /// The CSV header row of `schema`, as a fresh CSV output starts.

@@ -1,26 +1,19 @@
 //! `dq detect` — streaming deviation detection against a saved model.
 //!
-//! Three input shapes share one command:
+//! The input is a CSV file, audited one of two ways:
 //!
-//! * a CSV file streams through [`dq_table::CsvChunkReader`] in
+//! * locally, it streams through [`dq_table::CsvChunkReader`] in
 //!   `--chunk-rows` batches, so a file (much) larger than RAM audits
 //!   at O(chunk) memory with a report byte-identical to the in-memory
-//!   path;
-//! * a *directory* as `--input` is opened as a
-//!   [`dq_table::PagedTable`] spill (the `dq generate --paged-dirty`
-//!   output) and scanned page by page — a torn or partially-committed
-//!   spill is rejected up front with the manifest-level error instead
-//!   of silently auditing a truncated relation;
+//!   path. One loop runs: [`dq_core::AuditEngine::scan_batch`] per
+//!   batch, then [`dq_core::AuditEngine::report_from_parts`] over the
+//!   accumulated parts;
 //! * `--server ADDR --model-name NAME` skips the local model entirely
 //!   and posts the CSV to a running `dq serve` daemon's
 //!   `/audit/{name}/stream` endpoint via
 //!   [`dq_serve::client::post_with_retry`] — queue-full `503`s back
 //!   off and retry (honoring `Retry-After`), a *draining* server fails
 //!   immediately with a distinct error, because it will not come back.
-//!
-//! Both local shapes run one loop: [`dq_core::AuditEngine::scan_batch`]
-//! per batch, then [`dq_core::AuditEngine::report_from_parts`] over
-//! the accumulated parts.
 //!
 //! A mid-stream failure (a bad CSV cell three million rows in) does
 //! not discard the scan: the report and corrections files are written
@@ -48,14 +41,14 @@ use dq_core::{
 };
 use dq_job::fnv1a;
 use dq_serve::client::{post_with_retry, RetryPolicy, Unavailable};
-use dq_table::{BatchSource, CsvChunkReader, PagedTable, QuarantinedRow, TableError, Value};
+use dq_table::{BatchSource, CsvChunkReader, QuarantinedRow, TableError, Value};
 use std::fs::File;
 use std::io::BufReader;
 use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::time::Instant;
 
-pub const USAGE: &str = "dq detect --schema F.dqs --model m.dqm --input data.csv|paged-dir \
+pub const USAGE: &str = "dq detect --schema F.dqs --model m.dqm --input data.csv \
 [--report report.csv] [--corrections c.csv] [--chunk-rows N] [--threads N] [--top N] \
 [--quarantine bad.tsv --max-bad-rows N] [--checkpoint DIR] [--resume] [--checkpoint-every N]
        dq detect --server HOST:PORT --model-name NAME --input data.csv [--report report.csv] \
@@ -109,18 +102,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
              usage: {USAGE}"
         )));
     }
-    if quarantine.is_some() && Path::new(input).is_dir() {
-        return Err(CliError::Usage(format!(
-            "--quarantine routes malformed CSV rows; a paged directory has no raw rows to \
-             quarantine\nusage: {USAGE}"
-        )));
-    }
 
     let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
     let mut scan = match &checkpoint {
         None => Scan { engine, findings: Vec::new(), confidences: Vec::new(), checkpoint: None },
         Some(job_flags) => {
-            let config = detect_fingerprint(model_path, chunk_rows, input)?;
+            let config = detect_fingerprint(model_path, chunk_rows)?;
             match Checkpoint::open(job_flags, config, engine)? {
                 Some(scan) => scan,
                 None => return Ok(()),
@@ -129,34 +116,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     };
 
     let t0 = Instant::now();
-    // A directory is a paged spill; a file is a CSV stream. Opening the
-    // spill validates its manifest first, so a torn commit (crash
-    // mid-`finish`) fails here with the manifest's own error rather
-    // than auditing a partial relation. A resumed scan seeks past the
-    // rows its checkpoint already holds.
-    let cursor = scan.confidences.len();
-    let (batch_rows, batch_unit, stream_error, quarantined) = if Path::new(input).is_dir() {
-        let paged = PagedTable::open(input, schema.clone()).map_err(|e| format!("{input}: {e}"))?;
-        let page_rows = paged.page_rows();
-        if cursor % page_rows != 0 {
-            return Err(CliError::Runtime(format!(
-                "cursor {cursor} is not a page boundary of {input} ({page_rows}-row pages); the \
-                 checkpoint does not belong to this spill — refusing to resume"
-            )));
-        }
-        let error = scan.drain(paged.batches_from(cursor / page_rows))?;
-        (page_rows, "page", error, Vec::new())
-    } else {
-        let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
-        let mut batches = CsvChunkReader::new(schema.clone(), BufReader::new(file), chunk_rows)
-            .map_err(|e| format!("{input}: {e}"))?;
-        if quarantine.is_some() {
-            batches = batches.with_quarantine(max_bad_rows.unwrap_or(usize::MAX));
-        }
-        batches.skip_data_rows(cursor).map_err(|e| format!("{input}: {e}"))?;
-        let error = scan.drain(&mut batches)?;
-        (chunk_rows, "chunk", error, batches.take_quarantined())
-    };
+    // A resumed scan seeks past the rows its checkpoint already holds.
+    let file = File::open(input).map_err(|e| format!("{input}: {e}"))?;
+    let mut batches = CsvChunkReader::new(schema.clone(), BufReader::new(file), chunk_rows)
+        .map_err(|e| format!("{input}: {e}"))?;
+    if quarantine.is_some() {
+        batches = batches.with_quarantine(max_bad_rows.unwrap_or(usize::MAX));
+    }
+    batches.skip_data_rows(scan.confidences.len()).map_err(|e| format!("{input}: {e}"))?;
+    let stream_error = scan.drain(&mut batches)?;
+    let quarantined = batches.take_quarantined();
     let secs = t0.elapsed().as_secs_f64();
 
     // The accumulated parts move into the report: at a million rows a
@@ -183,7 +152,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 
     say!(
-        "scanned {} rows in {secs:.2}s ({batch_rows} per {batch_unit}{}): {} suspicious rows, \
+        "scanned {} rows in {secs:.2}s ({chunk_rows} per chunk{}): {} suspicious rows, \
          {} findings at min confidence {}",
         report.n_rows(),
         if stream_error.is_some() { ", PARTIAL — the stream failed" } else { "" },
@@ -241,9 +210,6 @@ impl Scan {
     /// checkpointed, committed — the resume point is the failure's
     /// doorstep, not the last periodic commit).
     fn drain(&mut self, mut batches: impl BatchSource) -> Result<Option<AuditError>, CliError> {
-        if let Some(rows) = batches.row_count_hint() {
-            self.confidences.reserve(rows.saturating_sub(self.confidences.len()));
-        }
         loop {
             match batches.next_batch() {
                 Ok(Some(batch)) => {
@@ -376,13 +342,12 @@ fn decode_findings(bytes: &[u8], n_attrs: usize, cursor: usize) -> Result<Vec<Fi
 /// every confidence, so its content hash (not its path) anchors the
 /// fingerprint. `--threads`/`--top` are excluded — they never change
 /// the scan's bytes.
-fn detect_fingerprint(model_path: &str, chunk_rows: usize, input: &str) -> Result<u64, CliError> {
+fn detect_fingerprint(model_path: &str, chunk_rows: usize) -> Result<u64, CliError> {
     let model_bytes = std::fs::read(model_path).map_err(|e| format!("{model_path}: {e}"))?;
     Ok(config_fingerprint(&[
         ("stage", "detect".to_string()),
         ("model", format!("{:016x}", fnv1a(&model_bytes))),
         ("chunk-rows", chunk_rows.to_string()),
-        ("paged", Path::new(input).is_dir().to_string()),
     ]))
 }
 

@@ -2,25 +2,22 @@
 //! ground-truth log) to a directory.
 
 use crate::args::{CliError, Flags};
-use crate::checkpoint::{config_fingerprint, csv_header, Job, JobFlags, OutputId};
-use crate::io_util::{at, log_to_csv, say, write_file, write_table};
+use crate::checkpoint::{config_fingerprint, csv_header, Job, JobFlags};
+use crate::io_util::{log_to_csv, say, write_file, write_table};
 use crate::pollute_cmd::{pollute_into, PollutionOutputs, PollutionStart, Tee};
 use dq_eval::Baseline;
 use dq_pollute::CELLS_CSV_HEADER;
 use dq_quis::{generate_quis, QuisConfig};
-use dq_table::{render_schema, BatchSource, CsvChunkReader, Schema};
+use dq_table::render_schema;
 use dq_tdg::{generate_rule_set, GenerateStream, GEN_CHUNK_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fs::File;
-use std::io::BufReader;
 use std::path::Path;
-use std::sync::Arc;
 
 pub const USAGE: &str = "dq generate <tdg|quis> --out DIR [--rows N] [--seed N] [--factor X] \
-                         [--threads N] [tdg only: --rules N, --stream-chunk-rows N (batch and \
-                         page rows, default 4096), --paged-dirty DIR, --checkpoint DIR \
-                         [--resume] [--checkpoint-every N]]";
+                         [--threads N] [tdg only: --rules N, --stream-chunk-rows N (batch \
+                         rows, default 4096), --checkpoint DIR [--resume] \
+                         [--checkpoint-every N]]";
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let (kind, rest) = args
@@ -42,11 +39,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 /// [`GenerateStream`] through a clean-CSV [`Tee`] into the pollution
 /// loop and out to the dirty CSV — one pass at O(chunk) memory.
 /// `--stream-chunk-rows` (default [`GEN_CHUNK_ROWS`]) sets the batch
-/// and page size and never the bytes: generation is chunk-seeded, and
+/// size and never the bytes: generation is chunk-seeded, and
 /// pollution consumes its RNG in clean-row order.
 ///
 /// With `--checkpoint DIR` the run journals its progress (clean-row
-/// cursor, pollution-RNG state, per-output byte/page watermarks) at
+/// cursor, pollution-RNG state, per-output byte watermarks) at
 /// every `--checkpoint-every`-batch boundary; `--resume` continues a
 /// killed run from the journal, producing outputs byte-identical to an
 /// uninterrupted one — see `dq_job` for the protocol.
@@ -61,7 +58,6 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
             "factor",
             "threads",
             "stream-chunk-rows",
-            "paged-dirty",
             "checkpoint",
             "checkpoint-every",
         ],
@@ -74,7 +70,6 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
     let factor: f64 = flags.parse_or("factor", 1.0)?;
     let threads: Option<usize> = flags.parse_positive_opt("threads")?;
     let chunk_rows: usize = flags.parse_positive_or("stream-chunk-rows", GEN_CHUNK_ROWS)?;
-    let paged_dirty = flags.get("paged-dirty").map(|d| Path::new(d).to_path_buf());
     let job_flags = JobFlags::parse(&flags, USAGE)?;
 
     // The config fingerprint covers exactly the flags that shape the
@@ -87,7 +82,6 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
         ("seed", seed.to_string()),
         ("factor", factor.to_string()),
         ("chunk-rows", chunk_rows.to_string()),
-        ("paged", paged_dirty.is_some().to_string()),
     ]);
     let baseline = Baseline::new(seed);
     let mut env = baseline.environment(rules, rows, factor);
@@ -119,33 +113,23 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
         .seek_to_row(start.cursor)
         .map_err(|e| CliError::Runtime(format!("seeking generator: {e}")))?;
     let clean_path = out.join("clean.csv");
-    let dirty_path = out.join("dirty.csv");
     let header = csv_header(&schema)?;
     let clean = job.bytes("clean.csv", &clean_path, &header)?;
-    let dirty = job.bytes("dirty.csv", &dirty_path, &header)?;
+    let dirty = job.bytes("dirty.csv", &out.join("dirty.csv"), &header)?;
     let log = job.bytes(
         "pollution-log.csv",
         &out.join("pollution-log.csv"),
         CELLS_CSV_HEADER.as_bytes(),
     )?;
-    let spill = match &paged_dirty {
-        Some(dir) => {
-            Some(open_spill(&mut job, dir, &schema, chunk_rows, &dirty_path, start.dirty_rows)?)
-        }
-        None => None,
-    };
 
     let (clean_rows, dirty_rows, corrupted) = pollute_into(
         job,
         Tee::new(generator, Some(clean)),
         env.pollution.clone(),
         start,
-        PollutionOutputs { dirty, log: Some(log), spill },
+        PollutionOutputs { dirty, log: Some(log) },
         &clean_path,
     )?;
-    if let Some(dir) = &paged_dirty {
-        say!("spilled dirty relation to paged directory {}", dir.display());
-    }
     say!(
         "generated tdg benchmark in {} ({chunk_rows}-row chunks): {clean_rows} clean rows, \
          {dirty_rows} dirty rows ({corrupted} corrupted), {} rules",
@@ -154,46 +138,6 @@ fn tdg(args: &[String]) -> Result<(), CliError> {
     );
     say!("files: schema.dqs clean.csv dirty.csv pollution-log.csv rules.txt");
     Ok(())
-}
-
-/// Open the paged spill of the dirty relation, `dirty_rows` of which
-/// are already committed. On resume the spill holds only its journaled
-/// full pages — the partial page died with the process — so the rows
-/// past them are refilled from the committed `dirty.csv` tail (already
-/// truncated to its watermark).
-fn open_spill(
-    job: &mut Job,
-    dir: &Path,
-    schema: &Arc<Schema>,
-    page_rows: usize,
-    dirty_path: &Path,
-    dirty_rows: usize,
-) -> Result<OutputId, CliError> {
-    let spill = job.pages("paged", dir, schema.clone(), page_rows)?;
-    let pages = job.spill(spill).n_pages();
-    let committed = pages * page_rows;
-    if dirty_rows > committed {
-        let tail = File::open(dirty_path).map_err(|e| at(dirty_path, e))?;
-        let mut reader = CsvChunkReader::new(schema.clone(), BufReader::new(tail), page_rows)
-            .map_err(|e| at(dirty_path, e))?;
-        reader.skip_data_rows(committed).map_err(|e| at(dirty_path, e))?;
-        while let Some(batch) = reader.next_batch().map_err(|e| at(dirty_path, e))? {
-            job.write_batch(spill, &batch)?;
-        }
-        let writer = job.spill(spill);
-        if writer.n_pages() != pages || writer.pending_rows() != dirty_rows - committed {
-            return Err(CliError::Runtime(format!(
-                "{}: refilled {} pending rows over {} pages, journal expected {} over {} — \
-                 dirty.csv disagrees with the journal",
-                dir.display(),
-                writer.pending_rows(),
-                writer.n_pages(),
-                dirty_rows - committed,
-                pages,
-            )));
-        }
-    }
-    Ok(spill)
 }
 
 /// The sec. 6.2 QUIS-like engine-composition benchmark.

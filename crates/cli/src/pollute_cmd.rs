@@ -99,7 +99,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         Tee::new(reader, None),
         PollutionConfig::standard().with_factor(factor),
         start,
-        PollutionOutputs { dirty, log, spill: None },
+        PollutionOutputs { dirty, log },
         &input,
     )?;
     let prevalence = if dirty_rows == 0 { 0.0 } else { corrupted as f64 / dirty_rows as f64 };
@@ -117,7 +117,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 /// resumed one.
 pub struct PollutionStart {
     pub cursor: usize,
-    pub dirty_rows: usize,
+    dirty_rows: usize,
     corrupted_rows: u64,
     rng: StdRng,
 }
@@ -140,12 +140,11 @@ impl PollutionStart {
 }
 
 /// The job outputs a pollution run writes: every dirty batch to the
-/// `dirty` CSV (and the optional paged `spill`), the log cells each
-/// batch added to the optional ground-truth `log`.
+/// `dirty` CSV, the log cells each batch added to the optional
+/// ground-truth `log`.
 pub struct PollutionOutputs {
     pub dirty: OutputId,
     pub log: Option<OutputId>,
-    pub spill: Option<OutputId>,
 }
 
 /// A [`BatchSource`] pass-through that renders every batch it passes
@@ -237,9 +236,6 @@ pub fn pollute_into<S: BatchSource>(
         }
         let Some(batch) = batch else { break };
         job.write_batch(outputs.dirty, &batch)?;
-        if let Some(spill) = outputs.spill {
-            job.write_batch(spill, &batch)?;
-        }
         if let Some(log) = outputs.log {
             cells.clear();
             stream.log().render_cells_csv(&schema, cells_rendered, &mut cells);

@@ -305,103 +305,34 @@ fn detect_flushes_the_partial_report_on_a_mid_stream_error() {
 }
 
 #[test]
-fn paged_dirty_spill_round_trips_and_a_torn_spill_is_refused() {
-    let dir = TempDir::new("paged");
+fn spill_flag_and_directory_input_are_refused() {
+    let dir = TempDir::new("csv-only");
     let schema = dir.path("schema.dqs");
     let model = dir.path("model.dqm");
-    let paged = dir.path("dirty-paged");
 
-    let out = dq_ok(&[
-        "generate",
-        "tdg",
-        "--out",
-        &dir.path(""),
-        "--rows",
-        "1500",
-        "--rules",
-        "10",
-        "--seed",
-        "42",
-        "--stream-chunk-rows",
-        "97",
-        "--paged-dirty",
-        &paged,
-    ]);
-    assert!(out.contains("spilled dirty relation"), "got: {out}");
+    // The dirty relation is written as CSV only: the flag that once
+    // also wrote it as a page directory is an unknown flag now, and is
+    // refused before anything is generated.
+    let gen = dir.path("gen");
+    let out = dq(&["generate", "tdg", "--out", &gen, "--rows", "200", "--paged-dirty", &gen]);
+    assert_eq!(out.status.code(), Some(2), "a removed flag is a usage error");
+    assert!(!Path::new(&gen).exists(), "a refused generate must write nothing");
+
+    dq_ok(&["generate", "tdg", "--out", &dir.path(""), "--rows", "600", "--rules", "6"]);
     dq_ok(&["induce", "--schema", &schema, "--input", &dir.path("dirty.csv"), "--model", &model]);
 
-    // Auditing the paged spill reports exactly what the CSV does, and
-    // its summary names the page size it actually scanned.
-    let out = dq_ok(&[
-        "detect",
-        "--schema",
-        &schema,
-        "--model",
-        &model,
-        "--input",
-        &paged,
-        "--report",
-        &dir.path("report-paged.csv"),
-        "--top",
-        "0",
+    // A directory is not an input: the audit fails with a message
+    // naming the path and writes no report.
+    let input = dir.path("pages");
+    std::fs::create_dir(&input).unwrap();
+    let report = dir.path("report.csv");
+    let out = dq(&[
+        "detect", "--schema", &schema, "--model", &model, "--input", &input, "--report", &report,
     ]);
-    assert!(out.contains("(97 per page"), "got: {out}");
-    dq_ok(&[
-        "detect",
-        "--schema",
-        &schema,
-        "--model",
-        &model,
-        "--input",
-        &dir.path("dirty.csv"),
-        "--report",
-        &dir.path("report-csv.csv"),
-        "--top",
-        "0",
-    ]);
-    assert_eq!(read(&dir.path("report-paged.csv")), read(&dir.path("report-csv.csv")));
-
-    // Without --stream-chunk-rows the spill pages at the default
-    // generator chunk, and audits to the same report.
-    let default_paged = dir.path("default-paged");
-    dq_ok(&[
-        "generate",
-        "tdg",
-        "--out",
-        &dir.path("default"),
-        "--rows",
-        "1500",
-        "--rules",
-        "10",
-        "--seed",
-        "42",
-        "--paged-dirty",
-        &default_paged,
-    ]);
-    let out = dq_ok(&[
-        "detect",
-        "--schema",
-        &schema,
-        "--model",
-        &model,
-        "--input",
-        &default_paged,
-        "--report",
-        &dir.path("report-default-paged.csv"),
-        "--top",
-        "0",
-    ]);
-    assert!(out.contains("(4096 per page"), "got: {out}");
-    assert_eq!(read(&dir.path("report-default-paged.csv")), read(&dir.path("report-csv.csv")));
-
-    // Tear the spill the way a crash before the manifest commit
-    // would: pages on disk, no manifest. The audit must refuse with a
-    // typed error naming the manifest, not scan a short relation.
-    std::fs::remove_file(Path::new(&paged).join("manifest.dqpm")).unwrap();
-    let out = dq(&["detect", "--schema", &schema, "--model", &model, "--input", &paged]);
-    assert_eq!(out.status.code(), Some(1), "a torn spill is a runtime failure");
+    assert_eq!(out.status.code(), Some(1), "a directory input is a runtime failure");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("manifest"), "the refusal must name the manifest: {stderr}");
+    assert!(stderr.contains(&input), "the refusal must name the path: {stderr}");
+    assert!(!Path::new(&report).exists(), "a refused audit must write no report");
 }
 
 #[test]

@@ -80,24 +80,6 @@ fn assert_file_eq(reference: &str, got: &str, context: &str) {
     );
 }
 
-/// Sorted file names of a directory (for paged-spill comparison).
-fn dir_files(dir: &str) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read_dir {dir}: {e}"))
-        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    names
-}
-
-fn assert_dir_eq(reference: &str, got: &str, context: &str) {
-    let names = dir_files(reference);
-    assert_eq!(names, dir_files(got), "{context}: paged file sets differ");
-    for name in &names {
-        assert_file_eq(&format!("{reference}/{name}"), &format!("{got}/{name}"), context);
-    }
-}
-
 const GENERATE_OUTPUTS: &[&str] =
     &["schema.dqs", "clean.csv", "dirty.csv", "pollution-log.csv", "rules.txt"];
 
@@ -133,7 +115,6 @@ fn crash_and_resume(crash_args: &[&str], resume_args: &[&str], knob: (&str, u64)
 fn generate_killed_anywhere_resumes_byte_identical() {
     let dir = TempDir::new("gen");
     let reference = dir.path("ref");
-    let ref_paged = dir.path("ref-paged");
     dq_ok(&[
         "generate",
         "tdg",
@@ -147,8 +128,6 @@ fn generate_killed_anywhere_resumes_byte_identical() {
         "11",
         "--stream-chunk-rows",
         "64",
-        "--paged-dirty",
-        &ref_paged,
     ]);
 
     let mut crashes = 0;
@@ -158,7 +137,6 @@ fn generate_killed_anywhere_resumes_byte_identical() {
         for &k in ks {
             let tag = format!("{}-{k}", if var.contains("AFTER") { "after" } else { "before" });
             let out = dir.path(&format!("out-{tag}"));
-            let paged = dir.path(&format!("paged-{tag}"));
             let ckpt = dir.path(&format!("ckpt-{tag}"));
             let base = [
                 "generate",
@@ -173,8 +151,6 @@ fn generate_killed_anywhere_resumes_byte_identical() {
                 "11",
                 "--stream-chunk-rows",
                 "64",
-                "--paged-dirty",
-                &paged,
                 "--checkpoint",
                 &ckpt,
                 "--checkpoint-every",
@@ -189,7 +165,6 @@ fn generate_killed_anywhere_resumes_byte_identical() {
             for file in GENERATE_OUTPUTS {
                 assert_file_eq(&format!("{reference}/{file}"), &format!("{out}/{file}"), &context);
             }
-            assert_dir_eq(&ref_paged, &paged, &context);
         }
     }
     assert!(crashes >= 30, "expected ≥30 real generate crashes, got {crashes}");

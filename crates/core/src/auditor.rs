@@ -311,31 +311,6 @@ impl Auditor {
         engine::detect_table(model, table, self.config.threads, engine::scan_chunk_reference)
     }
 
-    /// **Streaming deviation detection**: check a sequence of row
-    /// batches (e.g. [`dq_table::CsvChunkReader`] over a CSV file
-    /// larger than RAM) against the structure model, at O(batch)
-    /// memory for the data.
-    ///
-    /// Each batch is sharded across the worker pool exactly like
-    /// [`Auditor::detect`] shards a full table, and the partial
-    /// reports merge back in global row order. Because every row's
-    /// arithmetic is independent and the final ranking sort is stable
-    /// with a row-order tiebreak, the result is **byte-identical** to
-    /// an in-memory [`Auditor::detect`] over the concatenated batches,
-    /// for every batch size ≥ 1 and every thread count.
-    ///
-    /// Row indices in the returned report are global (0-based over the
-    /// whole stream). The first failing batch aborts the scan with its
-    /// error; the [`BatchSource`](dq_table::BatchSource) contract
-    /// guarantees every batch shares the source's schema.
-    pub fn detect_stream(
-        &self,
-        model: &StructureModel,
-        batches: impl dq_table::BatchSource,
-    ) -> Result<AuditReport, AuditError> {
-        engine::detect_batches(model, self.config.threads, batches)
-    }
-
     /// Single-database mode: induce and detect on the same table.
     pub fn run(&self, table: &Table) -> Result<(StructureModel, AuditReport), AuditError> {
         let model = self.induce(table)?;

@@ -103,12 +103,23 @@ impl AuditEngine {
     }
 
     /// **Deviation detection** over any [`BatchSource`] — an in-memory
-    /// table's [`Table::batches`], a [`CsvChunkReader`], a paged table —
+    /// table's [`Table::batches`], a [`CsvChunkReader`], a generator —
     /// byte-identical to [`crate::Auditor::detect`] over the
     /// concatenated batches at every batch size and thread count. The
     /// first failing batch aborts the scan with its error.
-    pub fn detect(&self, batches: impl BatchSource) -> Result<AuditReport, AuditError> {
-        detect_batches(&self.model, self.threads, batches)
+    pub fn detect(&self, mut batches: impl BatchSource) -> Result<AuditReport, AuditError> {
+        let pool = self.threads.pool();
+        let mut findings = Vec::new();
+        let mut record_confidence = Vec::with_capacity(batches.row_count_hint().unwrap_or(0));
+        while let Some(batch) = batches.next_batch()? {
+            // One confidence per scanned row: the count so far is the
+            // batch's global row offset.
+            let offset = record_confidence.len();
+            let (f, c) = scan_sharded(pool, &batch, offset, |chunk| scan_chunk(&self.model, chunk));
+            findings.extend(f);
+            record_confidence.extend(c);
+        }
+        Ok(self.report_from_parts(findings, record_confidence))
     }
 
     /// Scan one batch whose first row has global index `row_offset`,
@@ -210,30 +221,6 @@ pub(crate) fn detect_table(
     let (findings, record_confidence) =
         scan_sharded(threads.pool(), table, 0, |chunk| scan(model, chunk));
     AuditReport::new(findings, record_confidence, model.config().min_confidence)
-}
-
-/// Streaming detection, shared by the engine and the batch auditor:
-/// scan batches in order with globally offset row indices; the first
-/// failing batch aborts with its error. Byte-identical to the
-/// in-memory core over the concatenated batches, for every batch size
-/// and thread count.
-pub(crate) fn detect_batches(
-    model: &StructureModel,
-    threads: Parallelism,
-    mut batches: impl BatchSource,
-) -> Result<AuditReport, AuditError> {
-    let pool = threads.pool();
-    let mut findings = Vec::new();
-    let mut record_confidence = Vec::with_capacity(batches.row_count_hint().unwrap_or(0));
-    while let Some(batch) = batches.next_batch()? {
-        // One confidence per scanned row: the count so far is the
-        // batch's global row offset.
-        let offset = record_confidence.len();
-        let (f, c) = scan_sharded(pool, &batch, offset, |chunk| scan_chunk(model, chunk));
-        findings.extend(f);
-        record_confidence.extend(c);
-    }
-    Ok(AuditReport::new(findings, record_confidence, model.config().min_confidence))
 }
 
 /// Scan one row chunk against the structure model, returning the

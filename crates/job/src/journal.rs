@@ -14,9 +14,8 @@
 //! cursor rows <n>                    rows consumed from the primary stream
 //! rng <hex16> <hex16> <hex16> <hex16>  optional: xoshiro256++ state words
 //! counter <name> <n>                 zero or more named counters
-//! output <name> bytes <n>            zero or more committed watermarks:
-//! output <name> pages <n>              bytes for CSV files, pages for
-//!                                      paged directories
+//! output <name> bytes <n>            zero or more committed byte
+//!                                      watermarks, one per output file
 //! checksum <hex16>                   FNV-1a over every preceding byte
 //! ```
 //!
@@ -45,14 +44,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A committed watermark of one output: how much of it the journal
 /// vouches for. Anything beyond the watermark was written by a crashed
-/// incarnation after its last commit and is truncated (bytes) or
-/// pruned (pages) on resume.
+/// incarnation after its last commit and is truncated on resume.
+/// Bytes are the one unit: every output is a flat file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Watermark {
     /// Committed length of a flat file (a CSV output), in bytes.
     Bytes(u64),
-    /// Committed count of sealed pages of a paged directory.
-    Pages(u64),
 }
 
 /// One parsed (or about-to-be-saved) `dq-job v1` journal. See the
@@ -158,15 +155,8 @@ impl Journal {
         for (name, value) in &self.counters {
             let _ = writeln!(out, "counter {name} {value}");
         }
-        for (name, watermark) in &self.outputs {
-            match watermark {
-                Watermark::Bytes(n) => {
-                    let _ = writeln!(out, "output {name} bytes {n}");
-                }
-                Watermark::Pages(n) => {
-                    let _ = writeln!(out, "output {name} pages {n}");
-                }
-            }
+        for (name, Watermark::Bytes(n)) in &self.outputs {
+            let _ = writeln!(out, "output {name} bytes {n}");
         }
         let _ = writeln!(out, "checksum {:016x}", fnv1a(out.as_bytes()));
         out
@@ -259,7 +249,6 @@ impl Journal {
                     value.parse::<u64>().map_err(|e| torn(format!("bad watermark: {e}")))?;
                 let watermark = match unit {
                     "bytes" => Watermark::Bytes(value),
-                    "pages" => Watermark::Pages(value),
                     other => return Err(torn(format!("unknown watermark unit `{other}`"))),
                 };
                 if name.is_empty() {
@@ -286,7 +275,7 @@ mod tests {
         j.set_counter("log_cells", 991);
         j.set_output("clean.csv", Watermark::Bytes(4_200_000));
         j.set_output("dirty.csv", Watermark::Bytes(4_210_333));
-        j.set_output("paged", Watermark::Pages(30));
+        j.set_output("pollution-log.csv", Watermark::Bytes(30));
         j
     }
 
@@ -312,9 +301,9 @@ mod tests {
         assert_eq!(j.counter("absent"), None);
         j.set_counter("dirty_rows", 5);
         assert_eq!(j.counter("dirty_rows"), Some(5));
-        assert_eq!(j.output("paged"), Some(Watermark::Pages(30)));
-        j.set_output("paged", Watermark::Pages(31));
-        assert_eq!(j.output("paged"), Some(Watermark::Pages(31)));
+        assert_eq!(j.output("pollution-log.csv"), Some(Watermark::Bytes(30)));
+        j.set_output("pollution-log.csv", Watermark::Bytes(31));
+        assert_eq!(j.output("pollution-log.csv"), Some(Watermark::Bytes(31)));
         assert_eq!(j.counters.len(), 2, "set replaces, never duplicates");
         assert_eq!(j.outputs.len(), 3);
     }
@@ -339,6 +328,26 @@ mod tests {
         // Appending after the checksum is torn too.
         let appended = format!("{text}output x bytes 1\n");
         assert!(matches!(Journal::parse(&appended, "j"), Err(JobError::Torn { .. })));
+    }
+
+    #[test]
+    fn unknown_watermark_units_are_torn() {
+        // `pages` was the unit of a removed page-directory output; a
+        // journal still carrying it is refused, never half-resumed.
+        for unit in ["pages", "rows", ""] {
+            let mut text = fixture().render();
+            let body = text.rfind("checksum ").unwrap();
+            text.truncate(body);
+            text.push_str(&format!("output dirty.pages {unit} 3\n"));
+            let text = format!("{text}checksum {:016x}\n", fnv1a(text.as_bytes()));
+            match Journal::parse(&text, "job.dqj") {
+                Err(JobError::Torn { detail, .. }) => assert!(
+                    detail.contains(&format!("unknown watermark unit `{unit}`")),
+                    "unit `{unit}`: {detail}"
+                ),
+                other => panic!("unit `{unit}` must be Torn, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //!   and keep an exact committed-length count while writing.
 //!
 //! What this crate deliberately does **not** contain: the per-stage
-//! resume logic (seeking a generator, restoring a pollution RNG,
-//! merging partial audit reports) lives with each stage —
-//! `GenerateStream::seek_to_row`, `PolluteStream::resume`,
-//! `PagedWriter::resume`, `AuditEngine::scan_batch` — and the `dq`
-//! CLI wires them to this journal. Failure is always loud and typed
+//! resume logic (seeking a generator or a CSV input, restoring a
+//! pollution RNG, merging partial audit reports) lives with each
+//! stage — `GenerateStream::seek_to_row`,
+//! `CsvChunkReader::skip_data_rows`, `PolluteStream::resume`,
+//! `AuditEngine::scan_batch` — and the `dq` CLI wires them to this
+//! journal. Failure is always loud and typed
 //! ([`JobError`]): a torn journal, a mutated config, or an output
 //! shorter than its watermark each refuse to resume rather than risk
 //! splicing two different streams into one file.

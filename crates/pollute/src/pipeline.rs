@@ -95,7 +95,7 @@ pub fn pollute<R: Rng + ?Sized>(
 /// `clean_row_offset..clean_row_offset + clean.n_rows()` of the
 /// logical relation — appending to a shared `log` whose dirty-row and
 /// clean-row indices stay global (the same offset merge
-/// `detect_stream` applies to finding rows). Returns the dirty rows
+/// `AuditEngine::detect` applies to finding rows). Returns the dirty rows
 /// this chunk contributes, in order.
 ///
 /// The RNG is consumed strictly in clean-row order, so chunking never

@@ -2,9 +2,8 @@
 //! [`BatchSource`].
 //!
 //! The streaming counterpart of [`pollute`](crate::pollute): wrap a
-//! clean batch source (a [`GenerateStream`], a CSV reader, a paged
-//! table) and drain dirty batches from it, holding only one chunk of
-//! each in memory. Because the pollution core consumes its RNG
+//! clean batch source (a [`GenerateStream`], a CSV reader) and drain
+//! dirty batches from it, holding only one chunk of each in memory. Because the pollution core consumes its RNG
 //! strictly in clean-row order, the concatenated dirty batches — and
 //! the accumulated [`PollutionLog`], whose clean-row and dirty-row
 //! indices are global — are byte-identical to an in-memory

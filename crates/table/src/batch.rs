@@ -11,17 +11,17 @@
 //! * batches arrive in row order and concatenate to exactly the
 //!   source's logical relation;
 //! * every batch is a [`Table`] over the *same* schema ([`BatchSource::schema`]);
-//! * the item is fallible — a torn CSV stream or failed page read
+//! * the item is fallible — a torn CSV stream or failed read
 //!   surfaces as a [`TableError`], after which the source is fused
 //!   (keeps returning `Ok(None)`);
 //! * [`BatchSource::rows_emitted`] is the global row offset of the
 //!   *next* batch, so per-batch findings (audit rows, pollution-log
 //!   rows) merge by plain offset addition.
 //!
-//! The three canonical implementations are [`TableBatches`] (an
-//! in-memory table re-chunked), [`crate::CsvChunkReader`] (a CSV
-//! stream), and the out-of-core readers in [`crate::paged`]; the
-//! generator and polluter crates add streaming producers on top.
+//! The two canonical implementations are [`TableBatches`] (an
+//! in-memory table re-chunked) and [`crate::CsvChunkReader`] (a CSV
+//! stream, the out-of-core reader); the generator and polluter crates
+//! add streaming producers on top.
 //!
 //! ## Implementor guide
 //!
@@ -62,7 +62,8 @@ pub trait BatchSource {
     fn rows_emitted(&self) -> usize;
 
     /// Total rows this source will emit, when known up front (an
-    /// in-memory table, a paged directory). `None` for open streams.
+    /// in-memory table, a generator's row budget). `None` for open
+    /// streams.
     /// A hint only: consumers must not rely on it for correctness.
     fn row_count_hint(&self) -> Option<usize> {
         None

@@ -296,8 +296,8 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// Declare how many data rows the stream must deliver. CSV carries
     /// no framing, so a stream torn exactly at a line boundary is
     /// indistinguishable from a shorter file — unless the consumer
-    /// knows the count out of band (a paged manifest, a generator's
-    /// row budget, a chaos harness). With an expectation set, an early
+    /// knows the count out of band (a generator's row budget, a chaos
+    /// harness). With an expectation set, an early
     /// end of stream becomes a typed [`TableError::Csv`] naming both
     /// counts instead of a silently truncated relation.
     pub fn with_expected_rows(mut self, n_rows: usize) -> Self {

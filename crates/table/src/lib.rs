@@ -19,8 +19,9 @@
 //!   auditing tool to turn numeric class attributes into nominal ones
 //!   before decision-tree induction (sec. 5 of the paper);
 //! * [`BatchSource`] is the one streaming abstraction every pipeline
-//!   stage speaks — bounded [`Table`] batches in row order — with
-//!   [`paged`] providing the out-of-core on-disk backend behind it.
+//!   stage speaks — bounded [`Table`] batches in row order — and
+//!   [`CsvChunkReader`] its on-disk reader: CSV is the one format rows
+//!   are written to and read from.
 //!
 //! The crate has no dependencies; everything above it composes through
 //! these types.
@@ -32,7 +33,6 @@ pub mod csv;
 pub mod date;
 pub mod discretize;
 pub mod error;
-pub mod paged;
 pub mod schema;
 pub mod schema_io;
 pub mod table;
@@ -44,7 +44,6 @@ pub use column::{Column, TypedCell};
 pub use csv::{read_csv, write_csv, CsvChunkReader, CsvWriter, QuarantinedRow};
 pub use discretize::{discretize_equal_frequency, discretize_equal_width, Binning};
 pub use error::TableError;
-pub use paged::{PagedTable, PagedWriter};
 pub use schema::{AttrType, Attribute, Schema};
 pub use schema_io::{read_schema, render_schema, write_schema};
 pub use table::{RowSlice, Table};

@@ -27,8 +27,8 @@ impl Table {
         Table { schema, columns, n_rows: 0 }
     }
 
-    /// Reassemble a table from decoded columns (the paged backend's
-    /// door back into memory). Every column must match its attribute's
+    /// Assemble a table from columns filled outside it (the CSV
+    /// reader's typed per-batch columns). Every column must match its attribute's
     /// kind and hold exactly `n_rows` cells.
     pub(crate) fn from_parts(
         schema: Arc<Schema>,

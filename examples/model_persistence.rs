@@ -45,11 +45,11 @@ fn main() {
     // 3. Audit forever: a later process reloads the model and streams
     //    a CSV through it in small batches. Nothing but one batch is
     //    ever in memory.
-    let loaded = StructureModel::load(&schema, model_file.as_slice()).expect("model loads");
+    let engine = AuditEngine::load(schema.clone(), model_file.as_slice()).expect("model loads");
     let mut csv = Vec::new();
     write_csv(&dirty, &mut csv).expect("csv serializes");
     let batches = CsvChunkReader::new(schema.clone(), csv.as_slice(), 256).expect("valid header");
-    let streamed = auditor.detect_stream(&loaded, batches).expect("stream audit succeeds");
+    let streamed = engine.detect(batches).expect("stream audit succeeds");
 
     // 4. The guarantee: byte-identical to the in-memory round trip.
     let in_memory = auditor.detect(&model, &dirty);

@@ -8,7 +8,7 @@
 //!
 //! * [`table`] — typed columnar tables with nominal/numeric/date
 //!   domains and NULLs, chunked row-range views for sharded scans, the
-//!   `BatchSource` streaming abstraction and the paged on-disk backend;
+//!   `BatchSource` streaming abstraction and its chunked CSV reader;
 //! * [`exec`] — a std-only scoped worker pool with deterministic
 //!   input-order results plus the shared `Parallelism` knob, the
 //!   execution substrate of every parallel phase;
@@ -147,8 +147,8 @@ pub use dq_tdg as tdg;
 /// ```
 pub mod prelude {
     pub use dq_core::{
-        apply_corrections, corrections_to_csv, propose_corrections, AuditConfig, AuditReport,
-        Auditor, Correction, Finding, StructureModel,
+        apply_corrections, corrections_to_csv, propose_corrections, AuditConfig, AuditEngine,
+        AuditReport, Auditor, Correction, Finding, StructureModel,
     };
     pub use dq_eval::{Scale, Series, TestEnvironment};
     pub use dq_exec::{Parallelism, WorkerPool};
@@ -159,8 +159,7 @@ pub mod prelude {
     pub use dq_stats::{ConfusionMatrix, CorrectionMatrix, DistributionSpec};
     pub use dq_table::{
         read_csv, read_schema, render_schema, write_csv, write_schema, AttrType, Attribute,
-        BatchSource, CsvChunkReader, CsvWriter, PagedTable, PagedWriter, ReplaySource, Schema,
-        SchemaBuilder, Table, Value,
+        BatchSource, CsvChunkReader, CsvWriter, ReplaySource, Schema, SchemaBuilder, Table, Value,
     };
     pub use dq_tdg::{GeneratedBenchmark, StartDistributions, TestDataGenerator};
 }

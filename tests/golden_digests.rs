@@ -119,12 +119,12 @@ fn render_snapshot() -> String {
                 model.save(schema, &mut saved).expect("model renders");
 
                 let report = report_digest(&auditor.detect(&model, table), schema);
-                let streamed = auditor
-                    .detect_stream(&model, table.batches(STREAM_BATCH_ROWS))
+                let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
+                let streamed = engine
+                    .detect(table.batches(STREAM_BATCH_ROWS))
                     .expect("in-memory batches never fail");
                 assert_eq!(report_digest(&streamed, schema), report, "streamed detect drifted");
 
-                let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
                 let (mut findings, mut confidences) = (Vec::new(), Vec::new());
                 let mut offset = 0;
                 let mut batches = table.batches(STREAM_BATCH_ROWS);

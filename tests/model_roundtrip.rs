@@ -1,10 +1,11 @@
 //! The train-once / audit-forever round-trip guarantee.
 //!
 //! For any workspace-generated dataset, `induce → save → load →
-//! detect_stream` — at any chunk size ≥ 1 and any thread count — must
-//! produce a report **byte-identical** to the in-memory `induce →
-//! detect` path. The comparison is literal: the rendered report CSV
-//! and corrections CSV bytes, plus the exact `f64` finding lists.
+//! AuditEngine::detect` over a CSV stream — at any chunk size ≥ 1 and
+//! any thread count — must produce a report **byte-identical** to the
+//! in-memory `induce → detect` path. The comparison is literal: the
+//! rendered report CSV and corrections CSV bytes, plus the exact `f64`
+//! finding lists.
 //! CI runs this suite twice (default parallelism and `DQ_THREADS=1`),
 //! so the guarantee is pinned on both scheduling regimes.
 
@@ -49,16 +50,16 @@ fn fixtures() -> Vec<(&'static str, Table)> {
     vec![("tdg-mixed", tdg_dirty), ("quis", quis.dirty), ("ordered", t)]
 }
 
-/// Stream `table` through CSV bytes into `detect_stream`.
-fn stream_report(
-    auditor: &Auditor,
-    model: &StructureModel,
-    schema: Arc<Schema>,
-    csv: &[u8],
-    chunk_rows: usize,
-) -> AuditReport {
-    let reader = CsvChunkReader::new(schema, csv, chunk_rows).expect("valid header");
-    auditor.detect_stream(model, reader).expect("stream detection succeeds")
+/// Stream CSV bytes through `engine` in `chunk_rows`-row batches.
+fn stream_report(engine: &AuditEngine, csv: &[u8], chunk_rows: usize) -> AuditReport {
+    let reader =
+        CsvChunkReader::new(engine.schema().clone(), csv, chunk_rows).expect("valid header");
+    engine.detect(reader).expect("stream detection succeeds")
+}
+
+/// A resident engine over `model`, at `threads` workers per request.
+fn engine(model: StructureModel, schema: &Arc<Schema>, threads: Option<usize>) -> AuditEngine {
+    AuditEngine::new(model, schema.clone()).with_threads(threads)
 }
 
 #[test]
@@ -74,16 +75,15 @@ fn save_load_detect_stream_is_byte_identical_to_in_memory() {
         // Persist the model and the data.
         let mut model_bytes = Vec::new();
         model.save(table.schema(), &mut model_bytes).unwrap();
-        let loaded = StructureModel::load(table.schema(), model_bytes.as_slice()).unwrap();
         let mut csv = Vec::new();
         write_csv(&table, &mut csv).unwrap();
 
-        for chunk_rows in [1, 7, 113, table.n_rows().max(1), usize::MAX / 2] {
-            for threads in [Some(1), Some(2), Some(5), None] {
-                let streaming =
-                    Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() });
-                let report =
-                    stream_report(&streaming, &loaded, table.schema().clone(), &csv, chunk_rows);
+        for threads in [Some(1), Some(2), Some(5), None] {
+            let streaming = AuditEngine::load(table.schema().clone(), model_bytes.as_slice())
+                .unwrap()
+                .with_threads(threads);
+            for chunk_rows in [1, 7, 113, table.n_rows().max(1), usize::MAX / 2] {
+                let report = stream_report(&streaming, &csv, chunk_rows);
                 assert_eq!(
                     report.to_csv(table.schema()),
                     reference_report,
@@ -117,12 +117,14 @@ fn save_load_save_is_byte_stable_for_all_fixtures() {
 
 #[test]
 fn detect_stream_on_in_memory_batches_matches_detect() {
-    // detect_stream is not tied to CSV: hand it the table's own chunks
-    // as owned batches and the merged report must still be identical.
+    // Streamed detection is not tied to CSV: hand it the table's own
+    // chunks as owned batches and the merged report must still be
+    // identical.
     let (_, table) = fixtures().remove(2);
     let auditor = Auditor::default();
     let model = auditor.induce(&table).unwrap();
     let reference = auditor.detect(&model, &table);
+    let engine = engine(model, table.schema(), None);
     for n_batches in [1, 3, 8] {
         let batches: Vec<Result<Table, dq_table::TableError>> = table
             .chunks(n_batches)
@@ -130,7 +132,7 @@ fn detect_stream_on_in_memory_batches_matches_detect() {
             .map(|c| table.select_rows(&c.rows().collect::<Vec<_>>()))
             .collect();
         let source = ReplaySource::new(table.schema().clone(), batches);
-        let report = auditor.detect_stream(&model, source).unwrap();
+        let report = engine.detect(source).unwrap();
         assert_eq!(report.findings, reference.findings, "n_batches={n_batches}");
         assert_eq!(report.record_confidence, reference.record_confidence);
     }
@@ -148,9 +150,9 @@ fn detect_stream_zero_batches_matches_detect_on_empty_table() {
         let model = auditor.induce(&table).unwrap();
         let empty = Table::new(table.schema().clone());
         let in_memory = auditor.detect(&model, &empty);
-        let streamed = auditor
-            .detect_stream(&model, ReplaySource::new(table.schema().clone(), Vec::new()))
-            .unwrap();
+        let engine = engine(model, table.schema(), threads);
+        let streamed =
+            engine.detect(ReplaySource::new(table.schema().clone(), Vec::new())).unwrap();
         assert_eq!(streamed.findings, in_memory.findings);
         assert_eq!(streamed.record_confidence, in_memory.record_confidence);
         assert_eq!(streamed.n_rows(), 0);
@@ -160,7 +162,7 @@ fn detect_stream_zero_batches_matches_detect_on_empty_table() {
         let mut csv = Vec::new();
         write_csv(&empty, &mut csv).unwrap();
         let reader = CsvChunkReader::new(table.schema().clone(), csv.as_slice(), 64).unwrap();
-        let from_csv = auditor.detect_stream(&model, reader).unwrap();
+        let from_csv = engine.detect(reader).unwrap();
         assert_eq!(from_csv.to_csv(table.schema()), in_memory.to_csv(table.schema()));
     }
 }
@@ -172,8 +174,7 @@ fn mid_stream_errors_carry_the_physical_line() {
     // with the 1-based physical CSV line of the bad row (header is
     // line 1), not a batch-relative index.
     let (_, table) = fixtures().remove(2);
-    let auditor = Auditor::default();
-    let model = auditor.induce(&table).unwrap();
+    let model = Auditor::default().induce(&table).unwrap();
     let mut buf = Vec::new();
     write_csv(&table, &mut buf).unwrap();
     let csv = String::from_utf8(buf).unwrap();
@@ -184,7 +185,7 @@ fn mid_stream_errors_carry_the_physical_line() {
     lines.insert(bad_at, "hi,not-a-number,2001-01-01");
     let spliced = lines.join("\n") + "\n";
     let reader = CsvChunkReader::new(table.schema().clone(), spliced.as_bytes(), 64).unwrap();
-    let err = auditor.detect_stream(&model, reader).unwrap_err();
+    let err = engine(model, table.schema(), None).detect(reader).unwrap_err();
     let shown = err.to_string();
     assert!(shown.contains("column `n`"), "got {shown}");
     // Physical line = 0-based position in `lines` + 1.
@@ -194,8 +195,7 @@ fn mid_stream_errors_carry_the_physical_line() {
 #[test]
 fn stream_errors_surface_with_location() {
     let (_, table) = fixtures().remove(2);
-    let auditor = Auditor::default();
-    let model = auditor.induce(&table).unwrap();
+    let model = Auditor::default().induce(&table).unwrap();
     let mut csv = String::new();
     {
         let mut buf = Vec::new();
@@ -204,7 +204,7 @@ fn stream_errors_surface_with_location() {
     }
     csv.push_str("hi,not-a-number,2001-01-01\n");
     let reader = CsvChunkReader::new(table.schema().clone(), csv.as_bytes(), 64).unwrap();
-    let err = auditor.detect_stream(&model, reader).unwrap_err();
+    let err = engine(model, table.schema(), None).detect(reader).unwrap_err();
     let shown = err.to_string();
     assert!(shown.contains("column `n`"), "got {shown}");
     assert!(shown.contains(&format!("line {}", table.n_rows() + 2)), "got {shown}");
