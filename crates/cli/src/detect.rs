@@ -6,8 +6,8 @@
 //!   `--chunk-rows` batches, so a file (much) larger than RAM audits
 //!   at O(chunk) memory with a report byte-identical to the in-memory
 //!   path. One loop runs: [`dq_core::AuditEngine::scan_batch`] per
-//!   batch, then [`dq_core::AuditEngine::report_from_parts`] over the
-//!   accumulated parts;
+//!   batch, then [`dq_core::AuditEngine::report`] over the accumulated
+//!   findings and the row count. It holds one batch plus the findings;
 //! * `--server ADDR --model-name NAME` skips the local model entirely
 //!   and posts the CSV to a running `dq serve` daemon's
 //!   `/audit/{name}/stream` endpoint via
@@ -28,7 +28,7 @@
 //!   instead of aborting the scan; `--max-bad-rows N` bounds the
 //!   budget, and overflowing it exits with the distinct code 3;
 //! * `--checkpoint DIR` journals the scan cursor and spills the
-//!   loop's findings + per-row confidences to binary sidecars at every
+//!   loop's findings to the binary `findings.bin` sidecar at every
 //!   `--checkpoint-every`-batch boundary, so `--resume` continues a
 //!   killed audit with a final report byte-identical to an
 //!   uninterrupted one.
@@ -36,12 +36,13 @@
 use crate::args::{CliError, Flags};
 use crate::checkpoint::{config_fingerprint, jerr, Job, JobFlags, OutputId};
 use crate::io_util::{at, load_schema, say, write_file};
+use dq_core::report::{decode_findings, encode_finding, FINDING_RECORD};
 use dq_core::{
     corrections_to_csv, propose_corrections, AuditEngine, AuditError, Finding, StructureModel,
 };
 use dq_job::fnv1a;
 use dq_serve::client::{post_with_retry, RetryPolicy, Unavailable};
-use dq_table::{BatchSource, CsvChunkReader, QuarantinedRow, TableError, Value};
+use dq_table::{BatchSource, CsvChunkReader, QuarantinedRow, TableError};
 use std::fs::File;
 use std::io::BufReader;
 use std::net::ToSocketAddrs;
@@ -105,7 +106,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
     let mut scan = match &checkpoint {
-        None => Scan { engine, findings: Vec::new(), confidences: Vec::new(), checkpoint: None },
+        None => Scan { engine, findings: Vec::new(), rows: 0, checkpoint: None },
         Some(job_flags) => {
             let config = detect_fingerprint(model_path, chunk_rows)?;
             match Checkpoint::open(job_flags, config, engine)? {
@@ -123,15 +124,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if quarantine.is_some() {
         batches = batches.with_quarantine(max_bad_rows.unwrap_or(usize::MAX));
     }
-    batches.skip_data_rows(scan.confidences.len()).map_err(|e| format!("{input}: {e}"))?;
+    batches.skip_data_rows(scan.rows).map_err(|e| format!("{input}: {e}"))?;
     let stream_error = scan.drain(&mut batches)?;
     let quarantined = batches.take_quarantined();
     let secs = t0.elapsed().as_secs_f64();
 
-    // The accumulated parts move into the report: at a million rows a
-    // copy of the confidences alone would be megabytes of peak memory.
-    let Scan { engine, findings, confidences, checkpoint: ckpt } = scan;
-    let report = engine.report_from_parts(findings, confidences);
+    let Scan { engine, findings, rows, checkpoint: ckpt } = scan;
+    let report = engine.report(findings, rows);
     // Flush what was audited even when the stream failed mid-way: a
     // partial report over millions of clean rows beats an empty file.
     if let Some(path) = flags.get("report") {
@@ -195,43 +194,36 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The one local scan loop: [`AuditEngine::scan_batch`] per batch,
-/// accumulating the parts [`AuditEngine::report_from_parts`] turns
-/// into the report, and spilling them to the optional checkpoint.
+/// accumulating the findings and row count [`AuditEngine::report`]
+/// turns into the report, and spilling them to the optional checkpoint.
 struct Scan {
     engine: AuditEngine,
     findings: Vec<Finding>,
-    confidences: Vec<f64>,
+    /// Rows scanned so far: the next batch's global row offset.
+    rows: usize,
     checkpoint: Option<Checkpoint>,
 }
 
 impl Scan {
-    /// Drain `batches` into the accumulated parts. Returns the stream
-    /// error, if any: the complete batches before it stay scanned (and,
-    /// checkpointed, committed — the resume point is the failure's
-    /// doorstep, not the last periodic commit).
+    /// Drain `batches` into the accumulated findings. Returns the
+    /// stream error, if any: the complete batches before it stay
+    /// scanned (and, checkpointed, committed — the resume point is the
+    /// failure's doorstep, not the last periodic commit).
     fn drain(&mut self, mut batches: impl BatchSource) -> Result<Option<AuditError>, CliError> {
         loop {
             match batches.next_batch() {
                 Ok(Some(batch)) => {
-                    // One confidence per scanned row: the count so far
-                    // is the batch's global row offset.
-                    let (findings, confidences) =
-                        self.engine.scan_batch(&batch, self.confidences.len());
+                    let (findings, _) = self.engine.scan_batch(&batch, self.rows);
+                    self.rows += batch.n_rows();
                     if let Some(ckpt) = &mut self.checkpoint {
-                        ckpt.spill(
-                            &findings,
-                            &confidences,
-                            self.confidences.len() + confidences.len(),
-                            self.findings.len() + findings.len(),
-                        )?;
+                        ckpt.spill(&findings, self.rows, self.findings.len() + findings.len())?;
                     }
                     self.findings.extend(findings);
-                    self.confidences.extend(confidences);
                 }
                 Ok(None) => return Ok(None),
                 Err(e) => {
                     if let Some(ckpt) = &mut self.checkpoint {
-                        ckpt.commit(self.confidences.len(), self.findings.len())?;
+                        ckpt.commit(self.rows, self.findings.len())?;
                     }
                     return Ok(Some(e.into()));
                 }
@@ -254,89 +246,6 @@ fn render_dead_letters(rows: &[QuarantinedRow]) -> String {
 // Checkpointed detection
 // ---------------------------------------------------------------------------
 
-/// Byte length of one encoded finding record in `findings.bin`.
-const FINDING_RECORD: usize = 50;
-
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => {
-            out.push(0);
-            out.extend_from_slice(&0u64.to_le_bytes());
-        }
-        Value::Nominal(code) => {
-            out.push(1);
-            out.extend_from_slice(&u64::from(*code).to_le_bytes());
-        }
-        Value::Number(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Date(d) => {
-            out.push(3);
-            out.extend_from_slice(&(*d as u64).to_le_bytes());
-        }
-    }
-}
-
-fn decode_value(tag: u8, payload: u64) -> Result<Value, String> {
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::Nominal(u32::try_from(payload).map_err(|_| "nominal code overflow")?),
-        2 => Value::Number(f64::from_bits(payload)),
-        3 => Value::Date(payload as i64),
-        other => return Err(format!("unknown value tag {other}")),
-    })
-}
-
-/// Encode one finding as a fixed 50-byte record: row, attr, observed,
-/// proposed, confidence bits, support bits (all little-endian; values
-/// as tag byte + 8-byte payload).
-fn encode_finding(f: &Finding, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(f.row as u64).to_le_bytes());
-    out.extend_from_slice(&(f.attr as u64).to_le_bytes());
-    encode_value(&f.observed, out);
-    encode_value(&f.proposed, out);
-    out.extend_from_slice(&f.confidence.to_bits().to_le_bytes());
-    out.extend_from_slice(&f.support.to_bits().to_le_bytes());
-}
-
-/// Decode a committed `findings.bin` prefix. Every record must name an
-/// attribute of the `n_attrs`-attribute schema and a row below the
-/// journaled `cursor` — anything else is corruption, never a finding.
-fn decode_findings(bytes: &[u8], n_attrs: usize, cursor: usize) -> Result<Vec<Finding>, String> {
-    if bytes.len() % FINDING_RECORD != 0 {
-        return Err(format!(
-            "{} bytes is not a whole number of {FINDING_RECORD}-byte records",
-            bytes.len()
-        ));
-    }
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let mut findings = Vec::with_capacity(bytes.len() / FINDING_RECORD);
-    for record in 0..bytes.len() / FINDING_RECORD {
-        let base = record * FINDING_RECORD;
-        let (row, attr) = (u64_at(base), u64_at(base + 8));
-        if attr >= n_attrs as u64 {
-            return Err(format!(
-                "finding record {record} names attribute {attr} of a {n_attrs}-attribute schema"
-            ));
-        }
-        if row >= cursor as u64 {
-            return Err(format!(
-                "finding record {record} names row {row}, past the {cursor} journaled rows"
-            ));
-        }
-        findings.push(Finding {
-            row: row as usize,
-            attr: attr as usize,
-            observed: decode_value(bytes[base + 16], u64_at(base + 17))?,
-            proposed: decode_value(bytes[base + 25], u64_at(base + 26))?,
-            confidence: f64::from_bits(u64_at(base + 34)),
-            support: f64::from_bits(u64_at(base + 42)),
-        });
-    }
-    Ok(findings)
-}
-
 /// The config fingerprint of a checkpointed detect. The model bytes
 /// ARE the config: a model retrained between incarnations changes
 /// every confidence, so its content hash (not its path) anchors the
@@ -352,24 +261,22 @@ fn detect_fingerprint(model_path: &str, chunk_rows: usize) -> Result<u64, CliErr
 }
 
 /// `dq detect --checkpoint` state riding on the scan loop: a [`Job`]
-/// journaling the scan cursor, plus the `findings.bin` +
-/// `confidence.bits` sidecars the accumulated parts spill to, so a
-/// resumed audit's final report is byte-identical to an uninterrupted
-/// one.
+/// journaling the scan cursor, plus the `findings.bin` sidecar the
+/// findings spill to, so a resumed audit's final report is
+/// byte-identical to an uninterrupted one.
 struct Checkpoint {
     job: Job,
     findings_out: OutputId,
-    confidence_out: OutputId,
-    record_buf: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Start the job and build the scan that continues from it: empty
-    /// parts, or — with `--resume` — the committed parts restored from
-    /// the sidecars. `None` means the journal says the job is already
-    /// done. Either way the (cursor-zero or restored-state) journal is
-    /// committed before scanning, so a crash anywhere after this can
-    /// resume.
+    /// Start the job and build the scan that continues from it: no
+    /// findings at row zero, or — with `--resume` — the committed
+    /// findings restored from the sidecar at the journaled cursor (a
+    /// `confidence.bits` sidecar an older `dq` journaled is not read).
+    /// `None` means the journal says the job is already done. Either way
+    /// the (cursor-zero or restored-state) journal is committed before
+    /// scanning, so a crash anywhere after this can resume.
     fn open(flags: &JobFlags, config: u64, engine: AuditEngine) -> Result<Option<Scan>, CliError> {
         let schema = engine.schema().clone();
         let Some(mut job) = Job::start(Some(flags), "detect", config, schema.fingerprint())? else {
@@ -377,58 +284,39 @@ impl Checkpoint {
         };
         let cursor = job.resumed().map_or(0, |journal| journal.cursor_rows as usize);
         let findings_path = flags.dir().join("findings.bin");
-        let confidence_path = flags.dir().join("confidence.bits");
         let findings_out = job.bytes("findings.bin", &findings_path, b"")?;
-        let confidence_out = job.bytes("confidence.bits", &confidence_path, b"")?;
 
-        // The sidecars now hold exactly their committed prefixes.
-        let read = |path: &Path| std::fs::read(path).map_err(|e| CliError::from(at(path, e)));
-        let confidence_bytes = read(&confidence_path)?;
-        if confidence_bytes.len() != cursor * 8 {
-            return Err(CliError::Runtime(format!(
-                "confidence.bits watermark ({} bytes) disagrees with the cursor ({cursor} rows); \
-                 the checkpoint is inconsistent — refusing to resume",
-                confidence_bytes.len()
-            )));
-        }
-        let findings =
-            decode_findings(&read(&findings_path)?, schema.len(), cursor).map_err(|detail| {
-                jerr(dq_job::JobError::Torn { path: findings_path.display().to_string(), detail })
-            })?;
-        let confidences = confidence_bytes
-            .chunks_exact(8)
-            .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))))
-            .collect::<Vec<f64>>();
-        let mut checkpoint =
-            Checkpoint { job, findings_out, confidence_out, record_buf: Vec::new() };
+        // The sidecar now holds exactly its committed prefix.
+        let bytes = std::fs::read(&findings_path).map_err(|e| at(&findings_path, e))?;
+        let findings = decode_findings(&bytes, schema.len(), cursor).map_err(|e| {
+            jerr(dq_job::JobError::Torn {
+                path: findings_path.display().to_string(),
+                detail: e.to_string(),
+            })
+        })?;
+        let mut checkpoint = Checkpoint { job, findings_out };
         checkpoint.commit(cursor, findings.len())?;
-        Ok(Some(Scan { engine, findings, confidences, checkpoint: Some(checkpoint) }))
+        Ok(Some(Scan { engine, findings, rows: cursor, checkpoint: Some(checkpoint) }))
     }
 
-    /// Append one scanned batch's parts to the sidecars, committing
+    /// Append one scanned batch's findings to the sidecar, committing
     /// every `--checkpoint-every` batches; `rows`/`n_findings` are the
     /// totals including this batch.
     fn spill(
         &mut self,
         findings: &[Finding],
-        confidences: &[f64],
         rows: usize,
         n_findings: usize,
     ) -> Result<(), CliError> {
-        self.record_buf.clear();
+        let mut records = Vec::with_capacity(findings.len() * FINDING_RECORD);
         for f in findings {
-            encode_finding(f, &mut self.record_buf);
+            encode_finding(f, &mut records);
         }
-        self.job.write(self.findings_out, &self.record_buf)?;
-        self.record_buf.clear();
-        for c in confidences {
-            self.record_buf.extend_from_slice(&c.to_bits().to_le_bytes());
-        }
-        self.job.write(self.confidence_out, &self.record_buf)?;
+        self.job.write(self.findings_out, &records)?;
         self.job.tick(|journal| scan_state(journal, rows, n_findings))
     }
 
-    /// Commit the sidecars and the journal at `rows` scanned rows.
+    /// Commit the sidecar and the journal at `rows` scanned rows.
     fn commit(&mut self, rows: usize, n_findings: usize) -> Result<(), CliError> {
         self.job.commit(|journal| scan_state(journal, rows, n_findings))
     }

@@ -581,6 +581,67 @@ fn resume_edge_cases_are_loud_refusals() {
     assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
 }
 
+/// A checkpoint written by a `dq` that still journaled one confidence
+/// per scanned row: `golden/parent_checkpoint/ckpt` lists a
+/// `confidence.bits` sidecar beside `findings.bin`, and its last
+/// batch's bytes were flushed past the journaled watermarks before the
+/// crash (`DQ_CRASH_BEFORE_COMMIT=6` on 800 rows in 64-row chunks).
+/// The cursor and `findings.bin` are all a resume needs, so it resumes
+/// to the report and corrections that binary wrote uninterrupted
+/// (committed beside the checkpoint).
+#[test]
+fn parent_written_checkpoint_resumes_byte_identical() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/parent_checkpoint");
+    let file = |name: &str| fixture.join(name).to_string_lossy().into_owned();
+    let dir = TempDir::new("parent-ckpt");
+    let ckpt = dir.path("ckpt");
+    std::fs::create_dir_all(&ckpt).expect("create checkpoint copy");
+    for name in ["job.dqj", "findings.bin", "confidence.bits"] {
+        std::fs::copy(fixture.join("ckpt").join(name), Path::new(&ckpt).join(name))
+            .expect("copy checkpoint fixture");
+    }
+    assert!(
+        String::from_utf8(bytes(&format!("{ckpt}/job.dqj")))
+            .expect("utf-8 journal")
+            .contains("output confidence.bits bytes 2048\n"),
+        "the fixture must be a journal that lists the per-row sidecar"
+    );
+    let (schema, model, input) = (file("schema.dqs"), file("model.dqm"), file("dirty.csv"));
+    let (report, corr) = (dir.path("report.csv"), dir.path("corr.csv"));
+    let detect = |report: &str, corr: &str, checkpoint: &[&str]| {
+        let mut args = vec![
+            "detect",
+            "--schema",
+            &schema,
+            "--model",
+            &model,
+            "--input",
+            &input,
+            "--report",
+            report,
+            "--corrections",
+            corr,
+            "--chunk-rows",
+            "64",
+            "--top",
+            "0",
+        ];
+        args.extend_from_slice(checkpoint);
+        dq_ok(&args);
+    };
+    detect(&report, &corr, &["--checkpoint", &ckpt, "--checkpoint-every", "1", "--resume"]);
+    assert_file_eq(&file("report.csv"), &report, "resumed parent checkpoint");
+    assert_file_eq(&file("corrections.csv"), &corr, "resumed parent checkpoint");
+    let journal = String::from_utf8(bytes(&format!("{ckpt}/job.dqj"))).expect("utf-8 journal");
+    assert!(journal.contains("state done\n"), "{journal}");
+
+    // An uninterrupted run of this binary writes the same bytes.
+    let (fresh_report, fresh_corr) = (dir.path("fresh-report.csv"), dir.path("fresh-corr.csv"));
+    detect(&fresh_report, &fresh_corr, &[]);
+    assert_file_eq(&file("report.csv"), &fresh_report, "uninterrupted run");
+    assert_file_eq(&file("corrections.csv"), &fresh_corr, "uninterrupted run");
+}
+
 #[test]
 fn quarantine_routes_malformed_rows_and_enforces_budget() {
     let dir = TempDir::new("quar");

@@ -88,20 +88,18 @@ impl AssociationAuditor {
     /// fixed order and the report is byte-identical at every thread
     /// count.
     pub fn detect(&self, miner: &Apriori, table: &Table) -> AuditReport {
-        let (findings, record_confidence) =
-            scan_sharded(self.config.threads.pool(), table, 0, |chunk| {
-                self.scan_chunk(miner, chunk)
-            });
-        AuditReport::new(findings, record_confidence, self.config.min_confidence)
+        let (findings, _) = scan_sharded(self.config.threads.pool(), table, 0, |chunk| {
+            (self.scan_chunk(miner, chunk), Vec::new())
+        });
+        AuditReport::new(findings, table.n_rows(), self.config.min_confidence)
     }
 
     /// Score one row chunk: code each record, fold the confidences of
     /// the rules it violates, and report the strongest violated rule
     /// of every record scoring at or above the threshold.
-    fn scan_chunk(&self, miner: &Apriori, chunk: &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>) {
+    fn scan_chunk(&self, miner: &Apriori, chunk: &RowSlice<'_>) -> Vec<Finding> {
         let table = chunk.table();
         let mut findings = Vec::new();
-        let mut confidences = Vec::with_capacity(chunk.len());
         let mut record: Vec<Value> = Vec::with_capacity(table.n_cols());
         let mut coded = Vec::with_capacity(table.n_cols());
         for row in chunk.rows() {
@@ -119,7 +117,6 @@ impl AssociationAuditor {
                 }
             }
             let score = score.min(1.0);
-            confidences.push(score);
             if score >= self.config.min_confidence {
                 if let Some(rule) = best {
                     findings.push(Finding {
@@ -136,7 +133,7 @@ impl AssociationAuditor {
                 }
             }
         }
-        (findings, confidences)
+        findings
     }
 }
 
@@ -199,7 +196,8 @@ mod tests {
         // Multiple violated rules: the sum clamps to 1, the max stays
         // at the strongest single rule (< 1 on finite evidence… both
         // are ~1 here, but sum ≥ max always).
-        assert!(sum_report.record_confidence[deviant] >= max_report.record_confidence[deviant]);
+        let score = |r: &AuditReport| r.best_finding_for(deviant).unwrap().confidence;
+        assert!(score(&sum_report) >= score(&max_report));
         assert!(max_report.is_flagged(deviant));
     }
 
@@ -287,7 +285,7 @@ mod tests {
                 miner.violated(&coded).map(|r| (r.attr, r.code, r.confidence)).collect();
             assert_eq!(violated, vec![(1, 0, c1), (2, 0, c2)], "the oracle table drifted");
 
-            assert_eq!(report.record_confidence[deviant].to_bits(), expected.to_bits());
+            assert!(report.is_flagged(deviant));
             let f = report.best_finding_for(deviant).unwrap();
             assert_eq!((f.attr, f.observed, f.proposed), (1, Value::Nominal(1), Value::Nominal(0)));
             assert_eq!(f.confidence.to_bits(), expected.to_bits());

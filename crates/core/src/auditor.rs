@@ -14,7 +14,7 @@
 //! one table serves "both for training and data audit".
 
 use crate::confidence::min_instances_for_confidence;
-use crate::engine;
+use crate::engine::{scan_chunk, scan_chunk_reference, scan_sharded};
 use crate::error::AuditError;
 use crate::report::AuditReport;
 use dq_exec::{Parallelism, WorkerPool};
@@ -299,16 +299,26 @@ impl Auditor {
     /// order, so the result is identical at every thread count. An
     /// empty table yields an empty, well-formed report.
     pub fn detect(&self, model: &StructureModel, table: &Table) -> AuditReport {
-        engine::detect_table(model, table, self.config.threads, engine::scan_chunk)
+        let pool = self.config.threads.pool();
+        let (findings, _) = scan_sharded(pool, table, 0, |chunk| scan_chunk(model, chunk, false));
+        AuditReport::new(findings, table.n_rows(), model.config().min_confidence)
     }
 
     /// Reference deviation detection: identical to [`Auditor::detect`]
     /// but scanning row-at-a-time through materialized `Vec<Value>`
     /// records and the boxed [`Node`](dq_mining::Node) trees. Kept only
-    /// as the ground truth of the columnar-equivalence property suite;
-    /// the returned report is byte-identical to [`Auditor::detect`]'s.
-    pub fn detect_reference(&self, model: &StructureModel, table: &Table) -> AuditReport {
-        engine::detect_table(model, table, self.config.threads, engine::scan_chunk_reference)
+    /// as the ground truth of the columnar-equivalence property suite,
+    /// so it also returns the per-row overall error confidences (Def. 8)
+    /// that [`crate::AuditEngine::scan_batch`] must match bit for bit.
+    pub fn detect_reference(
+        &self,
+        model: &StructureModel,
+        table: &Table,
+    ) -> (AuditReport, Vec<f64>) {
+        let pool = self.config.threads.pool();
+        let (findings, confidences) =
+            scan_sharded(pool, table, 0, |chunk| scan_chunk_reference(model, chunk));
+        (AuditReport::new(findings, table.n_rows(), model.config().min_confidence), confidences)
     }
 
     /// Single-database mode: induce and detect on the same table.
@@ -417,7 +427,7 @@ mod tests {
         assert!(report.is_flagged(deviant), "the deviation must be flagged");
         // "The data auditing tool assigns an error confidence of 99,95%
         // to this instance and ranks it first."
-        assert!(report.record_confidence[deviant] > 0.999);
+        assert!(report.best_finding_for(deviant).unwrap().confidence > 0.999);
         assert_eq!(report.findings[0].row, deviant);
         // The suggestion restores the rule.
         let f = report.best_finding_for(deviant).unwrap();
@@ -591,8 +601,7 @@ mod tests {
                 Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() });
             let (model_p, report_p) = par.run(&t).unwrap();
             assert_eq!(model_p.render(t.schema()), model_s.render(t.schema()));
-            assert_eq!(report_p.findings, report_s.findings, "threads={threads}");
-            assert_eq!(report_p.record_confidence, report_s.record_confidence);
+            assert_eq!(report_p, report_s, "threads={threads}");
         }
     }
 
@@ -641,9 +650,12 @@ mod tests {
             "presorted induction must serialize identically to the reference"
         );
         let report = auditor.detect(&model, &t);
-        let reference_report = auditor.detect_reference(&reference_model, &t);
-        assert_eq!(report.findings, reference_report.findings);
-        for (a, b) in report.record_confidence.iter().zip(&reference_report.record_confidence) {
+        let (reference_report, reference_confidences) =
+            auditor.detect_reference(&reference_model, &t);
+        assert_eq!(report, reference_report);
+        let (_, confidences) = crate::AuditEngine::new(model, t.schema().clone()).scan_batch(&t, 0);
+        assert_eq!(confidences.len(), reference_confidences.len());
+        for (a, b) in confidences.iter().zip(&reference_confidences) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -679,9 +691,10 @@ mod tests {
         let model = auditor.induce(&t).unwrap();
         assert!(model.models.iter().all(|m| m.flat_tree().is_none()));
         let report = auditor.detect(&model, &t);
-        let reference = auditor.detect_reference(&model, &t);
-        assert_eq!(report.findings, reference.findings);
-        assert_eq!(report.record_confidence, reference.record_confidence);
+        let (reference, reference_confidences) = auditor.detect_reference(&model, &t);
+        assert_eq!(report, reference);
+        let (_, confidences) = crate::AuditEngine::new(model, t.schema().clone()).scan_batch(&t, 0);
+        assert_eq!(confidences, reference_confidences);
     }
 
     #[test]

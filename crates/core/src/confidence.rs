@@ -97,6 +97,37 @@ mod tests {
         assert!((10..200).contains(&m80), "minInst(0.8) = {m80}");
     }
 
+    /// Oracle: for a pure leaf of `n` instances, Wilson's bounds are
+    /// `leftBound(1, n) = n / (n + z²)` and
+    /// `rightBound(0, n) = z² / (n + z²)`, so the best error confidence
+    /// is `(n − z²) / (n + z²)`, which reaches `m` exactly from
+    /// `n = z² (1 + m) / (1 − m)` on. The two-sided normal quantiles
+    /// are hard-coded, not computed.
+    #[test]
+    fn min_inst_matches_the_closed_form_of_the_wilson_bound() {
+        for (level, z) in [
+            (0.90, 1.644_853_626_951_472_2),
+            (0.95, 1.959_963_984_540_054),
+            (0.99, 2.575_829_303_548_900_4),
+        ] {
+            let z2: f64 = z * z;
+            for m in (1..=19).map(|k| f64::from(k) * 0.05).chain([0.99, 0.999]) {
+                let threshold = z2 * (1.0 + m) / (1.0 - m);
+                // A threshold within rounding of an integer could land
+                // on either side of it; none of this grid does.
+                assert!((threshold - threshold.round()).abs() > 1e-6, "m {m}, level {level}");
+                let expected = threshold.ceil() as u64;
+                assert_eq!(
+                    min_instances_for_confidence(m, level),
+                    expected,
+                    "m {m}, level {level}"
+                );
+            }
+        }
+        // The "minInst 35" `dq induce` prints at its defaults.
+        assert_eq!(min_instances_for_confidence(0.8, 0.95), 35);
+    }
+
     #[test]
     fn min_inst_edge_cases() {
         assert_eq!(min_instances_for_confidence(0.0, LEVEL), 1);

@@ -30,29 +30,24 @@ pub struct Correction {
 /// error confidence" for that record).
 ///
 /// The findings arrive ranked by descending confidence (with the same
-/// tiebreaks `AuditReport::best_finding_for` resolves by), so a single
-/// pass taking each row's *first* finding selects exactly the per-row
-/// winners — O(findings) instead of the former per-suspicious-row
-/// rescan of the whole finding list, with byte-identical output (a row
-/// is flagged iff it has a finding, both gated on the same
-/// `min_confidence`).
+/// tiebreaks `AuditReport::best_finding_for` resolves by), so after a
+/// stable sort by row each row's *first* finding is its winner. Time is
+/// O(findings · log findings) and memory O(findings), whatever the
+/// number of audited rows.
 pub fn propose_corrections(report: &AuditReport) -> Vec<Correction> {
-    let mut taken = vec![false; report.n_rows()];
-    let mut out = Vec::new();
-    for f in &report.findings {
-        if taken[f.row] {
-            continue;
-        }
-        taken[f.row] = true;
-        out.push(Correction {
+    let mut out: Vec<Correction> = report
+        .findings
+        .iter()
+        .map(|f| Correction {
             row: f.row,
             attr: f.attr,
             old: f.observed,
             new: f.proposed,
             confidence: f.confidence,
-        });
-    }
+        })
+        .collect();
     out.sort_by_key(|c| c.row);
+    out.dedup_by_key(|c| c.row);
     out
 }
 
@@ -124,7 +119,7 @@ mod tests {
                     support: 50.0,
                 },
             ],
-            vec![0.9, 0.2],
+            2,
             0.8,
         )
     }

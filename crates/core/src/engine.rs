@@ -18,10 +18,12 @@
 //! Every detection path runs the one columnar `scan_chunk` through
 //! `scan_sharded`; `scan_chunk_reference` (boxed trees over
 //! materialized records) is kept only as the ground truth it is checked
-//! against. The batch [`Auditor`](crate::Auditor) delegates to the same
-//! internals, so an engine's answers are **byte-identical** to the
-//! batch auditor's — the invariant `tests/serve_equivalence.rs` pins
-//! under concurrency.
+//! against. A detection holds one batch plus its findings: the per-row
+//! overall error confidence (Def. 8) exists only per batch, through
+//! [`AuditEngine::scan_batch`], and is never accumulated. The batch
+//! [`Auditor`](crate::Auditor) delegates to the same internals, so an
+//! engine's answers are **byte-identical** to the batch auditor's — the
+//! invariant `tests/serve_equivalence.rs` pins under concurrency.
 
 use crate::auditor::{materialize_class, AttrModel, StructureModel};
 use crate::error::AuditError;
@@ -106,45 +108,47 @@ impl AuditEngine {
     /// table's [`Table::batches`], a [`CsvChunkReader`], a generator —
     /// byte-identical to [`crate::Auditor::detect`] over the
     /// concatenated batches at every batch size and thread count. The
-    /// first failing batch aborts the scan with its error.
+    /// first failing batch aborts the scan with its error. It holds one
+    /// batch plus the findings so far.
     pub fn detect(&self, mut batches: impl BatchSource) -> Result<AuditReport, AuditError> {
         let pool = self.threads.pool();
         let mut findings = Vec::new();
-        let mut record_confidence = Vec::with_capacity(batches.row_count_hint().unwrap_or(0));
+        let mut rows = 0;
         while let Some(batch) = batches.next_batch()? {
-            // One confidence per scanned row: the count so far is the
-            // batch's global row offset.
-            let offset = record_confidence.len();
-            let (f, c) = scan_sharded(pool, &batch, offset, |chunk| scan_chunk(&self.model, chunk));
+            let (f, _) =
+                scan_sharded(pool, &batch, rows, |chunk| scan_chunk(&self.model, chunk, false));
             findings.extend(f);
-            record_confidence.extend(c);
+            rows += batch.n_rows();
         }
-        Ok(self.report_from_parts(findings, record_confidence))
+        Ok(self.report(findings, rows))
     }
 
     /// Scan one batch whose first row has global index `row_offset`,
     /// returning the batch's findings (row indices globalized) and its
-    /// per-row error confidences in row order — the incremental unit a
-    /// `dq detect` accumulates (and, checkpointed, persists at each
-    /// commit). The arithmetic is exactly the streaming scan's, so
-    /// accumulating parts across batches and finishing with
-    /// [`AuditEngine::report_from_parts`] is byte-identical to one
-    /// uninterrupted [`AuditEngine::detect`].
+    /// per-row overall error confidences (Def. 8) in row order — the
+    /// incremental unit of a `dq detect`. The arithmetic is exactly the
+    /// streaming scan's, so accumulating the findings across batches
+    /// and finishing with [`AuditEngine::report`] is byte-identical to
+    /// one uninterrupted [`AuditEngine::detect`].
     pub fn scan_batch(&self, batch: &Table, row_offset: usize) -> (Vec<Finding>, Vec<f64>) {
-        scan_sharded(self.threads.pool(), batch, row_offset, |chunk| scan_chunk(&self.model, chunk))
+        scan_sharded(self.threads.pool(), batch, row_offset, |chunk| {
+            scan_chunk(&self.model, chunk, true)
+        })
     }
 
-    /// Assemble the final report from parts accumulated by
-    /// [`AuditEngine::scan_batch`] — the same rank ordering (and
-    /// min-confidence threshold) every other detection entry point
-    /// applies, so a resumed audit's report is byte-identical to an
-    /// uninterrupted one's.
-    pub fn report_from_parts(
-        &self,
-        findings: Vec<Finding>,
-        record_confidence: Vec<f64>,
-    ) -> AuditReport {
-        AuditReport::new(findings, record_confidence, self.model.config().min_confidence)
+    /// Assemble the final report of an `n_rows`-row scan from the
+    /// findings accumulated by [`AuditEngine::scan_batch`] — the same
+    /// rank ordering (and min-confidence threshold) every other
+    /// detection entry point applies, so a resumed audit's report is
+    /// byte-identical to an uninterrupted one's.
+    pub fn report(&self, findings: Vec<Finding>, n_rows: usize) -> AuditReport {
+        AuditReport::new(findings, n_rows, self.model.config().min_confidence)
+    }
+
+    /// [`AuditEngine::report`] over `confidences.len()` rows, kept only
+    /// for the perfbench harness, which still collects them.
+    pub fn report_from_parts(&self, findings: Vec<Finding>, confidences: Vec<f64>) -> AuditReport {
+        self.report(findings, confidences.len())
     }
 
     /// Audit a CSV stream (header + records) end to end: chunks of
@@ -179,9 +183,9 @@ impl AuditEngine {
 /// The one shard–scan–merge loop behind every detection path: split
 /// `table` into one row chunk per worker of `pool`, scan the chunks
 /// with `scan`, and concatenate the partial findings (row indices
-/// shifted by `row_offset`) and per-row confidences in row order.
-/// Sharding happens strictly at chunk granularity, so the output is
-/// bit-identical at every worker count.
+/// shifted by `row_offset`) and per-row confidences (when the scan
+/// keeps them) in row order. Sharding happens strictly at chunk
+/// granularity, so the output is bit-identical at every worker count.
 pub(crate) fn scan_sharded<S>(
     pool: WorkerPool,
     table: &Table,
@@ -194,7 +198,6 @@ where
     let chunks = table.chunks(pool.threads());
     let mut partials = pool.map_indexed(&chunks, |_, chunk| scan(chunk)).into_iter();
     let (mut findings, mut confidences) = partials.next().unwrap_or_default();
-    confidences.reserve_exact(table.n_rows() - confidences.len());
     for (chunk_findings, chunk_confidences) in partials {
         findings.extend(chunk_findings);
         confidences.extend(chunk_confidences);
@@ -205,29 +208,13 @@ where
     (findings, confidences)
 }
 
-/// A chunk scanner: the columnar [`scan_chunk`] or the reference
-/// [`scan_chunk_reference`].
-pub(crate) type ScanFn = fn(&StructureModel, &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>);
-
-/// In-memory detection over a whole table, behind
-/// [`crate::Auditor::detect`] (and, with [`scan_chunk_reference`], its
-/// reference twin).
-pub(crate) fn detect_table(
-    model: &StructureModel,
-    table: &Table,
-    threads: Parallelism,
-    scan: ScanFn,
-) -> AuditReport {
-    let (findings, record_confidence) =
-        scan_sharded(threads.pool(), table, 0, |chunk| scan(model, chunk));
-    AuditReport::new(findings, record_confidence, model.config().min_confidence)
-}
-
 /// Scan one row chunk against the structure model, returning the
-/// chunk's findings (global row indices) and its per-row overall error
-/// confidences (Def. 8), in row order. Sharding happens strictly at
-/// chunk granularity, so the per-row arithmetic is bit-identical at
-/// every thread count.
+/// chunk's findings (global row indices) and, if `keep_confidences`,
+/// its per-row overall error confidences (Def. 8) in row order (else an
+/// empty vector). A row gets a finding exactly when its overall
+/// confidence is positive and reaches the minimal confidence. Sharding
+/// happens strictly at chunk granularity, so the per-row arithmetic is
+/// bit-identical at every thread count.
 ///
 /// This is the **columnar** inner loop: C4.5 models classify through
 /// their compiled [`dq_mining::FlatTree`]s straight off the table's
@@ -236,11 +223,15 @@ pub(crate) fn detect_table(
 /// row record is materialized only when a non-C4.5 model (which takes
 /// whole records) is present. The per-finding arithmetic is unchanged
 /// from [`scan_chunk_reference`], so reports are byte-identical.
-pub(crate) fn scan_chunk(model: &StructureModel, chunk: &RowSlice<'_>) -> (Vec<Finding>, Vec<f64>) {
+pub(crate) fn scan_chunk(
+    model: &StructureModel,
+    chunk: &RowSlice<'_>,
+    keep_confidences: bool,
+) -> (Vec<Finding>, Vec<f64>) {
     let cfg = model.config();
     let table = chunk.table();
     let mut findings = Vec::new();
-    let mut confidences = Vec::with_capacity(chunk.len());
+    let mut confidences = Vec::with_capacity(if keep_confidences { chunk.len() } else { 0 });
     // Per-model facts hoisted out of the row loop (the class-card
     // lookup is a virtual call; rows × models of them add up).
     let prepared: Vec<(&AttrModel, usize, Option<&dq_mining::FlatTree>)> = model
@@ -304,7 +295,9 @@ pub(crate) fn scan_chunk(model: &StructureModel, chunk: &RowSlice<'_>) -> (Vec<F
                 });
             }
         }
-        confidences.push(row_confidence);
+        if keep_confidences {
+            confidences.push(row_confidence);
+        }
     }
     (findings, confidences)
 }
@@ -397,9 +390,25 @@ mod tests {
         let engine = AuditEngine::new(auditor.induce(&t).unwrap(), schema.clone());
         let got = engine.detect(t.batches(97)).unwrap();
         assert_eq!(got.to_csv(&schema), expected.to_csv(&schema));
-        assert_eq!(got.findings, expected.findings);
+        assert_eq!(got, expected);
+
+        // Per batch, the per-row confidences agree with the reference
+        // scan's, and a row is flagged exactly when its confidence
+        // reaches the threshold.
+        let (_, reference) = auditor.detect_reference(engine.model(), &t);
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.record_confidence), bits(&expected.record_confidence));
+        let (mut findings, mut confidences) = (Vec::new(), Vec::new());
+        let mut batches = t.batches(97);
+        while let Some(batch) = batches.next_batch().unwrap() {
+            let (f, c) = engine.scan_batch(&batch, confidences.len());
+            findings.extend(f);
+            confidences.extend(c);
+        }
+        assert_eq!(bits(&confidences), bits(&reference));
+        assert_eq!(engine.report(findings, t.n_rows()), expected);
+        for (row, c) in confidences.iter().enumerate() {
+            assert_eq!(expected.is_flagged(row), *c >= expected.min_confidence, "row {row}");
+        }
     }
 
     #[test]

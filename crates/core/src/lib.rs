@@ -15,8 +15,8 @@
 //! * [`engine`] — the `Sync`-shareable [`AuditEngine`]: a resident
 //!   structure model (its compiled flat trees) answering concurrent
 //!   detection requests, the substrate of `dq serve`;
-//! * [`report`] — ranked findings with per-record overall error
-//!   confidence (Def. 8);
+//! * [`report`] — ranked findings, the rows they flag, and their
+//!   binary checkpoint codec;
 //! * [`correction`] — proposed corrections from the highest-confidence
 //!   classifier (sec. 5.3) and their application;
 //! * [`association`] — the Hipp-style association-rule auditor used as

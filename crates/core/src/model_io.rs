@@ -921,12 +921,12 @@ mod tests {
         let loaded = StructureModel::load(t.schema(), buf.as_slice()).unwrap();
         let from_disk = auditor.detect(&loaded, &t);
 
-        assert_eq!(from_disk.findings, in_memory.findings);
-        assert_eq!(from_disk.record_confidence, in_memory.record_confidence);
-        assert_eq!(from_disk.min_confidence, in_memory.min_confidence);
+        assert_eq!(from_disk, in_memory);
         assert_eq!(loaded.n_rules(), model.n_rules());
         assert_eq!(loaded.min_inst, model.min_inst);
         assert_eq!(loaded.render(t.schema()), model.render(t.schema()));
+        let per_row = |m| crate::AuditEngine::new(m, t.schema().clone()).scan_batch(&t, 0).1;
+        assert_eq!(per_row(loaded), per_row(model));
     }
 
     #[test]

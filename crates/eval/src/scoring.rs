@@ -117,18 +117,17 @@ mod tests {
         pollute(&clean, &cfg, &mut StdRng::seed_from_u64(1))
     }
 
+    /// A report over `n` rows with one finding on each of `rows`.
     fn report_flagging(rows: &[usize], n: usize) -> AuditReport {
-        // Build a minimal report through the public-ish surface: the
-        // auditor API normally constructs it; here we use the record
-        // confidences directly.
-        let mut conf = vec![0.0; n];
-        for &r in rows {
-            conf[r] = 0.9;
-        }
-        // AuditReport::new is crate-private; emulate with the auditor…
-        // instead, dq-core exposes construction through detect(); for
-        // unit scoring we re-use the struct literal via Default.
-        AuditReport { findings: Vec::new(), record_confidence: conf, min_confidence: 0.8 }
+        let finding = |row| dq_core::Finding {
+            row,
+            attr: 0,
+            observed: Value::Null,
+            proposed: Value::Nominal(0),
+            confidence: 0.9,
+            support: 10.0,
+        };
+        AuditReport::new(rows.iter().map(|&r| finding(r)).collect(), n, 0.8)
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() {
     // 4. The guarantee: byte-identical to the in-memory round trip.
     let in_memory = auditor.detect(&model, &dirty);
     assert_eq!(streamed.to_csv(&schema), in_memory.to_csv(&schema));
-    assert_eq!(streamed.record_confidence, in_memory.record_confidence);
+    assert_eq!(streamed, in_memory);
     println!(
         "\nstreamed {} rows in 256-row batches: {} suspicious, identical to the in-memory report",
         streamed.n_rows(),

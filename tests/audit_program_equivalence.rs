@@ -4,8 +4,8 @@
 //! On randomly polluted tables (NULL cells and out-of-label `#<code>`
 //! nominal codes included) the report at 2 and 4 threads must be
 //! **byte-identical** to the serial one. The comparison is literal:
-//! the rendered report CSV, the exact finding lists, and bit-equal
-//! `f64` record confidences.
+//! the rendered report CSV, the exact finding lists with bit-equal
+//! `f64` confidences, and the flagged row set.
 
 use data_audit::prelude::*;
 use dq_core::{AssociationAuditConfig, AssociationAuditor, AssociationScoring};
@@ -42,12 +42,6 @@ fn messy_benchmark(seed: u64) -> Table {
     dirty
 }
 
-/// Bit-level view of the per-record confidences (plain `==` on f64
-/// would already accept -0.0 / 0.0 and reject NaN).
-fn bits(confidences: &[f64]) -> Vec<u64> {
-    confidences.iter().map(|c| c.to_bits()).collect()
-}
-
 #[test]
 fn association_audit_matches_reference_at_every_thread_count() {
     for seed in [11u64, 77] {
@@ -72,9 +66,13 @@ fn association_audit_matches_reference_at_every_thread_count() {
                     reference.to_csv(table.schema()),
                     "seed {seed}, {scoring:?}, {threads} threads"
                 );
-                assert_eq!(report.findings, reference.findings);
-                assert_eq!(bits(&report.record_confidence), bits(&reference.record_confidence));
-                assert_eq!(report.n_suspicious(), reference.n_suspicious());
+                // Bit-level: plain `==` on f64 would accept -0.0 / 0.0.
+                let bits = |r: &AuditReport| {
+                    r.findings.iter().map(|f| f.confidence.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&report), bits(&reference));
+                // Findings, flagged rows and row count.
+                assert_eq!(report, reference);
             }
         }
     }

@@ -60,7 +60,8 @@ fn assert_equivalent(table: &Table, threads: impl Into<dq_exec::Parallelism>) {
 
     // Reports compared through the CSV byte surface and the raw bits.
     let report = auditor.detect(&model, table);
-    let reference_report = auditor.detect_reference(&reference_model, table);
+    let (reference_report, reference_confidences) =
+        auditor.detect_reference(&reference_model, table);
     assert_eq!(report.to_csv(table.schema()), reference_report.to_csv(table.schema()));
     assert_eq!(report.findings.len(), reference_report.findings.len());
     for (a, b) in report.findings.iter().zip(&reference_report.findings) {
@@ -71,10 +72,11 @@ fn assert_equivalent(table: &Table, threads: impl Into<dq_exec::Parallelism>) {
         assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
         assert_eq!(a.support.to_bits(), b.support.to_bits());
     }
-    assert_eq!(report.record_confidence.len(), reference_report.record_confidence.len());
-    for (i, (a, b)) in
-        report.record_confidence.iter().zip(&reference_report.record_confidence).enumerate()
-    {
+    assert_eq!(report, reference_report);
+    let engine = AuditEngine::new(model, table.schema().clone());
+    let (_, confidences) = engine.scan_batch(table, 0);
+    assert_eq!(confidences.len(), reference_confidences.len());
+    for (i, (a, b)) in confidences.iter().zip(&reference_confidences).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "record confidence, row {i}");
     }
 

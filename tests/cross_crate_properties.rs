@@ -87,8 +87,10 @@ proptest! {
         let (model, report) = Auditor::default().run(&dirty).unwrap();
         prop_assert!(model.min_inst > 0.0);
         prop_assert_eq!(report.n_rows(), dirty.n_rows());
-        for row in 0..report.n_rows() {
-            let c = report.record_confidence[row];
+        let engine = dq_core::AuditEngine::new(model, dirty.schema().clone());
+        let (_, confidences) = engine.scan_batch(&dirty, 0);
+        prop_assert_eq!(confidences.len(), dirty.n_rows());
+        for (row, &c) in confidences.iter().enumerate() {
             prop_assert!((0.0..=1.0).contains(&c));
             prop_assert_eq!(report.is_flagged(row), c >= report.min_confidence);
         }

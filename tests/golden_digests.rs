@@ -7,11 +7,13 @@
 //!
 //! * FNV-1a of the persisted model (`StructureModel::save`), and
 //! * FNV-1a of the report CSV (`AuditReport::to_csv`) followed by the
-//!   little-endian bit patterns of every per-record confidence,
+//!   little-endian bit patterns of every per-record confidence that
+//!   `AuditEngine::scan_batch` returns batch by batch,
 //!
-//! and checks the in-memory, streamed and per-batch detection paths
-//! all land on the same report digest. It pins the association
-//! auditor the same way: the report digest of
+//! and checks the in-memory and streamed detection paths land on the
+//! same report as the per-batch scan, flagging exactly the rows whose
+//! confidence reaches the threshold. It pins the association auditor
+//! by the report CSV followed by the flagged rows of
 //! `AssociationAuditor::detect` on a polluted sec. 6.1 baseline table
 //! with injected NULLs and out-of-label codes, per seed, scoring and
 //! thread count. The snapshot lives in
@@ -46,10 +48,12 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/audit_digests.txt")
 }
 
-fn report_digest(report: &AuditReport, schema: &Schema) -> u64 {
+/// FNV-1a of the report CSV followed by the little-endian bytes of
+/// each of `words`.
+fn digest(report: &AuditReport, schema: &Schema, words: impl IntoIterator<Item = u64>) -> u64 {
     let mut bytes = report.to_csv(schema).into_bytes();
-    for c in &report.record_confidence {
-        bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+    for word in words {
+        bytes.extend_from_slice(&word.to_le_bytes());
     }
     fnv1a(&bytes)
 }
@@ -93,7 +97,8 @@ fn render_association(out: &mut String) {
                 });
                 let report = auditor.detect(&miner, &table);
                 assert!(report.n_suspicious() > 0, "the digest must cover flagged records");
-                let report = report_digest(&report, table.schema());
+                let flagged = (0..report.n_rows()).filter(|&row| report.is_flagged(row));
+                let report = digest(&report, table.schema(), flagged.map(|row| row as u64));
                 let _ = writeln!(out, "{seed} {scoring:?} {threads} {report:016x}");
             }
         }
@@ -118,24 +123,26 @@ fn render_snapshot() -> String {
                 let mut saved = Vec::new();
                 model.save(schema, &mut saved).expect("model renders");
 
-                let report = report_digest(&auditor.detect(&model, table), schema);
+                let in_memory = auditor.detect(&model, table);
                 let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
                 let streamed = engine
                     .detect(table.batches(STREAM_BATCH_ROWS))
                     .expect("in-memory batches never fail");
-                assert_eq!(report_digest(&streamed, schema), report, "streamed detect drifted");
 
                 let (mut findings, mut confidences) = (Vec::new(), Vec::new());
-                let mut offset = 0;
                 let mut batches = table.batches(STREAM_BATCH_ROWS);
                 while let Some(batch) = batches.next_batch().expect("in-memory batch") {
-                    let (f, c) = engine.scan_batch(&batch, offset);
-                    offset += batch.n_rows();
+                    let (f, c) = engine.scan_batch(&batch, confidences.len());
                     findings.extend(f);
                     confidences.extend(c);
                 }
-                let parts = engine.report_from_parts(findings, confidences);
-                assert_eq!(report_digest(&parts, schema), report, "per-batch scan drifted");
+                let per_batch = engine.report(findings, confidences.len());
+                assert_eq!(in_memory, per_batch, "in-memory detect drifted");
+                assert_eq!(streamed, per_batch, "streamed detect drifted");
+                for (row, c) in confidences.iter().enumerate() {
+                    assert_eq!(per_batch.is_flagged(row), *c >= per_batch.min_confidence);
+                }
+                let report = digest(&per_batch, schema, confidences.iter().map(|c| c.to_bits()));
 
                 let _ =
                     writeln!(out, "{seed} {rows} {threads} {:016x} {report:016x}", fnv1a(&saved));

@@ -94,10 +94,9 @@ fn save_load_detect_stream_is_byte_identical_to_in_memory() {
                     reference_corrections,
                     "{name}: corrections differ at chunk_rows={chunk_rows}, threads={threads:?}"
                 );
-                // Beyond the rendering: the exact floats and flags.
-                assert_eq!(report.findings, in_memory.findings, "{name}");
-                assert_eq!(report.record_confidence, in_memory.record_confidence, "{name}");
-                assert_eq!(report.n_suspicious(), in_memory.n_suspicious(), "{name}");
+                // Beyond the rendering: the exact floats, flags and
+                // row count.
+                assert_eq!(report, in_memory, "{name}");
             }
         }
     }
@@ -133,8 +132,7 @@ fn detect_stream_on_in_memory_batches_matches_detect() {
             .collect();
         let source = ReplaySource::new(table.schema().clone(), batches);
         let report = engine.detect(source).unwrap();
-        assert_eq!(report.findings, reference.findings, "n_batches={n_batches}");
-        assert_eq!(report.record_confidence, reference.record_confidence);
+        assert_eq!(report, reference, "n_batches={n_batches}");
     }
 }
 
@@ -153,8 +151,7 @@ fn detect_stream_zero_batches_matches_detect_on_empty_table() {
         let engine = engine(model, table.schema(), threads);
         let streamed =
             engine.detect(ReplaySource::new(table.schema().clone(), Vec::new())).unwrap();
-        assert_eq!(streamed.findings, in_memory.findings);
-        assert_eq!(streamed.record_confidence, in_memory.record_confidence);
+        assert_eq!(streamed, in_memory);
         assert_eq!(streamed.n_rows(), 0);
         assert_eq!(streamed.n_suspicious(), 0);
         assert_eq!(streamed.to_csv(table.schema()), in_memory.to_csv(table.schema()));

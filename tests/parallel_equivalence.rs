@@ -53,6 +53,16 @@ fn auditor_with(threads: impl Into<dq_exec::Parallelism>) -> Auditor {
     Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() })
 }
 
+/// The per-row overall error confidences of `model` over `table`, as
+/// one `scan_batch` at `threads` workers returns them.
+fn row_confidences(
+    model: StructureModel,
+    table: &Table,
+    threads: impl Into<dq_exec::Parallelism>,
+) -> Vec<f64> {
+    AuditEngine::new(model, table.schema().clone()).with_threads(threads).scan_batch(table, 0).1
+}
+
 /// Byte-level equality for f64 sequences (`==` would also accept
 /// -0.0/0.0 confusions; the contract is *byte-identical*).
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -101,15 +111,18 @@ fn audit_reports_are_byte_identical_across_thread_counts() {
                 assert_eq!(fp.confidence.to_bits(), fs.confidence.to_bits());
                 assert_eq!(fp.support.to_bits(), fs.support.to_bits());
             }
-            assert_bits_eq(
-                &report.record_confidence,
-                &serial_report.record_confidence,
-                &format!("fixture {i}, threads {threads}"),
-            );
+            assert_eq!(report, serial_report, "fixture {i}, threads {threads}");
             // Proposed corrections derive from the findings and agree too.
             let serial_fixes = propose_corrections(&serial_report);
             let parallel_fixes = propose_corrections(&report);
             assert_eq!(parallel_fixes, serial_fixes, "fixture {i}, threads {threads}");
+        }
+        let mut engine = AuditEngine::new(serial_model, table.schema().clone());
+        let serial = engine.scan_batch(table, 0).1;
+        for threads in [2, 4] {
+            engine = engine.with_threads(threads);
+            let what = format!("fixture {i}, threads {threads}");
+            assert_bits_eq(&engine.scan_batch(table, 0).1, &serial, &what);
         }
     }
 }
@@ -119,15 +132,14 @@ fn full_parallel_run_equals_full_serial_run() {
     // End to end: parallel induction feeding parallel detection equals
     // the all-serial pipeline (not just mixed combinations).
     for table in fixtures() {
-        let (_, serial_report) = auditor_with(Some(1)).run(&table).unwrap();
-        let (_, parallel_report) = auditor_with(Some(4)).run(&table).unwrap();
-        assert_eq!(parallel_report.findings, serial_report.findings);
+        let (serial_model, serial_report) = auditor_with(Some(1)).run(&table).unwrap();
+        let (parallel_model, parallel_report) = auditor_with(Some(4)).run(&table).unwrap();
+        assert_eq!(parallel_report, serial_report);
         assert_bits_eq(
-            &parallel_report.record_confidence,
-            &serial_report.record_confidence,
+            &row_confidences(parallel_model, &table, 4),
+            &row_confidences(serial_model, &table, 1),
             "full run",
         );
-        assert_eq!(parallel_report.n_suspicious(), serial_report.n_suspicious());
     }
 }
 
@@ -137,8 +149,12 @@ fn default_thread_resolution_matches_serial_results() {
     // `DQ_THREADS`), the results must equal the serial path — the
     // guarantee CI exercises by running the suite under both settings.
     let table = &fixtures()[1];
-    let (_, serial) = auditor_with(Some(1)).run(table).unwrap();
-    let (_, auto) = auditor_with(None).run(table).unwrap();
-    assert_eq!(auto.findings, serial.findings);
-    assert_bits_eq(&auto.record_confidence, &serial.record_confidence, "auto threads");
+    let (serial_model, serial) = auditor_with(Some(1)).run(table).unwrap();
+    let (auto_model, auto) = auditor_with(None).run(table).unwrap();
+    assert_eq!(auto, serial);
+    assert_bits_eq(
+        &row_confidences(auto_model, table, None),
+        &row_confidences(serial_model, table, 1),
+        "auto threads",
+    );
 }
