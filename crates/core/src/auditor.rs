@@ -391,7 +391,7 @@ pub(crate) fn materialize_class(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_table::SchemaBuilder;
+    use dq_table::{BatchSource, SchemaBuilder};
 
     /// The QUIS anecdote shape, scaled: BRV=404 ⇒ GBM=901 (`n1` clean
     /// instances + 1 deviation appended last), BRV=501 ⇒ GBM=911 (`n2`).
@@ -624,6 +624,44 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Detect in memory, streamed and batch by batch; check the three
+    /// reports agree and flag exactly the rows whose confidence reaches
+    /// the threshold; return the report and the per-row confidences.
+    fn detect_three_ways(
+        auditor: &Auditor,
+        model: StructureModel,
+        t: &Table,
+    ) -> (AuditReport, Vec<f64>) {
+        let in_memory = auditor.detect(&model, t);
+        let engine = crate::AuditEngine::new(model, t.schema().clone());
+        let streamed = engine.detect(t.batches(97)).unwrap();
+        let (mut findings, mut confidences) = (Vec::new(), Vec::new());
+        let mut batches = t.batches(97);
+        while let Some(batch) = batches.next_batch().unwrap() {
+            let (f, c) = engine.scan_batch(&batch, confidences.len());
+            findings.extend(f);
+            confidences.extend(c);
+        }
+        let per_batch = engine.report(findings, t.n_rows());
+        assert_eq!(in_memory, per_batch);
+        assert_eq!(streamed, per_batch);
+        for (row, c) in confidences.iter().enumerate() {
+            assert_eq!(per_batch.is_flagged(row), *c >= per_batch.min_confidence, "row {row}");
+        }
+        (per_batch, confidences)
+    }
+
+    /// The model text and the report bytes (CSV plus every per-row
+    /// confidence's bits) on a mixed-type table are frozen. The digests
+    /// were recorded while the row-at-a-time reference inducer and the
+    /// boxed-tree reference scan were checked to give the same bytes.
     #[test]
     fn columnar_paths_are_byte_identical_to_reference_paths() {
         // Mixed-type table: nominal dependency + numeric class + NULLs.
@@ -644,20 +682,27 @@ mod tests {
         let auditor = Auditor::default();
         let model = auditor.induce(&t).unwrap();
         let reference_model = auditor.induce_reference(&t).unwrap();
+        let rendered = crate::model_io::render_model(&model, t.schema()).unwrap();
         assert_eq!(
-            crate::model_io::render_model(&model, t.schema()).unwrap(),
+            rendered,
             crate::model_io::render_model(&reference_model, t.schema()).unwrap(),
             "presorted induction must serialize identically to the reference"
         );
-        let report = auditor.detect(&model, &t);
         let (reference_report, reference_confidences) =
             auditor.detect_reference(&reference_model, &t);
+        let (report, confidences) = detect_three_ways(&auditor, model, &t);
         assert_eq!(report, reference_report);
-        let (_, confidences) = crate::AuditEngine::new(model, t.schema().clone()).scan_batch(&t, 0);
         assert_eq!(confidences.len(), reference_confidences.len());
         for (a, b) in confidences.iter().zip(&reference_confidences) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        assert!(report.n_suspicious() > 0, "the digest must cover flagged rows");
+        let mut bytes = report.to_csv(t.schema()).into_bytes();
+        for c in &confidences {
+            bytes.extend_from_slice(&c.to_bits().to_le_bytes());
+        }
+        assert_eq!(fnv1a(rendered.as_bytes()), 0x7670_5cb9_22de_87d2, "model text drifted");
+        assert_eq!(fnv1a(&bytes), 0x5954_12ec_96fa_8b25, "report drifted");
     }
 
     #[test]
@@ -690,11 +735,11 @@ mod tests {
         });
         let model = auditor.induce(&t).unwrap();
         assert!(model.models.iter().all(|m| m.flat_tree().is_none()));
-        let report = auditor.detect(&model, &t);
         let (reference, reference_confidences) = auditor.detect_reference(&model, &t);
+        let (report, confidences) = detect_three_ways(&auditor, model, &t);
         assert_eq!(report, reference);
-        let (_, confidences) = crate::AuditEngine::new(model, t.schema().clone()).scan_batch(&t, 0);
         assert_eq!(confidences, reference_confidences);
+        assert!(report.n_suspicious() > 0, "the deviation must be flagged");
     }
 
     #[test]

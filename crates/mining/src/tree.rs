@@ -2362,9 +2362,66 @@ mod tests {
         t
     }
 
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The tree's structure as bytes: per node a tag, then (for a
+    /// split) its attribute, split kind with the threshold's bits, and
+    /// fractions; then every class count's bits; children follow in
+    /// branch order.
+    fn encode_node(node: &Node, out: &mut Vec<u8>) {
+        let floats = |out: &mut Vec<u8>, xs: &[f64]| {
+            out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+            for x in xs {
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        };
+        match node {
+            Node::Leaf { counts, enabled } => {
+                out.push(if *enabled { b'L' } else { b'l' });
+                floats(out, counts);
+            }
+            Node::Split { attr, kind, children, fractions, counts } => {
+                out.push(b'S');
+                out.extend_from_slice(&(*attr as u64).to_le_bytes());
+                match kind {
+                    SplitKind::Nominal => out.push(b'n'),
+                    SplitKind::Threshold(t) => {
+                        out.push(b't');
+                        out.extend_from_slice(&t.to_bits().to_le_bytes());
+                    }
+                }
+                floats(out, fractions);
+                floats(out, counts);
+                for child in children {
+                    encode_node(child, out);
+                }
+            }
+        }
+    }
+
+    fn c45_golden_path() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/c45_digests.txt")
+    }
+
+    /// The presorted inducer on `messy_table(400)` for every class
+    /// attribute, pruning mode and split criterion: one FNV-1a line per
+    /// configuration over the tree's structure followed by the bits of
+    /// its `predict` counts on every row. The frozen lines in
+    /// `tests/golden/c45_digests.txt` were recorded while the
+    /// row-at-a-time reference inducer (per-node re-sort, cells read
+    /// through `Table::get`, every cut between distinct values scored)
+    /// was checked equal to this inducer on each configuration.
+    /// Regenerate after an *intentional* change with
+    /// `GOLDEN_REGEN=1 cargo test -p dq_mining presorted_induction`.
     #[test]
     fn presorted_induction_is_byte_identical_to_reference() {
         let t = messy_table(400);
+        let mut actual = String::from("# class pruning criterion tree_and_predictions_fnv1a\n");
         for class_attr in 0..t.n_cols() {
             let ts = TrainingSet::full(&t, class_attr, 4).unwrap();
             for pruning in [
@@ -2383,17 +2440,33 @@ mod tests {
                         reference.root(),
                         "class {class_attr}, {pruning:?}, {criterion:?}"
                     );
+                    let mut bytes = Vec::new();
+                    encode_node(fast.root(), &mut bytes);
                     // Equality above is structural; also pin the floats.
                     for r in 0..t.n_rows() {
                         let rec = t.row(r);
                         let (pf, pr) = (fast.predict(&rec), reference.predict(&rec));
                         for (a, b) in pf.counts.iter().zip(&pr.counts) {
                             assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
+                            bytes.extend_from_slice(&a.to_bits().to_le_bytes());
                         }
                     }
+                    actual.push_str(&format!(
+                        "{class_attr} {pruning:?} {criterion:?} {:016x}\n",
+                        fnv1a(&bytes)
+                    ));
                 }
             }
         }
+        let path = c45_golden_path();
+        if std::env::var_os("GOLDEN_REGEN").is_some() {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &actual).unwrap();
+            return;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
+        assert_eq!(actual, expected, "C4.5 golden drift against {}", path.display());
     }
 
     #[test]

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const SEEDS: [u64; 2] = [7, 2003];
 const ROWS: [usize; 2] = [4_000, 20_000];
@@ -105,6 +106,159 @@ fn render_association(out: &mut String) {
     }
 }
 
+/// Induce with `auditor` on `table`, detect in memory, streamed and
+/// batch by batch, check the three reports agree and flag exactly the
+/// rows whose confidence reaches the threshold, and return the model's
+/// FNV-1a (`None` for a classifier family that does not persist) and
+/// the report digest over the per-row confidence bits.
+fn audit_digests(auditor: &Auditor, table: &Table, threads: usize) -> (Option<u64>, u64) {
+    let schema = table.schema();
+    let model = auditor.induce(table).expect("induction succeeds");
+    let saved = matches!(auditor.config.inducer, InducerKind::C45(_)).then(|| {
+        let mut saved = Vec::new();
+        model.save(schema, &mut saved).expect("model renders");
+        fnv1a(&saved)
+    });
+
+    let in_memory = auditor.detect(&model, table);
+    let reference_model = auditor.induce_reference(table).expect("reference induction succeeds");
+    let (reference_report, reference_confidences) =
+        auditor.detect_reference(&reference_model, table);
+    let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
+    let streamed =
+        engine.detect(table.batches(STREAM_BATCH_ROWS)).expect("in-memory batches never fail");
+
+    let (mut findings, mut confidences) = (Vec::new(), Vec::new());
+    let mut batches = table.batches(STREAM_BATCH_ROWS);
+    while let Some(batch) = batches.next_batch().expect("in-memory batch") {
+        let (f, c) = engine.scan_batch(&batch, confidences.len());
+        findings.extend(f);
+        confidences.extend(c);
+    }
+    let per_batch = engine.report(findings, confidences.len());
+    assert_eq!(in_memory, per_batch, "in-memory detect drifted");
+    assert_eq!(streamed, per_batch, "streamed detect drifted");
+    assert_eq!(reference_report, per_batch, "reference detect drifted");
+    assert_eq!(
+        reference_confidences.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+        confidences.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+        "reference confidences drifted"
+    );
+    if let Some(saved) = saved {
+        let mut reference_saved = Vec::new();
+        reference_model.save(schema, &mut reference_saved).expect("model renders");
+        assert_eq!(fnv1a(&reference_saved), saved, "reference model drifted");
+    }
+    for (row, c) in confidences.iter().enumerate() {
+        assert_eq!(per_batch.is_flagged(row), *c >= per_batch.min_confidence);
+    }
+    (saved, digest(&per_batch, schema, confidences.iter().map(|c| c.to_bits())))
+}
+
+fn c45_auditor(threads: usize) -> Auditor {
+    Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() })
+}
+
+fn schema_with(nominal_cards: &[usize], with_numeric: bool, with_date: bool) -> Arc<Schema> {
+    let mut b = SchemaBuilder::new();
+    for (i, &card) in nominal_cards.iter().enumerate() {
+        b = b.nominal_sized(&format!("n{i}"), card);
+    }
+    if with_numeric {
+        b = b.numeric("x", 0.0, 100.0);
+    }
+    if with_date {
+        b = b.date_ymd("d", (1999, 1, 1), (2003, 12, 31));
+    }
+    b.build().unwrap()
+}
+
+/// A generated table after the standard pollution, which injects
+/// NULLs, out-of-domain codes and domain-crossing values.
+fn dirty_table(schema: Arc<Schema>, n_rules: usize, n_rows: usize, seed: u64) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let benchmark = TestDataGenerator::new(schema, n_rules, n_rows).generate(&mut rng);
+    let (dirty, _log) = pollute(&benchmark.clean, &PollutionConfig::standard(), &mut rng);
+    dirty
+}
+
+/// Ties in ordered values, heavy NULLs and an out-of-domain code, at a
+/// size where the induction recurses several levels.
+fn adversarial_table() -> Table {
+    let schema = schema_with(&[5, 2, 3], true, true);
+    let mut table = Table::new(schema);
+    for i in 0..3000usize {
+        let n0 = if i % 17 == 0 { Value::Null } else { Value::Nominal((i % 5) as u32) };
+        let n1 = Value::Nominal(u32::from(i % 10 < 5));
+        let n2 = Value::Nominal((i % 3) as u32);
+        // Few distinct numeric values => many ties for the stable sort.
+        let x = if i % 7 == 0 { Value::Null } else { Value::Number((i % 4) as f64 * 10.0) };
+        let d = if i % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Date(dq_table::date::days_from_civil(2000, 1, 1) + (i % 6) as i64)
+        };
+        table.push_row(&[n0, n1, n2, x, d]).unwrap();
+    }
+    table
+        .push_row_lenient(&[
+            Value::Nominal(99),
+            Value::Nominal(0),
+            Value::Nominal(1),
+            Value::Number(30.0),
+            Value::Null,
+        ])
+        .unwrap();
+    table
+}
+
+/// Snapshot lines for mixed-kind polluted tables (every combination of
+/// a numeric and a date attribute next to nominal ones), the
+/// adversarial fixture, and the classifier families without a flat
+/// tree on QUIS.
+fn render_mixed_and_families(out: &mut String) {
+    out.push_str("# shape numeric date seed threads model_fnv1a report_fnv1a\n");
+    for (with_numeric, with_date) in [(false, false), (true, false), (false, true), (true, true)] {
+        for seed in SEEDS {
+            let table = dirty_table(schema_with(&[3, 4, 3], with_numeric, with_date), 6, 600, seed);
+            for threads in THREADS {
+                let (model, report) = audit_digests(&c45_auditor(threads), &table, threads);
+                let model = model.expect("C4.5 models persist");
+                let _ = writeln!(
+                    out,
+                    "shape {with_numeric} {with_date} {seed} {threads} {model:016x} {report:016x}"
+                );
+            }
+        }
+    }
+    out.push_str("# adversarial threads model_fnv1a report_fnv1a\n");
+    let table = adversarial_table();
+    for threads in THREADS {
+        let (model, report) = audit_digests(&c45_auditor(threads), &table, threads);
+        let model = model.expect("C4.5 models persist");
+        let _ = writeln!(out, "adversarial {threads} {model:016x} {report:016x}");
+    }
+    out.push_str("# family seed rows threads report_fnv1a\n");
+    for seed in SEEDS {
+        let quis = generate_quis(
+            &QuisConfig::default().with_rows(ROWS[0]),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        for inducer in [InducerKind::NaiveBayes, InducerKind::OneR, InducerKind::ZeroR] {
+            for threads in THREADS {
+                let name = inducer.name();
+                let auditor = Auditor::new(AuditConfig {
+                    inducer: inducer.clone(),
+                    threads: threads.into(),
+                    ..AuditConfig::default()
+                });
+                let (_, report) = audit_digests(&auditor, &quis.dirty, threads);
+                let _ = writeln!(out, "{name} {seed} {} {threads} {report:016x}", ROWS[0]);
+            }
+        }
+    }
+}
+
 /// One snapshot line per (seed, rows, threads) configuration.
 fn render_snapshot() -> String {
     let mut out = String::from("# seed rows threads model_fnv1a report_fnv1a\n");
@@ -114,42 +268,15 @@ fn render_snapshot() -> String {
                 &QuisConfig::default().with_rows(rows),
                 &mut StdRng::seed_from_u64(seed),
             );
-            let table = &quis.dirty;
-            let schema = table.schema();
             for threads in THREADS {
-                let auditor =
-                    Auditor::new(AuditConfig { threads: threads.into(), ..AuditConfig::default() });
-                let model = auditor.induce(table).expect("QUIS induction succeeds");
-                let mut saved = Vec::new();
-                model.save(schema, &mut saved).expect("model renders");
-
-                let in_memory = auditor.detect(&model, table);
-                let engine = AuditEngine::new(model, schema.clone()).with_threads(threads);
-                let streamed = engine
-                    .detect(table.batches(STREAM_BATCH_ROWS))
-                    .expect("in-memory batches never fail");
-
-                let (mut findings, mut confidences) = (Vec::new(), Vec::new());
-                let mut batches = table.batches(STREAM_BATCH_ROWS);
-                while let Some(batch) = batches.next_batch().expect("in-memory batch") {
-                    let (f, c) = engine.scan_batch(&batch, confidences.len());
-                    findings.extend(f);
-                    confidences.extend(c);
-                }
-                let per_batch = engine.report(findings, confidences.len());
-                assert_eq!(in_memory, per_batch, "in-memory detect drifted");
-                assert_eq!(streamed, per_batch, "streamed detect drifted");
-                for (row, c) in confidences.iter().enumerate() {
-                    assert_eq!(per_batch.is_flagged(row), *c >= per_batch.min_confidence);
-                }
-                let report = digest(&per_batch, schema, confidences.iter().map(|c| c.to_bits()));
-
-                let _ =
-                    writeln!(out, "{seed} {rows} {threads} {:016x} {report:016x}", fnv1a(&saved));
+                let (model, report) = audit_digests(&c45_auditor(threads), &quis.dirty, threads);
+                let model = model.expect("C4.5 models persist");
+                let _ = writeln!(out, "{seed} {rows} {threads} {model:016x} {report:016x}");
             }
         }
     }
     render_association(&mut out);
+    render_mixed_and_families(&mut out);
     out
 }
 

@@ -1,20 +1,36 @@
-//! Equivalence suite for the compiled/parallel test-data generator:
-//! the fast path of `dq_tdg::generate_table` (compiled rule programs,
-//! dirty-attribute invalidation, worker-pool sharding) must emit
-//! *byte-identical* tables and equal reports to the retained serial
-//! interpreted path `generate_reference`, at every thread count — and
-//! the compiled pollution-side violation accounting must agree with
-//! the interpreted scans on the quis-50k fixture.
+//! Equivalence suite for the compiled/parallel test-data generator.
+//!
+//! `dq_tdg::generate_table` (compiled rule programs, dirty-attribute
+//! invalidation, worker-pool sharding) must emit byte-identical tables
+//! and equal reports at every thread count, and its bytes on the
+//! paper's 100-rule baseline are frozen below. Every generated table is
+//! also checked against the `dq_logic` interpreter, which shares no
+//! code with the compiled programs: its row-by-row `eval_rule` count of
+//! violations must equal the report's unresolved violations, every row
+//! must pass the validating `Table::push_row`, and the rule set must be
+//! natural (Defs. 5–6). The quis-50k fixture checks the compiled
+//! pollution-side violation accounting against the same interpreter.
 
 use data_audit::eval::Baseline;
+use data_audit::job::fnv1a;
 use data_audit::logic::eval::violations_reference;
+use data_audit::logic::{eval_rule, is_natural_rule_set, RuleStatus};
 use data_audit::pollute::{count_violations, unexplained_violations, violating_rows};
 use data_audit::prelude::*;
 use data_audit::quis::{generate_quis, QuisConfig};
-use data_audit::tdg::{generate_rule_set, generate_rule_set_reference, GEN_CHUNK_ROWS};
+use data_audit::tdg::{
+    generate_rule_set, generate_rule_set_reference, GenReport, RuleGenReport, GEN_CHUNK_ROWS,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// FNV-1a of the 100-rule baseline's clean CSV at seed 11.
+const BASELINE_CLEAN_FNV1A: u64 = 0xf857_d30d_c79a_c2d9;
+/// FNV-1a of the rendered 100-rule baseline rule set at seed 7.
+const BASELINE_RULES_FNV1A: u64 = 0x2fd4_dd0d_084a_0afd;
+/// FNV-1a of the rendered 60-rule set at seed 7.
+const RULES_60_FNV1A: u64 = 0x6fd7_7a14_13f7_1966;
 
 /// Bit-exact cell comparison (floats compared by bit pattern — "byte
 /// identical" means byte identical).
@@ -40,9 +56,41 @@ fn assert_tables_identical(a: &Table, b: &Table) {
     }
 }
 
-/// The compiled, pool-sharded generator reproduces the serial
-/// interpreted reference byte for byte at threads 1, 2 and 4, on the
-/// paper's 100-rule baseline and across multiple RNG chunks.
+/// Rows of `table` violating `rule`, by the interpreter row by row.
+fn interpreted_violations(rule: &Rule, table: &Table) -> Vec<usize> {
+    (0..table.n_rows())
+        .filter(|&r| eval_rule(rule, &table.row(r)) == RuleStatus::Violated)
+        .collect()
+}
+
+/// What every generated benchmark must satisfy by the interpreter and
+/// the validating table API, whatever generator produced it.
+fn check_against_interpreter(b: &GeneratedBenchmark) {
+    let total: usize = b.rules.iter().map(|r| interpreted_violations(r, &b.clean).len()).sum();
+    assert_eq!(total as u64, b.gen_report.unresolved_violations, "unresolved violations");
+    assert_eq!(b.gen_report.rows, b.clean.n_rows());
+    // The generator appends with the kind-only `push_row_lenient`; the
+    // validating `push_row` must accept every row it wrote.
+    let mut revalidated = Table::new(b.schema.clone());
+    for r in 0..b.clean.n_rows() {
+        revalidated.push_row(&b.clean.row(r)).unwrap_or_else(|e| panic!("row {r}: {e}"));
+    }
+    assert!(is_natural_rule_set(&b.schema, &b.rules.rules), "the rule set must be natural");
+}
+
+fn csv_fnv1a(table: &Table) -> u64 {
+    let mut bytes = Vec::new();
+    write_csv(table, &mut bytes).expect("in-memory CSV write");
+    fnv1a(&bytes)
+}
+
+fn rules_fnv1a(rules: &RuleSet, schema: &Schema) -> u64 {
+    fnv1a(rules.render(schema).as_bytes())
+}
+
+/// The compiled, pool-sharded generator emits the same bytes at threads
+/// 1, 2 and 4 on the paper's 100-rule baseline across a chunk boundary,
+/// and those bytes are frozen.
 #[test]
 fn parallel_generation_is_byte_identical_to_reference() {
     let baseline = Baseline::new(7);
@@ -52,31 +100,55 @@ fn parallel_generation_is_byte_identical_to_reference() {
     let mut generator = baseline.generator(100, rows);
 
     let reference = generator.generate_with_rules_reference(&rules, &mut StdRng::seed_from_u64(11));
+    let mut first: Option<GeneratedBenchmark> = None;
     for threads in [1usize, 2, 4] {
         generator.data.threads = threads.into();
         let fast = generator.generate_with_rules(&rules, &mut StdRng::seed_from_u64(11));
         assert_eq!(fast.gen_report, reference.gen_report, "threads={threads}");
         assert_tables_identical(&fast.clean, &reference.clean);
+        match &first {
+            None => first = Some(fast),
+            Some(a) => {
+                assert_eq!(fast.gen_report, a.gen_report, "threads={threads}");
+                assert_tables_identical(&fast.clean, &a.clean);
+            }
+        }
     }
-
-    // The emitted table actually follows the rules (up to the reported
-    // unresolved violations).
+    let b = first.expect("three runs");
+    check_against_interpreter(&b);
     let total: usize = rules.iter().map(|r| violations_reference(r, &reference.clean).len()).sum();
     assert_eq!(total as u64, reference.gen_report.unresolved_violations);
+
+    assert_eq!(csv_fnv1a(&b.clean), BASELINE_CLEAN_FNV1A, "baseline clean table drifted");
+    assert_eq!(rules_fnv1a(&rules, &b.schema), BASELINE_RULES_FNV1A, "baseline rules drifted");
+    assert_eq!(
+        b.gen_report,
+        GenReport { rows, repairs: 18_415, unresolved_rows: 0, unresolved_violations: 0 }
+    );
 }
 
-/// The memoized rule-set generator reproduces the uncached reference
-/// byte for byte on the baseline configuration.
+/// The memoized rule-set generator's 60-rule baseline set at seed 7 is
+/// frozen, and it is natural.
 #[test]
 fn rule_generation_is_byte_identical_to_reference() {
     let baseline = Baseline::new(7);
     let cfg = baseline.rule_config(60);
-    let (fast, fast_report) =
-        generate_rule_set(&baseline.schema, &cfg, &mut StdRng::seed_from_u64(7));
+    let (rules, report) = generate_rule_set(&baseline.schema, &cfg, &mut StdRng::seed_from_u64(7));
     let (reference, ref_report) =
         generate_rule_set_reference(&baseline.schema, &cfg, &mut StdRng::seed_from_u64(7));
-    assert_eq!(fast, reference);
-    assert_eq!(fast_report, ref_report);
+    assert_eq!(rules, reference);
+    assert_eq!(report, ref_report);
+    assert!(is_natural_rule_set(&baseline.schema, &rules.rules));
+    assert_eq!(rules_fnv1a(&rules, &baseline.schema), RULES_60_FNV1A, "60-rule set drifted");
+    assert_eq!(
+        report,
+        RuleGenReport {
+            accepted: 60,
+            rejected_unnatural: 493,
+            rejected_conflict: 550,
+            exhausted: false
+        }
+    );
 }
 
 /// The quis-50k fixture: pollution logs are deterministic and
@@ -107,6 +179,7 @@ fn quis_50k_pollution_logs_and_violation_scans_agree() {
     ]);
     let counts = count_violations(&a.dirty, &rules);
     for (i, rule) in rules.iter().enumerate() {
+        assert_eq!(counts[i], interpreted_violations(rule, &a.dirty).len(), "rule {i}");
         assert_eq!(counts[i], violations_reference(rule, &a.dirty).len(), "rule {i}");
     }
     assert_eq!(count_violations(&a.clean, &rules), vec![0, 0], "clean table follows the rules");
@@ -120,9 +193,9 @@ fn quis_50k_pollution_logs_and_violation_scans_agree() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Fast path ≡ reference on random small schemas, rule counts and
-    /// row counts (several RNG chunks when rows allow), at 1 and 3
-    /// worker threads.
+    /// On random small schemas, rule counts and row counts (several RNG
+    /// chunks when rows allow), 1 and 3 worker threads emit the same
+    /// bytes, and the output passes the interpreter checks.
     #[test]
     fn generation_equivalence_on_random_configs(
         seed in 0u64..5_000,
@@ -141,12 +214,17 @@ proptest! {
         let b = generator.generate(&mut gen_rng);
         let reference =
             generator.generate_with_rules_reference(&b.rules, &mut StdRng::seed_from_u64(seed ^ 1));
+        let mut runs = Vec::new();
         for threads in [1usize, 3] {
             let mut g = generator.clone();
             g.data.threads = threads.into();
             let fast = g.generate_with_rules(&b.rules, &mut StdRng::seed_from_u64(seed ^ 1));
             prop_assert_eq!(&fast.gen_report, &reference.gen_report);
             assert_tables_identical(&fast.clean, &reference.clean);
+            runs.push(fast);
         }
+        prop_assert_eq!(&runs[0].gen_report, &runs[1].gen_report);
+        assert_tables_identical(&runs[0].clean, &runs[1].clean);
+        check_against_interpreter(&runs[0]);
     }
 }
