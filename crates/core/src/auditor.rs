@@ -14,7 +14,7 @@
 //! one table serves "both for training and data audit".
 
 use crate::confidence::min_instances_for_confidence;
-use crate::engine::{scan_chunk, scan_chunk_reference, scan_sharded};
+use crate::engine::{scan_chunk, scan_sharded};
 use crate::error::AuditError;
 use crate::report::AuditReport;
 use dq_exec::{Parallelism, WorkerPool};
@@ -218,19 +218,6 @@ impl Auditor {
     /// across [`AuditConfig::threads`] workers; results come back in
     /// audited-attribute order and are identical to a serial run.
     pub fn induce(&self, table: &Table) -> Result<StructureModel, AuditError> {
-        self.induce_impl(table, false)
-    }
-
-    /// Reference structure induction: identical to [`Auditor::induce`]
-    /// but running the pre-columnar row-at-a-time C4.5 recursion
-    /// ([`C45Inducer::induce_tree_reference`]). Kept only as the
-    /// ground truth of the columnar-equivalence property suite; the
-    /// returned model is byte-identical to [`Auditor::induce`]'s.
-    pub fn induce_reference(&self, table: &Table) -> Result<StructureModel, AuditError> {
-        self.induce_impl(table, true)
-    }
-
-    fn induce_impl(&self, table: &Table, reference: bool) -> Result<StructureModel, AuditError> {
         self.config.validate()?;
         if table.is_empty() {
             return Err(AuditError::EmptyTable);
@@ -256,16 +243,17 @@ impl Auditor {
             cfg.min_detect_conf = config.min_confidence;
         }
         // One table-level column cache (widened payloads + presorts)
-        // shared by every per-attribute induction.
+        // shared by every per-attribute C4.5 induction; the other
+        // classifier families read the training set directly.
         let cache = match &config.inducer {
-            InducerKind::C45(_) if !reference => Some(TableCache::build(table)),
-            _ => None,
+            InducerKind::C45(_) => TableCache::build(table),
+            _ => TableCache::default(),
         };
         let pool = WorkerPool::from_config(config.threads);
         let models = pool
             .map_indexed(&audited, |_, &class_attr| {
                 let train = self.training_set(table, class_attr)?;
-                induce_one(&config, &train, class_attr, min_inst, cache.as_ref())
+                induce_one(&config, &train, class_attr, min_inst, &cache)
             })
             .into_iter()
             .collect::<Result<Vec<AttrModel>, AuditError>>()?;
@@ -304,23 +292,6 @@ impl Auditor {
         AuditReport::new(findings, table.n_rows(), model.config().min_confidence)
     }
 
-    /// Reference deviation detection: identical to [`Auditor::detect`]
-    /// but scanning row-at-a-time through materialized `Vec<Value>`
-    /// records and the boxed [`Node`](dq_mining::Node) trees. Kept only
-    /// as the ground truth of the columnar-equivalence property suite,
-    /// so it also returns the per-row overall error confidences (Def. 8)
-    /// that [`crate::AuditEngine::scan_batch`] must match bit for bit.
-    pub fn detect_reference(
-        &self,
-        model: &StructureModel,
-        table: &Table,
-    ) -> (AuditReport, Vec<f64>) {
-        let pool = self.config.threads.pool();
-        let (findings, confidences) =
-            scan_sharded(pool, table, 0, |chunk| scan_chunk_reference(model, chunk));
-        (AuditReport::new(findings, table.n_rows(), model.config().min_confidence), confidences)
-    }
-
     /// Single-database mode: induce and detect on the same table.
     pub fn run(&self, table: &Table) -> Result<(StructureModel, AuditReport), AuditError> {
         let model = self.induce(table)?;
@@ -330,14 +301,13 @@ impl Auditor {
 }
 
 /// Induce the dependency model of one class attribute. A C4.5 tree is
-/// induced against the shared table `cache`, or by the reference
-/// recursion when there is none.
+/// induced against the shared table `cache`.
 fn induce_one(
     config: &AuditConfig,
     train: &TrainingSet<'_>,
     class_attr: AttrIdx,
     min_inst: f64,
-    cache: Option<&TableCache>,
+    cache: &TableCache,
 ) -> Result<AttrModel, AuditError> {
     let wrap = |source| AuditError::Induction { class_attr, source };
     match &config.inducer {
@@ -347,11 +317,7 @@ fn induce_one(
                 cfg.min_inst = min_inst;
             }
             let inducer = C45Inducer::new(cfg);
-            let mut tree = match cache {
-                Some(cache) => inducer.induce_tree_cached(train, cache),
-                None => inducer.induce_tree_reference(train),
-            }
-            .map_err(wrap)?;
+            let mut tree = inducer.induce_tree_cached(train, cache).map_err(wrap)?;
             let deleted = if config.delete_undetecting_rules {
                 tree.disable_undetecting_leaves(config.min_confidence)
             } else {
@@ -660,10 +626,10 @@ mod tests {
 
     /// The model text and the report bytes (CSV plus every per-row
     /// confidence's bits) on a mixed-type table are frozen. The digests
-    /// were recorded while the row-at-a-time reference inducer and the
+    /// were recorded while a row-at-a-time reference inducer and a
     /// boxed-tree reference scan were checked to give the same bytes.
     #[test]
-    fn columnar_paths_are_byte_identical_to_reference_paths() {
+    fn columnar_paths_match_frozen_digests() {
         // Mixed-type table: nominal dependency + numeric class + NULLs.
         let schema = SchemaBuilder::new()
             .nominal("x", ["lo", "hi"])
@@ -681,21 +647,8 @@ mod tests {
         t.push_row(&[Value::Nominal(0), Value::Number(95.0), Value::Nominal(0)]).unwrap();
         let auditor = Auditor::default();
         let model = auditor.induce(&t).unwrap();
-        let reference_model = auditor.induce_reference(&t).unwrap();
         let rendered = crate::model_io::render_model(&model, t.schema()).unwrap();
-        assert_eq!(
-            rendered,
-            crate::model_io::render_model(&reference_model, t.schema()).unwrap(),
-            "presorted induction must serialize identically to the reference"
-        );
-        let (reference_report, reference_confidences) =
-            auditor.detect_reference(&reference_model, &t);
         let (report, confidences) = detect_three_ways(&auditor, model, &t);
-        assert_eq!(report, reference_report);
-        assert_eq!(confidences.len(), reference_confidences.len());
-        for (a, b) in confidences.iter().zip(&reference_confidences) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
         assert!(report.n_suspicious() > 0, "the digest must cover flagged rows");
         let mut bytes = report.to_csv(t.schema()).into_bytes();
         for c in &confidences {
@@ -735,10 +688,7 @@ mod tests {
         });
         let model = auditor.induce(&t).unwrap();
         assert!(model.models.iter().all(|m| m.flat_tree().is_none()));
-        let (reference, reference_confidences) = auditor.detect_reference(&model, &t);
-        let (report, confidences) = detect_three_ways(&auditor, model, &t);
-        assert_eq!(report, reference);
-        assert_eq!(confidences, reference_confidences);
+        let (report, _) = detect_three_ways(&auditor, model, &t);
         assert!(report.n_suspicious() > 0, "the deviation must be flagged");
     }
 

@@ -201,16 +201,16 @@ impl<W: Write> Write for FaultWrite<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
 
-    fn plan(text: &str) -> FaultPlan {
-        FaultPlan::parse(&format!("dq-fault v1\n{text}")).unwrap()
+    /// A plan of one fault.
+    fn plan(kind: FaultKind, unit: Unit, at: u64) -> FaultPlan {
+        FaultPlan::new(vec![Fault { kind, unit, at }])
     }
 
     #[test]
     fn error_fault_delivers_prefix_then_fails_at_exact_offset() {
         let data = [7u8; 100];
-        let mut r = FaultRead::new(&data[..], &plan("error byte 40"));
+        let mut r = FaultRead::new(&data[..], &plan(FaultKind::Error, Unit::Byte, 40));
         let mut out = Vec::new();
         let err = r.read_to_end(&mut out).unwrap_err();
         assert_eq!(out, vec![7u8; 40], "bytes before the anchor must flow");
@@ -222,12 +222,12 @@ mod tests {
     #[test]
     fn truncate_fault_is_early_eof_on_read_and_torn_on_write() {
         let data = [3u8; 64];
-        let mut r = FaultRead::new(&data[..], &plan("truncate byte 10"));
+        let mut r = FaultRead::new(&data[..], &plan(FaultKind::Truncate, Unit::Byte, 10));
         let mut out = Vec::new();
         r.read_to_end(&mut out).unwrap();
         assert_eq!(out.len(), 10);
 
-        let mut w = FaultWrite::new(Vec::new(), &plan("truncate byte 10"));
+        let mut w = FaultWrite::new(Vec::new(), &plan(FaultKind::Truncate, Unit::Byte, 10));
         w.write_all(&[9u8; 64]).unwrap(); // reports success...
         w.flush().unwrap();
         assert_eq!(w.offset(), 64);
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn short_faults_are_byte_identical_with_smaller_ops() {
         let data: Vec<u8> = (0..=255u8).collect();
-        let mut r = FaultRead::new(&data[..], &plan("short byte 17 cap 3"));
+        let mut r = FaultRead::new(&data[..], &plan(FaultKind::Short(3), Unit::Byte, 17));
         let mut out = Vec::new();
         let mut buf = [0u8; 64];
         loop {
@@ -250,7 +250,7 @@ mod tests {
         }
         assert_eq!(out, data, "short reads must not lose or reorder bytes");
 
-        let mut w = FaultWrite::new(Vec::new(), &plan("short byte 0 cap 5"));
+        let mut w = FaultWrite::new(Vec::new(), &plan(FaultKind::Short(5), Unit::Byte, 0));
         w.write_all(&data).unwrap();
         assert_eq!(w.into_inner(), data);
     }
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn write_error_fault_preserves_prefix() {
-        let mut w = FaultWrite::new(Vec::new(), &plan("error byte 8"));
+        let mut w = FaultWrite::new(Vec::new(), &plan(FaultKind::Error, Unit::Byte, 8));
         let err = w.write_all(&[1u8; 32]).unwrap_err();
         assert!(err.to_string().contains("error byte 8"), "{err}");
         assert_eq!(w.into_inner(), vec![1u8; 8]);

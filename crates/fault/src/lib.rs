@@ -25,9 +25,8 @@
 //!
 //! # The fault-plan text format
 //!
-//! Plans render to (and parse from) a line-oriented text form so the
-//! schedule behind a failing run can be pasted straight into a
-//! regression test:
+//! Plans render to a line-oriented text form, so a failing run names
+//! the schedule behind it:
 //!
 //! ```text
 //! dq-fault v1
@@ -37,13 +36,13 @@
 //! latency batch 2 ms 15
 //! ```
 //!
-//! The header line is mandatory. Each following non-blank line is one
-//! fault: a kind (`error`, `truncate`, `short`, `latency`), a unit
-//! (`byte` or `batch`), the anchor offset/index, and the kind's
-//! parameter (`cap N` for `short`, `ms N` for `latency`). Blank lines
-//! and `#` comments are ignored. [`FaultPlan::render`] and
-//! [`FaultPlan::parse`] round-trip this form, and every injected error
-//! message embeds its fault's plan line.
+//! A header line comes first. Each following line is one fault: a kind
+//! (`error`, `truncate`, `short`, `latency`), a unit (`byte` or
+//! `batch`), the anchor offset/index, and the kind's parameter (`cap N`
+//! for `short`, `ms N` for `latency`). [`FaultPlan::render`] writes
+//! this form, and every injected error message embeds its fault's plan
+//! line. A run replays from its seed ([`FaultPlan::seeded`]) or from a
+//! plan built with [`FaultPlan::new`].
 //!
 //! # Fault taxonomy
 //!
@@ -56,10 +55,10 @@
 //! hundreds of seeded schedules.
 //!
 //! ```
-//! use dq_fault::{FaultPlan, FaultRead};
+//! use dq_fault::{Fault, FaultKind, FaultPlan, FaultRead, Unit};
 //! use std::io::Read;
 //!
-//! let plan = FaultPlan::parse("dq-fault v1\nerror byte 4\n").unwrap();
+//! let plan = FaultPlan::new(vec![Fault { kind: FaultKind::Error, unit: Unit::Byte, at: 4 }]);
 //! let mut out = Vec::new();
 //! let err = FaultRead::new(&b"hello world"[..], &plan).read_to_end(&mut out).unwrap_err();
 //! assert_eq!(out, b"hell");

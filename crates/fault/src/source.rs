@@ -209,8 +209,9 @@ mod tests {
         t
     }
 
-    fn plan(text: &str) -> FaultPlan {
-        FaultPlan::parse(&format!("dq-fault v1\n{text}")).unwrap()
+    /// A plan of one fault.
+    fn plan(kind: FaultKind, unit: Unit, at: u64) -> FaultPlan {
+        FaultPlan::new(vec![Fault { kind, unit, at }])
     }
 
     /// Drain, asserting the BatchSource contract along the way.
@@ -257,7 +258,8 @@ mod tests {
     #[test]
     fn error_fault_fires_at_emitted_index_with_location() {
         let t = table(40);
-        let (batches, err) = drain(FaultSource::new(t.batches(10), &plan("error batch 2")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(10), &plan(FaultKind::Error, Unit::Batch, 2)));
         assert_eq!(batches.len(), 2, "two batches precede the fault");
         let msg = err.expect("must error").to_string();
         assert!(msg.contains("injected fault: error batch 2"), "{msg}");
@@ -267,7 +269,8 @@ mod tests {
     #[test]
     fn truncate_emits_half_batch_then_located_error() {
         let t = table(40);
-        let (batches, err) = drain(FaultSource::new(t.batches(10), &plan("truncate batch 1")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(10), &plan(FaultKind::Truncate, Unit::Batch, 1)));
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[1].n_rows(), 5, "the torn batch is cut to its first half");
         let msg = err.expect("a tear must be loud").to_string();
@@ -285,7 +288,8 @@ mod tests {
     #[test]
     fn short_fault_rechunks_but_preserves_every_row() {
         let t = table(40);
-        let (batches, err) = drain(FaultSource::new(t.batches(10), &plan("short batch 1 cap 3")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(10), &plan(FaultKind::Short(3), Unit::Batch, 1)));
         assert!(err.is_none());
         assert_eq!(rows(&batches), 40, "short is benign: all rows flow");
         assert_eq!(batches[0].n_rows(), 10, "before the anchor: untouched");
@@ -304,13 +308,15 @@ mod tests {
     #[test]
     fn truncate_past_the_end_reports_end_of_stream() {
         let t = table(5);
-        let (batches, err) = drain(FaultSource::new(t.batches(10), &plan("truncate batch 9")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(10), &plan(FaultKind::Truncate, Unit::Batch, 9)));
         assert_eq!(rows(&batches), 5, "the whole stream precedes the anchor");
         // Anchor never reached: the stream ended first, cleanly.
         assert!(err.is_none());
 
         // Anchor exactly at the end-of-stream call: loud, located.
-        let (batches, err) = drain(FaultSource::new(t.batches(5), &plan("truncate batch 1")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(5), &plan(FaultKind::Truncate, Unit::Batch, 1)));
         assert_eq!(rows(&batches), 5);
         let msg = err.expect("anchor on the final call is a tear").to_string();
         assert!(msg.contains("at end of stream"), "{msg}");
@@ -320,7 +326,8 @@ mod tests {
     fn latency_is_benign_and_fires_once() {
         let t = table(12);
         let t0 = std::time::Instant::now();
-        let (batches, err) = drain(FaultSource::new(t.batches(4), &plan("latency batch 1 ms 20")));
+        let (batches, err) =
+            drain(FaultSource::new(t.batches(4), &plan(FaultKind::Latency(20), Unit::Batch, 1)));
         assert!(err.is_none());
         assert_eq!(rows(&batches), 12);
         assert!(t0.elapsed() >= Duration::from_millis(20));

@@ -9,7 +9,7 @@
 //! panic, never a shorter-but-plausible journal that would silently
 //! restart part of the stream.
 
-use dq_fault::{FaultPlan, FaultWrite};
+use dq_fault::{Fault, FaultKind, FaultPlan, FaultWrite, Unit};
 use dq_job::{JobError, Journal, Watermark};
 use std::io::Write;
 
@@ -27,7 +27,11 @@ fn fixture() -> Journal {
 fn every_torn_write_prefix_is_refused_never_misparsed() {
     let text = fixture().render();
     for tear_at in 0..text.len() as u64 {
-        let plan = FaultPlan::parse(&format!("dq-fault v1\ntruncate byte {tear_at}")).unwrap();
+        let plan = FaultPlan::new(vec![Fault {
+            kind: FaultKind::Truncate,
+            unit: Unit::Byte,
+            at: tear_at,
+        }]);
         let mut w = FaultWrite::new(Vec::new(), &plan);
         // The torn write acknowledges the full journal...
         w.write_all(text.as_bytes()).unwrap();

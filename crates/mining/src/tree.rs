@@ -29,7 +29,7 @@ use crate::columns::{BaseColumn, ColumnarTraining, TableCache};
 use crate::dataset::TrainingSet;
 use crate::error::MiningError;
 use dq_stats::{argmax, expected_error_confidence, max_error_confidence};
-use dq_table::{AttrIdx, AttrType, Schema, Value};
+use dq_table::{AttrIdx, Schema, Value};
 
 /// Instances lighter than this are dropped when partitioning; repeated
 /// fractional distribution otherwise produces dust that costs time and
@@ -648,10 +648,12 @@ impl C45Inducer {
     /// attribute is sorted once, and the recursion threads stably
     /// partitioned sorted index slices downwards (SLIQ/SPRINT style),
     /// so the per-node threshold search is O(n) instead of
-    /// O(n log n). The induced tree is **byte-identical** to
-    /// [`C45Inducer::induce_tree_reference`] — every float is produced
-    /// by the same operations in the same order; only the data layout
-    /// changed.
+    /// O(n log n). Every float is accumulated in a fixed order (row
+    /// order for counts, `(value, row)` order for threshold scans), so
+    /// the tree's bytes are a function of the training set and the
+    /// configuration alone; this crate's `tests/golden/c45_digests.txt`
+    /// pins its structure and predictions per pruning mode and split
+    /// criterion.
     pub fn induce_tree(&self, train: &TrainingSet<'_>) -> Result<DecisionTree, MiningError> {
         self.induce_tree_cached(train, &TableCache::build(train.table))
     }
@@ -675,27 +677,7 @@ impl C45Inducer {
         Ok(self.finish_tree(train, root))
     }
 
-    /// Reference implementation: the pre-columnar row-at-a-time
-    /// induction, which re-sorts every ordered attribute at every tree
-    /// node and reads cells through [`dq_table::Table::get`]. Kept —
-    /// unoptimized on purpose — as the ground truth the equivalence
-    /// property suite pins [`C45Inducer::induce_tree`] against; no user
-    /// path runs it.
-    pub fn induce_tree_reference(
-        &self,
-        train: &TrainingSet<'_>,
-    ) -> Result<DecisionTree, MiningError> {
-        self.config.validate()?;
-        let ctx = InductionContext::reference(train, &self.config);
-        let mut instances: Vec<(usize, f64)> = Vec::with_capacity(train.rows.len());
-        for &r in &train.rows {
-            instances.push((r, 1.0));
-        }
-        let root = grow_reference(&ctx, instances, 0);
-        Ok(self.finish_tree(train, root))
-    }
-
-    /// Shared post-construction steps (tree assembly, post-pruning).
+    /// Post-construction steps (tree assembly, post-pruning).
     fn finish_tree(&self, train: &TrainingSet<'_>, root: Node) -> DecisionTree {
         let mut tree = DecisionTree {
             root,
@@ -724,8 +706,6 @@ struct InductionContext<'a, 'b> {
     train: &'a TrainingSet<'b>,
     card: usize,
     cfg: &'a C45Config,
-    /// Types of the base attributes, parallel to `train.base_attrs`.
-    attr_types: Vec<AttrType>,
     /// The dense columnar cache (class codes, typed base columns,
     /// presorted ordered-attribute row indices).
     cols: ColumnarTraining,
@@ -764,73 +744,13 @@ impl<'a, 'b> InductionContext<'a, 'b> {
                 nominal_len += card_attr * card;
             }
         }
-        InductionContext {
-            train,
-            card,
-            cfg,
-            attr_types: train
-                .base_attrs
-                .iter()
-                .map(|&a| train.table.schema().attr(a).ty.clone())
-                .collect(),
-            cols,
-            ordered_idx,
-            nominal_layout,
-            nominal_len,
-        }
+        InductionContext { train, card, cfg, cols, ordered_idx, nominal_layout, nominal_len }
     }
-
-    /// Context for the row-at-a-time reference recursion: only the
-    /// dense class codes are materialized — the reference path reads
-    /// cells through [`dq_table::Table::get`], so building the typed
-    /// columns and presorts here would be wasted work.
-    fn reference(train: &'a TrainingSet<'b>, cfg: &'a C45Config) -> Self {
-        let n_rows = train.table.n_rows();
-        let mut class_codes = vec![crate::columns::NULL_CODE; n_rows];
-        for (&r, &c) in train.rows.iter().zip(&train.codes) {
-            class_codes[r] = c;
-        }
-        InductionContext {
-            train,
-            card: train.class_card() as usize,
-            cfg,
-            attr_types: train
-                .base_attrs
-                .iter()
-                .map(|&a| train.table.schema().attr(a).ty.clone())
-                .collect(),
-            cols: ColumnarTraining { class_codes, attrs: Vec::new() },
-            ordered_idx: Vec::new(),
-            nominal_layout: Vec::new(),
-            nominal_len: 0,
-        }
-    }
-
-    /// Class code of a training row — dense, pre-validated, no
-    /// per-access unwrap.
-    #[inline]
-    fn class_of(&self, row: usize) -> u32 {
-        self.cols.class_codes[row]
-    }
-
-    /// Cell access through the table (reference path only; the
-    /// columnar path reads `self.cols` instead).
-    fn value(&self, row: usize, attr: AttrIdx) -> Value {
-        self.train.table.get(row, attr)
-    }
-}
-
-fn class_counts(ctx: &InductionContext, instances: &[(usize, f64)]) -> Vec<f64> {
-    let mut counts = vec![0.0; ctx.card];
-    for &(row, w) in instances {
-        counts[ctx.class_of(row) as usize] += w;
-    }
-    counts
 }
 
 /// A candidate split of one node.
 struct CandidateSplit {
-    /// Index into `base_attrs` / `attr_types`.
+    /// Index into `base_attrs`.
     attr_pos: usize,
     kind: SplitKind,
     gain: f64,
@@ -867,8 +787,7 @@ fn branch_fractions(branch_sizes: &[f64]) -> Vec<f64> {
 
 /// Integrated pruning (sec. 5.4), applied to a freshly built subtree —
 /// see the [`Pruning`] discussion for why the default compares
-/// threshold-aware values. Shared verbatim by the columnar and the
-/// reference recursion, so their trees cannot drift apart here.
+/// threshold-aware values.
 fn integrated_prune(ctx: &InductionContext, node: Node, counts: Vec<f64>) -> Node {
     match ctx.cfg.pruning {
         Pruning::ExpectedErrorConfidence => {
@@ -908,8 +827,8 @@ fn integrated_prune(ctx: &InductionContext, node: Node, counts: Vec<f64>) -> Nod
 
 /// One node's instance view in the presorted recursion.
 struct NodeSet {
-    /// `(row, weight)` in ascending row order — the same order the
-    /// reference recursion's instance vectors carry.
+    /// `(row, weight)` in ascending row order — the order every class
+    /// count and missing weight is accumulated in.
     instances: Vec<(u32, f64)>,
     /// Per ordered base attribute (indexed through
     /// `InductionContext::ordered_idx`): this node's known-value
@@ -1231,8 +1150,7 @@ fn select_split_columnar(
             })
             .collect();
         // Ordered attributes ride the same pass: their per-attribute
-        // NULL weights accumulate in the same instance order the
-        // reference path's per-attribute gathering loop used.
+        // NULL weights accumulate in instance (row) order.
         let ordered_known: Vec<&[bool]> = ctx
             .cols
             .attrs
@@ -1316,20 +1234,23 @@ fn select_split_columnar(
 /// The presorted threshold search: the node's known instances arrive
 /// already sorted by `(value, row)` in contiguous arrays, so one
 /// sequential sweep finds the best cut — no per-node sort, no random
-/// access. Every accumulation runs in the same order as
-/// [`threshold_candidate_reference`], so the selected threshold, gain
-/// and branch counts are bit-identical. The per-cut entropy loop
-/// iterates only the classes present in the node (absent classes have
-/// zero counts on both sides and contribute nothing in either
-/// implementation).
+/// access. The threshold is the lower value of the winning cut, and
+/// the first cut in ascending value order wins a tie. Low-side class
+/// counts accumulate in `(value, row)` order and a cut's `low_w` is a
+/// fresh class-order sum, so the threshold, gain and branch counts
+/// equal those of an exhaustive scan over every cut between distinct
+/// values (`tests/c45_oracle.rs` checks that scan's argmax by brute
+/// force; `tests/golden/c45_digests.txt` pins the bits). The per-cut
+/// entropy loop iterates only the classes present in the node (absent
+/// classes have zero counts on both sides and contribute nothing).
 ///
 /// The evaluated-cut set is thinned with the Fayyad-Irani boundary
 /// theorem (Fayyad & Irani 1992): the information-gain optimum of a
 /// binary split never lies strictly inside a run of same-class
 /// instances, so a cut whose two adjacent value groups are both pure
 /// with the same class cannot win and its (expensive) entropy
-/// evaluation is skipped. Two refinements keep the *selection* exactly
-/// legacy-equivalent:
+/// evaluation is skipped. Two refinements keep the *selection* equal to
+/// the exhaustive scan's:
 ///
 /// * the min-branch feasibility window clips runs — the gain is convex
 ///   within a run, so its maximum over the feasible part of a run sits
@@ -1537,50 +1458,6 @@ fn threshold_candidate_presorted(
     finish_candidate_flat(ctx, attr_pos, SplitKind::Threshold(threshold), flat, 2, missing, total)
 }
 
-// ---------------------------------------------------------------------------
-// Reference induction (row-at-a-time; equivalence ground truth)
-// ---------------------------------------------------------------------------
-
-fn grow_reference(ctx: &InductionContext, instances: Vec<(usize, f64)>, depth: usize) -> Node {
-    let counts = class_counts(ctx, &instances);
-    if stop_as_leaf(ctx, &counts, depth) {
-        return Node::Leaf { counts, enabled: true };
-    }
-
-    let Some(best) = select_split_reference(ctx, &instances, &counts) else {
-        return Node::Leaf { counts, enabled: true };
-    };
-
-    let attr = ctx.train.base_attrs[best.attr_pos];
-    let n_branches = best.branch_sizes.len();
-    let fractions = branch_fractions(&best.branch_sizes);
-
-    // Partition the instances; NULLs go to every branch with their
-    // weight scaled by the branch fraction.
-    let mut parts: Vec<Vec<(usize, f64)>> = (0..n_branches)
-        .map(|i| Vec::with_capacity((instances.len() as f64 * fractions[i]) as usize + 1))
-        .collect();
-    for &(row, w) in &instances {
-        match branch_of(&best.kind, &ctx.value(row, attr), n_branches) {
-            Some(b) => parts[b].push((row, w)),
-            None => {
-                for (b, part) in parts.iter_mut().enumerate() {
-                    let wf = w * fractions[b];
-                    if wf >= MIN_WEIGHT {
-                        part.push((row, wf));
-                    }
-                }
-            }
-        }
-    }
-    drop(instances);
-
-    let children: Vec<Node> =
-        parts.into_iter().map(|p| grow_reference(ctx, p, depth + 1)).collect();
-    let node = Node::Split { attr, kind: best.kind, children, fractions, counts: counts.clone() };
-    integrated_prune(ctx, node, counts)
-}
-
 /// Which branch a value falls into; `None` for NULL or out-of-domain
 /// nominal codes (treated like missing, as C4.5 treats unseen values).
 fn branch_of(kind: &SplitKind, v: &Value, n_branches: usize) -> Option<usize> {
@@ -1593,32 +1470,7 @@ fn branch_of(kind: &SplitKind, v: &Value, n_branches: usize) -> Option<usize> {
     }
 }
 
-fn select_split_reference(
-    ctx: &InductionContext,
-    instances: &[(usize, f64)],
-    parent_counts: &[f64],
-) -> Option<CandidateSplit> {
-    let total: f64 = parent_counts.iter().sum();
-    let mut candidates: Vec<CandidateSplit> = Vec::new();
-    for (pos, ty) in ctx.attr_types.iter().enumerate() {
-        let attr = ctx.train.base_attrs[pos];
-        let cand = match ty {
-            AttrType::Nominal { labels } => {
-                nominal_candidate_reference(ctx, instances, attr, pos, labels.len(), total)
-            }
-            AttrType::Numeric { .. } | AttrType::Date { .. } => {
-                threshold_candidate_reference(ctx, instances, attr, pos, total)
-            }
-        };
-        if let Some(c) = cand {
-            candidates.push(c);
-        }
-    }
-    pick_candidate(ctx, candidates)
-}
-
-/// The split-selection criterion applied to a node's candidate list —
-/// shared by the columnar and reference paths.
+/// The split-selection criterion applied to a node's candidate list.
 fn pick_candidate(
     ctx: &InductionContext,
     candidates: Vec<CandidateSplit>,
@@ -1642,17 +1494,13 @@ fn pick_candidate(
     }
 }
 
-/// Shared post-processing: gain scaled by the known-value fraction
-/// (C4.5's missing-value discount), split info including the missing
-/// pseudo-branch, minInst admissibility.
-/// Shared post-processing on a flat `branch × class` count matrix:
-/// gain scaled by the known-value fraction (C4.5's missing-value
-/// discount), split info including the missing pseudo-branch, minInst
+/// Candidate scoring on a flat `branch × class` count matrix: gain
+/// scaled by the known-value fraction (C4.5's missing-value discount),
+/// split info including the missing pseudo-branch, minInst
 /// admissibility. Every intermediate float (per-branch sums, known
-/// total, entropies, gain, gain ratio) is produced by the same
-/// operations in the same order as the historical nested-`Vec`
-/// formulation, so candidate scores never drift between the columnar
-/// and reference paths.
+/// total, entropies, gain, gain ratio) is produced in a fixed order —
+/// branch-major sums, the class-major total as the remainder divisor —
+/// which the frozen C4.5 and audit digests pin.
 fn finish_candidate_flat(
     ctx: &InductionContext,
     attr_pos: usize,
@@ -1727,123 +1575,6 @@ fn finish_candidate_flat(
     let si = dq_stats::entropy(&sizes_for_si);
     let gain_ratio = if si <= 1e-12 { 0.0 } else { gain / si };
     Some(CandidateSplit { attr_pos, kind, gain, gain_ratio, branch_sizes })
-}
-
-/// Nested-`Vec` adapter for the reference candidates: flattens the
-/// historical `branch_counts` layout (copying preserves every float)
-/// and delegates to [`finish_candidate_flat`].
-fn finish_candidate(
-    ctx: &InductionContext,
-    attr_pos: usize,
-    kind: SplitKind,
-    branch_counts: Vec<Vec<f64>>,
-    missing_weight: f64,
-    total: f64,
-) -> Option<CandidateSplit> {
-    let card = ctx.card;
-    let mut flat = vec![0.0; branch_counts.len() * card];
-    for (b, bc) in branch_counts.iter().enumerate() {
-        flat[b * card..(b + 1) * card].copy_from_slice(bc);
-    }
-    finish_candidate_flat(ctx, attr_pos, kind, &flat, branch_counts.len(), missing_weight, total)
-}
-
-fn nominal_candidate_reference(
-    ctx: &InductionContext,
-    instances: &[(usize, f64)],
-    attr: AttrIdx,
-    attr_pos: usize,
-    card_attr: usize,
-    total: f64,
-) -> Option<CandidateSplit> {
-    let mut branch_counts = vec![vec![0.0; ctx.card]; card_attr];
-    let mut missing = 0.0;
-    for &(row, w) in instances {
-        match ctx.value(row, attr).as_nominal() {
-            Some(code) if (code as usize) < card_attr => {
-                branch_counts[code as usize][ctx.class_of(row) as usize] += w;
-            }
-            _ => missing += w,
-        }
-    }
-    finish_candidate(ctx, attr_pos, SplitKind::Nominal, branch_counts, missing, total)
-}
-
-fn threshold_candidate_reference(
-    ctx: &InductionContext,
-    instances: &[(usize, f64)],
-    attr: AttrIdx,
-    attr_pos: usize,
-    total: f64,
-) -> Option<CandidateSplit> {
-    // Gather known (value, class, weight), sorted by value.
-    let mut known: Vec<(f64, u32, f64)> = Vec::with_capacity(instances.len());
-    let mut missing = 0.0;
-    for &(row, w) in instances {
-        match ctx.value(row, attr).as_numeric() {
-            Some(x) => known.push((x, ctx.class_of(row), w)),
-            None => missing += w,
-        }
-    }
-    if known.len() < 2 {
-        return None;
-    }
-    known.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    // Scan all cuts between distinct adjacent values, maintaining
-    // incremental low-side class counts; the threshold is the lower
-    // value itself ("split points taken from the set of all occurring
-    // values").
-    let card = ctx.card;
-    let mut low = vec![0.0; card];
-    let mut all = vec![0.0; card];
-    for &(_, c, w) in &known {
-        all[c as usize] += w;
-    }
-    let known_weight: f64 = all.iter().sum();
-    let parent_entropy = dq_stats::entropy(&all);
-    let mut best: Option<(f64, f64)> = None; // (gain_known, threshold)
-    for i in 0..known.len() - 1 {
-        let (x, c, w) = known[i];
-        low[c as usize] += w;
-        if known[i + 1].0 <= x {
-            continue; // not a cut between distinct values
-        }
-        // info_gain specialized for the binary partition, computed
-        // incrementally to keep the scan O(n · card).
-        let low_w: f64 = low.iter().sum();
-        let high_w = known_weight - low_w;
-        let min_side = ctx.cfg.min_branch.max(f64::MIN_POSITIVE);
-        if low_w < min_side || high_w < min_side {
-            continue;
-        }
-        let mut high_entropy_counts = 0.0;
-        let mut low_entropy = 0.0;
-        for k in 0..card {
-            let l = low[k];
-            if l > 0.0 {
-                let p = l / low_w;
-                low_entropy -= p * p.log2();
-            }
-            let h = all[k] - l;
-            if h > 0.0 {
-                let p = h / high_w;
-                high_entropy_counts -= p * p.log2();
-            }
-        }
-        let g = parent_entropy
-            - low_w / known_weight * low_entropy
-            - high_w / known_weight * high_entropy_counts;
-        if best.is_none_or(|(bg, _)| g > bg) {
-            best = Some((g, x));
-        }
-    }
-    let (_, threshold) = best?;
-    let mut branch_counts = vec![vec![0.0; card]; 2];
-    for &(x, c, w) in &known {
-        branch_counts[usize::from(x > threshold)][c as usize] += w;
-    }
-    finish_candidate(ctx, attr_pos, SplitKind::Threshold(threshold), branch_counts, missing, total)
 }
 
 /// C4.5 post-pruning by pessimistic classification error: bottom-up
@@ -2332,8 +2063,8 @@ mod tests {
     }
 
     /// A messy mixed table: NULLs, value ties, a numeric and a date
-    /// attribute, out-of-domain codes — everything the presorted path
-    /// must agree with the reference path on.
+    /// attribute, out-of-domain codes — the cases the presorted
+    /// recursion must route and count exactly.
     fn messy_table(n: usize) -> Table {
         let schema = SchemaBuilder::new()
             .nominal("a", ["p", "q", "r"])
@@ -2417,9 +2148,9 @@ mod tests {
     /// through `Table::get`, every cut between distinct values scored)
     /// was checked equal to this inducer on each configuration.
     /// Regenerate after an *intentional* change with
-    /// `GOLDEN_REGEN=1 cargo test -p dq_mining presorted_induction`.
+    /// `GOLDEN_REGEN=1 cargo test -p dq_mining presorted_induction_matches`.
     #[test]
-    fn presorted_induction_is_byte_identical_to_reference() {
+    fn presorted_induction_matches_frozen_digests() {
         let t = messy_table(400);
         let mut actual = String::from("# class pruning criterion tree_and_predictions_fnv1a\n");
         for class_attr in 0..t.n_cols() {
@@ -2433,22 +2164,12 @@ mod tests {
                 for criterion in [SplitCriterion::GainRatio, SplitCriterion::InfoGain] {
                     let cfg = C45Config { pruning, criterion, ..C45Config::default() };
                     let inducer = C45Inducer::new(cfg);
-                    let fast = inducer.induce_tree(&ts).unwrap();
-                    let reference = inducer.induce_tree_reference(&ts).unwrap();
-                    assert_eq!(
-                        fast.root(),
-                        reference.root(),
-                        "class {class_attr}, {pruning:?}, {criterion:?}"
-                    );
+                    let tree = inducer.induce_tree(&ts).unwrap();
                     let mut bytes = Vec::new();
-                    encode_node(fast.root(), &mut bytes);
-                    // Equality above is structural; also pin the floats.
+                    encode_node(tree.root(), &mut bytes);
                     for r in 0..t.n_rows() {
-                        let rec = t.row(r);
-                        let (pf, pr) = (fast.predict(&rec), reference.predict(&rec));
-                        for (a, b) in pf.counts.iter().zip(&pr.counts) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
-                            bytes.extend_from_slice(&a.to_bits().to_le_bytes());
+                        for c in tree.predict(&t.row(r)).counts {
+                            bytes.extend_from_slice(&c.to_bits().to_le_bytes());
                         }
                     }
                     actual.push_str(&format!(

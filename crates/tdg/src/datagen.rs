@@ -17,10 +17,7 @@
 
 use dq_bayes::BayesianNetwork;
 use dq_exec::WorkerPool;
-use dq_logic::{
-    eval_formula, eval_rule, negate, Atom, CompiledFormula, CompiledRuleSet, Formula, RecordView,
-    RuleSet, RuleStatus,
-};
+use dq_logic::{negate, Atom, CompiledFormula, CompiledRuleSet, Formula, RecordView, RuleSet};
 use dq_stats::DistributionSpec;
 use dq_table::{AttrIdx, AttrType, BatchSource, Schema, Table, TableError, Value};
 use rand::rngs::StdRng;
@@ -33,10 +30,12 @@ use std::sync::Arc;
 /// all drawn from the caller's RNG *up front*; each chunk then runs
 /// its own [`StdRng`] stream. The chunk layout depends only on
 /// `n_rows`, never on the worker count, so the generated table is
-/// byte-identical at any thread count — and identical to the serial
-/// [`generate_reference`] path. 4096 rows balance per-chunk setup
-/// (compiled scratch indexes) against scheduling granularity: a
-/// million-row run still yields ~244 chunks to spread over workers.
+/// byte-identical at any thread count (pinned, with the bytes
+/// themselves, by `dq_cli`'s `generate_digests.txt` and the frozen
+/// baseline in `tests/tdg_equivalence.rs`). 4096 rows balance
+/// per-chunk setup (compiled scratch indexes) against scheduling
+/// granularity: a million-row run still yields ~244 chunks to spread
+/// over workers.
 pub const GEN_CHUNK_ROWS: usize = 4096;
 
 /// Start-value sampling: one univariate spec per attribute, optionally
@@ -132,7 +131,7 @@ pub struct GenReport {
 /// [`CompiledRuleSet`], the repair loop re-evaluates only rules whose
 /// attributes a repair touched (dirty-attribute inverted index), and
 /// the fixed-size chunks are sharded across a [`WorkerPool`]. Output
-/// is byte-identical to [`generate_reference`] at any thread count.
+/// is byte-identical at any thread count.
 pub fn generate_table<R: Rng + ?Sized>(
     schema: &Arc<Schema>,
     rules: &RuleSet,
@@ -204,72 +203,20 @@ impl ChunkGenerator {
                 &mut joint,
                 &mut chunk_rng,
             );
-            let unresolved = repair_record_compiled(
-                self,
-                &mut record,
-                &mut chunk_rng,
-                &mut report.repairs,
-                &mut scratch,
-            );
+            let unresolved =
+                repair_record(self, &mut record, &mut chunk_rng, &mut report.repairs, &mut scratch);
             if unresolved > 0 {
                 report.unresolved_rows += 1;
                 report.unresolved_violations += unresolved as u64;
             }
             // Kind-checked append: repairs only write kind-correct
-            // domain values, and the retained reference path keeps the
-            // fully validating `push_row` on the same records.
+            // domain values (`tests/tdg_equivalence.rs` re-pushes every
+            // generated row through the validating `push_row`).
             table.push_row_lenient(&record).expect("generated record matches schema");
             report.rows += 1;
         }
         (table, report)
     }
-}
-
-/// The retained serial row-at-a-time generator: interpreted rule
-/// evaluation ([`eval_rule`]), per-repair [`negate()`], full rule-set
-/// re-scan every pass. Ground truth for the compiled path in the
-/// equivalence tests; no user path runs it. Chunk seeding is shared
-/// with [`generate_table`], so the two paths must emit *byte-identical*
-/// tables and equal reports (pinned by the equivalence suite).
-pub fn generate_reference<R: Rng + ?Sized>(
-    schema: &Arc<Schema>,
-    rules: &RuleSet,
-    config: &DataGenConfig,
-    rng: &mut R,
-) -> (Table, GenReport) {
-    assert_eq!(config.start.univariate.len(), schema.len(), "one univariate spec per attribute");
-    let plans = chunk_plans(config.n_rows, rng);
-    let covered = covered_attrs(schema, config);
-    let mut parts = Vec::with_capacity(plans.len());
-    for &(n, seed) in &plans {
-        let mut chunk_rng = StdRng::seed_from_u64(seed);
-        let mut table = Table::with_capacity(schema.clone(), n);
-        let mut report = GenReport::default();
-        let mut record: Vec<Value> = vec![Value::Null; schema.len()];
-        let mut joint: Vec<(AttrIdx, u32)> = Vec::new();
-        for _ in 0..n {
-            sample_start(schema, config, &covered, &mut record, &mut joint, &mut chunk_rng);
-            let unresolved = repair_record(
-                schema,
-                rules,
-                &mut record,
-                config.max_repair_passes,
-                &mut chunk_rng,
-                &mut report.repairs,
-            );
-            if unresolved > 0 {
-                report.unresolved_rows += 1;
-                report.unresolved_violations += unresolved as u64;
-            }
-            table.push_row(&record).expect("generated record matches schema");
-            report.rows += 1;
-        }
-        parts.push((table, report));
-    }
-    let mut table = Table::with_capacity(schema.clone(), config.n_rows);
-    let mut report = GenReport::default();
-    append_parts(&mut table, &mut report, parts).expect("chunk tables share the schema");
-    (table, report)
 }
 
 /// A [`BatchSource`] that **generates** its batches: chunk-seeded,
@@ -500,62 +447,6 @@ fn sample_start<R: Rng + ?Sized>(
     }
 }
 
-/// Repair a record against the rule set; returns the number of rules
-/// still violated after the pass budget.
-///
-/// Three escalating phases share the pass budget. Natural rule sets
-/// exclude pairwise contradictions, but rules with *overlapping*
-/// premises may still prescribe incompatible consequents for
-/// individual records, and dense rule sets (the paper's baseline has
-/// 100 rules over 8 attributes) form a constraint system that local
-/// enforcement alone cannot always satisfy:
-///
-/// 1. **enforce** — make violated consequents true (builds the wanted
-///    dependencies);
-/// 2. **falsify** — make violated premises false via their
-///    TDG-negation (true exactly when the premise is false),
-///    preferring NULL-free disjuncts;
-/// 3. **escape** — falsify preferring the `isnull` disjuncts: a NULL
-///    premise attribute falsifies every propositional and relational
-///    atom on it, which is the guaranteed way out of conflict cycles
-///    (at the price of a missing value).
-///
-/// Rules are visited in a fresh random order each pass so that cyclic
-/// conflicts do not replay deterministically.
-fn repair_record<R: Rng + ?Sized>(
-    schema: &Schema,
-    rules: &RuleSet,
-    record: &mut [Value],
-    max_passes: usize,
-    rng: &mut R,
-    repairs: &mut u64,
-) -> usize {
-    let enforce_end = (max_passes / 2).max(1);
-    let falsify_end = enforce_end + (max_passes / 4);
-    let mut order: Vec<usize> = (0..rules.len()).collect();
-    for pass in 0..max_passes {
-        shuffle(&mut order, rng);
-        let (enforce, prefer_null) = (pass < enforce_end, pass >= falsify_end);
-        let mut violated = false;
-        for &i in &order {
-            let rule = &rules.rules[i];
-            if eval_rule(rule, record) == RuleStatus::Violated {
-                violated = true;
-                *repairs += 1;
-                let repaired =
-                    enforce && make_true(schema, &rule.consequent, record, rng, prefer_null);
-                if !repaired {
-                    make_true(schema, &negate(&rule.premise), record, rng, prefer_null);
-                }
-            }
-        }
-        if !violated {
-            return 0;
-        }
-    }
-    rules.iter().filter(|r| eval_rule(r, record) == RuleStatus::Violated).count()
-}
-
 fn shuffle<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R) {
     for i in (1..items.len()).rev() {
         items.swap(i, rng.gen_range(0..=i));
@@ -591,8 +482,8 @@ impl ModMagic {
     /// `x = hi·2³² + lo ⇒ x mod s = (hi mod s · (2³² mod s) + lo mod s)
     /// mod s`. With `s ≤ 2¹⁶` the recombined dividend stays below
     /// 2³², so every step uses the exact 32-bit fastmod. Produces the
-    /// same value as `x % s` bit for bit (the shuffle replays the
-    /// reference RNG stream through this).
+    /// same value as `x % s` bit for bit, so [`shuffle_fast`] picks the
+    /// same swap index as [`shuffle`] from the same draw.
     #[inline]
     fn rem64(&self, x: u64) -> u64 {
         let hi = self.rem32(x >> 32);
@@ -601,9 +492,10 @@ impl ModMagic {
     }
 }
 
-/// The compiled repair loop's shuffle: identical swaps to [`shuffle`]
-/// (one `next_u64` draw per step, same index), with the modulo done by
-/// precomputed magics instead of a hardware division per draw.
+/// The repair loop's shuffle for rule sets below 2¹⁶ rules: identical
+/// swaps to [`shuffle`] (one `next_u64` draw per step, same index), with
+/// the modulo done by precomputed magics instead of a hardware division
+/// per draw.
 fn shuffle_fast<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R, magics: &[ModMagic]) {
     for i in (1..items.len()).rev() {
         let j = magics[i + 1].rem64(rng.next_u64());
@@ -721,8 +613,8 @@ impl RepairIndex {
 
 /// Mutable per-worker buffers of the compiled repair loop.
 struct RepairScratch {
-    /// Shuffled visit order (reset to identity per record — the
-    /// reference path starts every record from the identity order).
+    /// Shuffled visit order (reset to identity per record: every
+    /// record's first shuffle starts from the identity order).
     order: Vec<u32>,
     /// Inverse of `order`: `pos[rule] = turn`, rebuilt per repairing
     /// pass.
@@ -774,22 +666,47 @@ impl RepairScratch {
     }
 }
 
-/// The compiled twin of [`repair_record`]: same escalation phases, same
-/// shuffles, same repair actions — and therefore the same RNG stream.
+/// Repair a record against the rule set; returns the number of rules
+/// still violated after the pass budget.
 ///
-/// The reference scans the whole rule set in shuffled order every
-/// pass, which is dominated by branch-mispredicted scattered
-/// evaluations. This loop keeps every rule's verdict *current*
-/// instead: one guarded initial scan per record (dispatched through
-/// the nominal guard buckets, so most rules are ruled out by a table
-/// lookup), then after each repair a sequential batch re-evaluation of
-/// exactly the rules reading a changed cell (the dirty-attribute
-/// inverted index). A pass then just replays the violated rules in
-/// shuffled-turn order — the verdict a rule would get at its turn
-/// equals its current verdict, because verdicts only change when the
-/// record changes, and every record change immediately refreshes the
-/// affected verdicts.
-fn repair_record_compiled<R: Rng + ?Sized>(
+/// Three escalating phases share the pass budget. Natural rule sets
+/// exclude pairwise contradictions, but rules with *overlapping*
+/// premises may still prescribe incompatible consequents for
+/// individual records, and dense rule sets (the paper's baseline has
+/// 100 rules over 8 attributes) form a constraint system that local
+/// enforcement alone cannot always satisfy:
+///
+/// 1. **enforce** — make violated consequents true (builds the wanted
+///    dependencies);
+/// 2. **falsify** — make violated premises false via their
+///    TDG-negation (true exactly when the premise is false),
+///    preferring NULL-free disjuncts;
+/// 3. **escape** — falsify preferring the `isnull` disjuncts: a NULL
+///    premise attribute falsifies every propositional and relational
+///    atom on it, which is the guaranteed way out of conflict cycles
+///    (at the price of a missing value).
+///
+/// Rules are visited in a fresh random order each pass so that cyclic
+/// conflicts do not replay deterministically.
+///
+/// The RNG draw order is part of the output, pinned by `dq_cli`'s
+/// `generate_digests.txt`: each pass draws one shuffle of the visit
+/// order (a Fisher–Yates walk, one `next_u64` per step), then, in that
+/// order, repairs every rule still violated when its turn comes, each
+/// repair making its own draws. A pass that finds no violated rule
+/// still draws its shuffle, then the record is done.
+///
+/// Rather than evaluating every rule at its turn, the loop keeps every
+/// rule's verdict *current*: one guarded initial scan per record
+/// (dispatched through the nominal guard buckets, so most rules are
+/// ruled out by a table lookup), then after each repair a sequential
+/// batch re-evaluation of exactly the rules reading a changed cell
+/// (the dirty-attribute inverted index). A pass then just replays the
+/// violated rules in shuffled-turn order — the verdict a rule would
+/// get at its turn equals its current verdict, because verdicts only
+/// change when the record changes, and every record change
+/// immediately refreshes the affected verdicts.
+fn repair_record<R: Rng + ?Sized>(
     generator: &ChunkGenerator,
     record: &mut [Value],
     rng: &mut R,
@@ -897,10 +814,11 @@ fn repair_record_compiled<R: Rng + ?Sized>(
 
     for pass in 0..max_passes {
         if violated_set.is_empty() {
-            // The reference's clean confirm pass: shuffle, observe no
-            // violation, exit. The permutation is never read again
-            // (every record resets it), so only the shuffle's RNG
-            // draws need consuming — one `next_u64` per step.
+            // The clean confirm pass: its shuffle is drawn, no rule is
+            // violated, the record is done. The permutation is never
+            // read again (every record resets it), so only the
+            // shuffle's RNG draws need consuming — one `next_u64` per
+            // step.
             for _ in 1..order.len() {
                 rng.next_u64();
             }
@@ -916,10 +834,9 @@ fn repair_record_compiled<R: Rng + ?Sized>(
         let (enforce, prefer_null) = (pass < enforce_end, pass >= falsify_end);
         let mut cursor = 0u32;
         // Replay the violated rules in turn order. A rule fixed by an
-        // earlier-turn repair is skipped exactly like the reference
-        // (which would re-evaluate it at its turn and see it clean);
-        // a rule that *becomes* violated mid-pass after its turn waits
-        // for the next pass, again like the reference.
+        // earlier-turn repair is clean at its turn and skipped; a rule
+        // that *becomes* violated mid-pass after its turn waits for
+        // the next pass.
         loop {
             let mut best: Option<(u32, u32)> = None; // (turn, rule)
             for &j in violated_set.iter() {
@@ -946,25 +863,13 @@ fn repair_record_compiled<R: Rng + ?Sized>(
             // are kept current), so the consequent is known false —
             // and so is the negated premise as long as nothing has
             // been adjusted yet.
-            let repaired = enforce
-                && make_true_compiled_known_false(
-                    schema,
-                    consequent_tree,
-                    record,
-                    rng,
-                    prefer_null,
-                );
+            let repaired =
+                enforce && make_true_known_false(schema, consequent_tree, record, rng, prefer_null);
             if !repaired {
                 if enforce {
-                    make_true_compiled(schema, neg_premise_tree, record, rng, prefer_null);
+                    make_true(schema, neg_premise_tree, record, rng, prefer_null);
                 } else {
-                    make_true_compiled_known_false(
-                        schema,
-                        neg_premise_tree,
-                        record,
-                        rng,
-                        prefer_null,
-                    );
+                    make_true_known_false(schema, neg_premise_tree, record, rng, prefer_null);
                 }
             }
             // Refresh the verdicts of every rule reading a cell whose
@@ -1062,27 +967,11 @@ fn repair_record_compiled<R: Rng + ?Sized>(
     violated_set.len()
 }
 
-/// Adjust the record so `formula` holds; returns `false` when no
-/// adjustment was found (rare: empty domains or exhausted retries).
-fn make_true<R: Rng + ?Sized>(
-    schema: &Schema,
-    formula: &Formula,
-    record: &mut [Value],
-    rng: &mut R,
-    prefer_null: bool,
-) -> bool {
-    if eval_formula(formula, record) {
-        return true;
-    }
-    make_true_known_false(schema, formula, record, rng, prefer_null)
-}
-
-/// A formula pre-compiled for the repair step: the tree shape
-/// [`make_true`] walks, with a flat evaluation program and the
-/// `contains_isnull` flag cached at every node. The compiled walker
-/// below mirrors `make_true` decision for decision (and therefore RNG
-/// draw for RNG draw); only the satisfaction checks and isnull tests
-/// run on precomputed data instead of re-walking `Formula` trees.
+/// A formula pre-compiled for the repair step: the formula's tree shape,
+/// which [`make_true`] walks, with a flat evaluation program and the
+/// `contains_isnull` flag cached at every node, so satisfaction checks
+/// and isnull tests run on precomputed data instead of re-walking
+/// `Formula` trees.
 struct RepairTree {
     program: CompiledFormula,
     has_isnull: bool,
@@ -1110,9 +999,9 @@ impl RepairTree {
     }
 }
 
-/// [`make_true`] over a [`RepairTree`] — identical adjustments and RNG
-/// stream, compiled checks.
-fn make_true_compiled<R: Rng + ?Sized>(
+/// Adjust the record so the tree's formula holds; returns `false` when
+/// no adjustment was found (rare: empty domains or exhausted retries).
+fn make_true<R: Rng + ?Sized>(
     schema: &Schema,
     tree: &RepairTree,
     record: &mut [Value],
@@ -1122,11 +1011,14 @@ fn make_true_compiled<R: Rng + ?Sized>(
     if tree.program.eval(record) {
         return true;
     }
-    make_true_compiled_known_false(schema, tree, record, rng, prefer_null)
+    make_true_known_false(schema, tree, record, rng, prefer_null)
 }
 
-/// [`make_true_known_false`] over a [`RepairTree`].
-fn make_true_compiled_known_false<R: Rng + ?Sized>(
+/// [`make_true`] minus the entry satisfaction check, for callers that
+/// already know the formula is false on the record (a violated rule's
+/// consequent, or — before any other adjustment — the TDG-negation of
+/// its premise).
+fn make_true_known_false<R: Rng + ?Sized>(
     schema: &Schema,
     tree: &RepairTree,
     record: &mut [Value],
@@ -1138,66 +1030,25 @@ fn make_true_compiled_known_false<R: Rng + ?Sized>(
         RepairKind::And(children) => {
             let mut ok = true;
             for child in children {
-                ok &= make_true_compiled(schema, child, record, rng, prefer_null);
+                ok &= make_true(schema, child, record, rng, prefer_null);
             }
             // Later conjuncts may have disturbed earlier ones; report
             // success only if the whole conjunction now holds.
             ok && tree.program.eval(record)
         }
         RepairKind::Or(children) => {
-            // Same two-tier disjunct walk as `make_true`, with the
-            // per-disjunct isnull test precomputed.
-            let start = rng.gen_range(0..children.len());
-            for null_tier in [prefer_null, !prefer_null] {
-                for i in 0..children.len() {
-                    let child = &children[(start + i) % children.len()];
-                    if child.has_isnull == null_tier
-                        && make_true_compiled(schema, child, record, rng, prefer_null)
-                    {
-                        return true;
-                    }
-                }
-            }
-            false
-        }
-    }
-}
-
-/// [`make_true`] minus the entry satisfaction check, for callers that
-/// already know `formula` is false on the record (a violated rule's
-/// consequent, or — before any other adjustment — the TDG-negation of
-/// its premise).
-fn make_true_known_false<R: Rng + ?Sized>(
-    schema: &Schema,
-    formula: &Formula,
-    record: &mut [Value],
-    rng: &mut R,
-    prefer_null: bool,
-) -> bool {
-    match formula {
-        Formula::Atom(a) => make_atom_true(schema, a, record, rng),
-        Formula::And(fs) => {
-            let mut ok = true;
-            for f in fs {
-                ok &= make_true(schema, f, record, rng, prefer_null);
-            }
-            // Later conjuncts may have disturbed earlier ones; report
-            // success only if the whole conjunction now holds.
-            ok && eval_formula(formula, record)
-        }
-        Formula::Or(fs) => {
             // Try disjuncts in two tiers: by default first (in random
             // order) the ones that do not force a NULL, then the
             // NULL-introducing ones — TDG-negations are full of
             // `… ∨ A isnull` disjuncts (Table 1), and picking them
             // blindly would riddle the "clean" data with NULLs. The
             // escape phase of the repair loop reverses the order.
-            let start = rng.gen_range(0..fs.len());
+            let start = rng.gen_range(0..children.len());
             for null_tier in [prefer_null, !prefer_null] {
-                for i in 0..fs.len() {
-                    let f = &fs[(start + i) % fs.len()];
-                    if contains_isnull(f) == null_tier
-                        && make_true(schema, f, record, rng, prefer_null)
+                for i in 0..children.len() {
+                    let child = &children[(start + i) % children.len()];
+                    if child.has_isnull == null_tier
+                        && make_true(schema, child, record, rng, prefer_null)
                     {
                         return true;
                     }

@@ -27,10 +27,9 @@ pub mod rulegen;
 
 pub use atomgen::{random_domain_value, AtomSampler, AtomWeights, FormulaShape};
 pub use datagen::{
-    generate_reference, generate_table, DataGenConfig, GenReport, GenerateStream,
-    StartDistributions, GEN_CHUNK_ROWS,
+    generate_table, DataGenConfig, GenReport, GenerateStream, StartDistributions, GEN_CHUNK_ROWS,
 };
-pub use rulegen::{generate_rule_set, generate_rule_set_reference, RuleGenConfig, RuleGenReport};
+pub use rulegen::{generate_rule_set, RuleGenConfig, RuleGenReport};
 
 use dq_logic::RuleSet;
 use dq_table::{Schema, Table};
@@ -93,24 +92,6 @@ impl TestDataGenerator {
         rng: &mut R,
     ) -> GeneratedBenchmark {
         let (clean, gen_report) = generate_table(&self.schema, rules, &self.data, rng);
-        GeneratedBenchmark {
-            schema: self.schema.clone(),
-            rules: rules.clone(),
-            clean,
-            rule_report: RuleGenReport::default(),
-            gen_report,
-        }
-    }
-
-    /// [`TestDataGenerator::generate_with_rules`] on the retained
-    /// serial interpreted path ([`generate_reference`]) — ground truth
-    /// for the equivalence tests only.
-    pub fn generate_with_rules_reference<R: Rng + ?Sized>(
-        &self,
-        rules: &RuleSet,
-        rng: &mut R,
-    ) -> GeneratedBenchmark {
-        let (clean, gen_report) = generate_reference(&self.schema, rules, &self.data, rng);
         GeneratedBenchmark {
             schema: self.schema.clone(),
             rules: rules.clone(),

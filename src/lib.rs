@@ -12,9 +12,6 @@
 //! * [`exec`] — a std-only scoped worker pool with deterministic
 //!   input-order results plus the shared `Parallelism` knob, the
 //!   execution substrate of every parallel phase;
-//! * [`fault`] — deterministic fault injection: seeded replayable
-//!   fault plans, `FaultSource` batch-stream wrappers and fault-capable
-//!   `Read`/`Write` adapters used by the chaos suite;
 //! * [`stats`] — confidence intervals, entropy measures, distributions,
 //!   evaluation matrices;
 //! * [`logic`] — TDG formulae/rules, satisfiability, natural rule sets;
@@ -88,12 +85,11 @@
 //! figures. `exec` itself is std-only and depends on nothing: it
 //! supplies the shared [`exec::Parallelism`] knob (explicit count >
 //! `DQ_THREADS` > cores) and worker pool to `tdg`, `core`, `serve`,
-//! `eval` and the CLI. `fault` depends only on `table`: it wraps any
-//! `BatchSource` or byte stream with a seeded, replayable fault
-//! schedule (the chaos suite's instrument — see the README's "Fault
-//! tolerance" section). The `rand`/`proptest` dependencies
-//! resolve to offline, API-compatible shims under `shims/` because the
-//! build environment has no crates.io access.
+//! `eval` and the CLI. The `dq_fault` crate, the chaos suite's fault
+//! injection (see the README's "Fault tolerance" section), is a
+//! dev-dependency only and not re-exported. The `rand`/`proptest`
+//! dependencies resolve to offline, API-compatible shims under
+//! `shims/` because the build environment has no crates.io access.
 //!
 //! The tier-1 verification for the whole workspace is:
 //!
@@ -107,7 +103,6 @@ pub use dq_bayes as bayes;
 pub use dq_core as core;
 pub use dq_eval as eval;
 pub use dq_exec as exec;
-pub use dq_fault as fault;
 pub use dq_job as job;
 pub use dq_logic as logic;
 pub use dq_mining as mining;
@@ -152,7 +147,6 @@ pub mod prelude {
     };
     pub use dq_eval::{Scale, Series, TestEnvironment};
     pub use dq_exec::{Parallelism, WorkerPool};
-    pub use dq_fault::{FaultPlan, FaultProfile, FaultRead, FaultSource, FaultWrite};
     pub use dq_logic::{parse_formula, parse_rule, Atom, Formula, Rule, RuleSet};
     pub use dq_mining::InducerKind;
     pub use dq_pollute::{pollute, Polluter, PollutionConfig, PollutionLog, PollutionStep};

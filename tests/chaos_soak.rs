@@ -17,9 +17,11 @@
 //! one extra schedule per soak — the hook the CI chaos-smoke job uses
 //! to add a fresh random seed to every run (printed on failure).
 
-use data_audit::fault::{Fault, FaultKind, Unit};
 use data_audit::prelude::*;
 use data_audit::serve::{client, ModelRegistry, ServeConfig, Server};
+use dq_fault::{
+    Fault, FaultKind, FaultPlan, FaultProfile, FaultRead, FaultSource, FaultWrite, Unit,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufReader, Cursor, Write};

@@ -13,6 +13,7 @@
 
 use data_audit::prelude::*;
 use data_audit::tdg::{generate_rule_set, DataGenConfig, GenerateStream, RuleGenConfig};
+use dq_fault::{FaultPlan, FaultRead, FaultSource, FaultWrite};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;

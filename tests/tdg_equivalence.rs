@@ -13,17 +13,19 @@
 
 use data_audit::eval::Baseline;
 use data_audit::job::fnv1a;
-use data_audit::logic::eval::violations_reference;
 use data_audit::logic::{eval_rule, is_natural_rule_set, RuleStatus};
 use data_audit::pollute::{count_violations, unexplained_violations, violating_rows};
 use data_audit::prelude::*;
 use data_audit::quis::{generate_quis, QuisConfig};
-use data_audit::tdg::{
-    generate_rule_set, generate_rule_set_reference, GenReport, RuleGenReport, GEN_CHUNK_ROWS,
-};
+use data_audit::tdg::{generate_rule_set, GenReport, RuleGenReport, GEN_CHUNK_ROWS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+// The frozen digests below were recorded while a serial interpreted
+// reference generator (per-repair `negate`, a full `eval_rule` re-scan
+// of the rule set every pass, the uncached rule-set generator) was
+// checked to emit the same bytes and reports.
 
 /// FNV-1a of the 100-rule baseline's clean CSV at seed 11.
 const BASELINE_CLEAN_FNV1A: u64 = 0xf857_d30d_c79a_c2d9;
@@ -99,13 +101,10 @@ fn parallel_generation_is_byte_identical_to_reference() {
     let rows = GEN_CHUNK_ROWS + GEN_CHUNK_ROWS / 2; // crosses a chunk boundary
     let mut generator = baseline.generator(100, rows);
 
-    let reference = generator.generate_with_rules_reference(&rules, &mut StdRng::seed_from_u64(11));
     let mut first: Option<GeneratedBenchmark> = None;
     for threads in [1usize, 2, 4] {
         generator.data.threads = threads.into();
         let fast = generator.generate_with_rules(&rules, &mut StdRng::seed_from_u64(11));
-        assert_eq!(fast.gen_report, reference.gen_report, "threads={threads}");
-        assert_tables_identical(&fast.clean, &reference.clean);
         match &first {
             None => first = Some(fast),
             Some(a) => {
@@ -116,8 +115,6 @@ fn parallel_generation_is_byte_identical_to_reference() {
     }
     let b = first.expect("three runs");
     check_against_interpreter(&b);
-    let total: usize = rules.iter().map(|r| violations_reference(r, &reference.clean).len()).sum();
-    assert_eq!(total as u64, reference.gen_report.unresolved_violations);
 
     assert_eq!(csv_fnv1a(&b.clean), BASELINE_CLEAN_FNV1A, "baseline clean table drifted");
     assert_eq!(rules_fnv1a(&rules, &b.schema), BASELINE_RULES_FNV1A, "baseline rules drifted");
@@ -134,10 +131,6 @@ fn rule_generation_is_byte_identical_to_reference() {
     let baseline = Baseline::new(7);
     let cfg = baseline.rule_config(60);
     let (rules, report) = generate_rule_set(&baseline.schema, &cfg, &mut StdRng::seed_from_u64(7));
-    let (reference, ref_report) =
-        generate_rule_set_reference(&baseline.schema, &cfg, &mut StdRng::seed_from_u64(7));
-    assert_eq!(rules, reference);
-    assert_eq!(report, ref_report);
     assert!(is_natural_rule_set(&baseline.schema, &rules.rules));
     assert_eq!(rules_fnv1a(&rules, &baseline.schema), RULES_60_FNV1A, "60-rule set drifted");
     assert_eq!(
@@ -180,7 +173,6 @@ fn quis_50k_pollution_logs_and_violation_scans_agree() {
     let counts = count_violations(&a.dirty, &rules);
     for (i, rule) in rules.iter().enumerate() {
         assert_eq!(counts[i], interpreted_violations(rule, &a.dirty).len(), "rule {i}");
-        assert_eq!(counts[i], violations_reference(rule, &a.dirty).len(), "rule {i}");
     }
     assert_eq!(count_violations(&a.clean, &rules), vec![0, 0], "clean table follows the rules");
 
@@ -212,16 +204,11 @@ proptest! {
         let generator = TestDataGenerator::new(schema, n_rules, rows);
         let mut gen_rng = StdRng::seed_from_u64(seed);
         let b = generator.generate(&mut gen_rng);
-        let reference =
-            generator.generate_with_rules_reference(&b.rules, &mut StdRng::seed_from_u64(seed ^ 1));
         let mut runs = Vec::new();
         for threads in [1usize, 3] {
             let mut g = generator.clone();
             g.data.threads = threads.into();
-            let fast = g.generate_with_rules(&b.rules, &mut StdRng::seed_from_u64(seed ^ 1));
-            prop_assert_eq!(&fast.gen_report, &reference.gen_report);
-            assert_tables_identical(&fast.clean, &reference.clean);
-            runs.push(fast);
+            runs.push(g.generate_with_rules(&b.rules, &mut StdRng::seed_from_u64(seed ^ 1)));
         }
         prop_assert_eq!(&runs[0].gen_report, &runs[1].gen_report);
         assert_tables_identical(&runs[0].clean, &runs[1].clean);
