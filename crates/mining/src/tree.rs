@@ -2139,22 +2139,147 @@ mod tests {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/c45_digests.txt")
     }
 
-    /// The presorted inducer on `messy_table(400)` for every class
-    /// attribute, pruning mode and split criterion: one FNV-1a line per
-    /// configuration over the tree's structure followed by the bits of
-    /// its `predict` counts on every row. The frozen lines in
-    /// `tests/golden/c45_digests.txt` were recorded while the
-    /// row-at-a-time reference inducer (per-node re-sort, cells read
-    /// through `Table::get`, every cut between distinct values scored)
-    /// was checked equal to this inducer on each configuration.
-    /// Regenerate after an *intentional* change with
-    /// `GOLDEN_REGEN=1 cargo test -p dq_mining presorted_induction_matches`.
+    /// Gain ratio and information gain pick different roots here: `m`
+    /// (12 labels) fixes `y` outright and has the top gain, `b` (2
+    /// labels) agrees with `y` on 32 of 33 rows and has the top gain
+    /// ratio among the above-average candidates, and `z` is weak.
+    fn criterion_table(n: usize) -> Table {
+        let schema = SchemaBuilder::new()
+            .nominal_sized("m", 12)
+            .nominal("b", ["f", "t"])
+            .nominal("z", ["u", "v", "w"])
+            .numeric("x", 0.0, 100.0)
+            .nominal("y", ["f", "t"])
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..n {
+            let m = (i % 12) as u32;
+            let y = u32::from(m >= 6);
+            let b = if i % 33 == 0 { 1 - y } else { y };
+            let z = if i % 4 == 0 { y } else { (i % 3) as u32 };
+            let x = Value::Number(((i * 7) % 40) as f64 + 10.0 * f64::from(y));
+            t.push_row(&[
+                Value::Nominal(m),
+                Value::Nominal(b),
+                Value::Nominal(z),
+                x,
+                Value::Nominal(y),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    /// NULLs in both ordered columns and NaN payloads of either sign,
+    /// so NULL instances are spread with fractional weights across
+    /// threshold splits and NaNs sort to both ends of the presort.
+    fn nan_table(n: usize) -> Table {
+        let schema = SchemaBuilder::new()
+            .numeric("x", 0.0, 100.0)
+            .date_ymd("d", (2000, 1, 1), (2010, 1, 1))
+            .nominal("a", ["p", "q", "r"])
+            .nominal("y", ["lo", "mid", "hi"])
+            .build()
+            .unwrap();
+        let base = dq_table::date::days_from_civil(2002, 1, 1);
+        let mut t = Table::new(schema);
+        for i in 0..n {
+            let y = ((i % 17) / 6) as u32;
+            let x = match i % 13 {
+                0 => Value::Null,
+                5 => Value::Number(f64::NAN),
+                9 => Value::Number(-f64::NAN),
+                _ => Value::Number((i % 17) as f64 * 3.0 + (i % 3) as f64),
+            };
+            let d = if i % 6 == 0 {
+                Value::Null
+            } else {
+                Value::Date(base + ((i % 17) / 2) as i64 + (i % 5) as i64)
+            };
+            let a = if i % 19 == 0 { Value::Null } else { Value::Nominal((i % 3) as u32) };
+            t.push_row_lenient(&[x, d, a, Value::Nominal(y)]).unwrap();
+        }
+        t
+    }
+
+    /// Two 300-label nominal attributes, so codes at and past 255 are
+    /// both base-attribute branches and classes, next to NULLs and
+    /// out-of-domain codes.
+    fn wide_table(n: usize) -> Table {
+        let schema = SchemaBuilder::new()
+            .nominal_sized("w", 300)
+            .nominal_sized("k", 300)
+            .nominal("s", ["p", "q"])
+            .numeric("x", 0.0, 100.0)
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..n {
+            let w = (i * 7 % 300) as u32;
+            let s = (i % 2) as u32;
+            let k = match i % 23 {
+                0 => Value::Null,
+                1 => Value::Nominal(300 + (i % 5) as u32),
+                _ => Value::Nominal((w / 2 + 150 * s) % 300),
+            };
+            let w =
+                if i % 29 == 0 { Value::Nominal(255 + (i % 90) as u32) } else { Value::Nominal(w) };
+            let x = if i % 7 == 0 { Value::Null } else { Value::Number((i % 50) as f64) };
+            t.push_row_lenient(&[w, k, Value::Nominal(s), x]).unwrap();
+        }
+        t
+    }
+
+    /// The labelled golden fixtures reach what they are there to pin.
     #[test]
-    fn presorted_induction_matches_frozen_digests() {
-        let t = messy_table(400);
-        let mut actual = String::from("# class pruning criterion tree_and_predictions_fnv1a\n");
-        for class_attr in 0..t.n_cols() {
-            let ts = TrainingSet::full(&t, class_attr, 4).unwrap();
+    fn golden_fixtures_reach_their_paths() {
+        let induce = |t: &Table, class_attr, criterion| {
+            let ts = TrainingSet::full(t, class_attr, 4).unwrap();
+            let cfg = C45Config { pruning: Pruning::None, criterion, ..C45Config::default() };
+            C45Inducer::new(cfg).induce_tree(&ts).unwrap()
+        };
+        let root_attr = |tree: &DecisionTree| match tree.root() {
+            Node::Split { attr, .. } => Some(*attr),
+            Node::Leaf { .. } => None,
+        };
+        // The two criteria split the root of `y` on different attributes.
+        let t = criterion_table(396);
+        assert_eq!(root_attr(&induce(&t, 4, SplitCriterion::InfoGain)), Some(0));
+        assert_eq!(root_attr(&induce(&t, 4, SplitCriterion::GainRatio)), Some(1));
+        // Some threshold split on `x` carries fractional NULL weight.
+        fn fractional_threshold(node: &Node, attr: AttrIdx) -> bool {
+            match node {
+                Node::Leaf { .. } => false,
+                Node::Split { attr: a, kind, children, counts, .. } => {
+                    (*a == attr
+                        && matches!(kind, SplitKind::Threshold(_))
+                        && children.iter().any(|c| c.counts().iter().any(|x| x.fract() != 0.0))
+                        && counts.iter().all(|x| x.fract() == 0.0))
+                        || children.iter().any(|c| fractional_threshold(c, attr))
+                }
+            }
+        }
+        let t = nan_table(500);
+        assert!(fractional_threshold(induce(&t, 3, SplitCriterion::GainRatio).root(), 0));
+        // `k` splits on all 300 codes of `w`, and some leaf predicts a
+        // class code past 255.
+        let t = wide_table(3000);
+        let tree = induce(&t, 1, SplitCriterion::GainRatio);
+        match tree.root() {
+            Node::Split { attr: 0, kind: SplitKind::Nominal, children, .. } => {
+                assert_eq!(children.len(), 300)
+            }
+            other => panic!("expected a nominal split on `w`, got {other:?}"),
+        }
+        assert!(tree.to_rules().iter().any(|r| r.predicted >= 255));
+    }
+
+    /// FNV-1a lines for every class attribute in `classes`, pruning
+    /// mode and split criterion of `t`, each prefixed by `label`.
+    fn digest_lines(t: &Table, classes: &[AttrIdx], label: &str, out: &mut String) {
+        for &class_attr in classes {
+            let ts = TrainingSet::full(t, class_attr, 4).unwrap();
             for pruning in [
                 Pruning::None,
                 Pruning::ExpectedErrorConfidence,
@@ -2172,13 +2297,37 @@ mod tests {
                             bytes.extend_from_slice(&c.to_bits().to_le_bytes());
                         }
                     }
-                    actual.push_str(&format!(
-                        "{class_attr} {pruning:?} {criterion:?} {:016x}\n",
+                    out.push_str(&format!(
+                        "{label}{class_attr} {pruning:?} {criterion:?} {:016x}\n",
                         fnv1a(&bytes)
                     ));
                 }
             }
         }
+    }
+
+    /// The presorted inducer for every class attribute, pruning mode
+    /// and split criterion: one FNV-1a line per configuration over the
+    /// tree's structure followed by the bits of its `predict` counts
+    /// on every row. The unlabelled lines of
+    /// `tests/golden/c45_digests.txt` cover `messy_table(400)`; they
+    /// were recorded while the row-at-a-time reference inducer
+    /// (per-node re-sort, cells read through `Table::get`, every cut
+    /// between distinct values scored) was checked equal to this
+    /// inducer on each configuration. The labelled lines after them
+    /// pin where the split criteria disagree, NULL and NaN routing
+    /// through threshold splits, and labels past 255.
+    /// Regenerate after an *intentional* change with
+    /// `GOLDEN_REGEN=1 cargo test -p dq_mining presorted_induction_matches`.
+    #[test]
+    fn presorted_induction_matches_frozen_digests() {
+        let mut actual = String::from("# class pruning criterion tree_and_predictions_fnv1a\n");
+        digest_lines(&messy_table(400), &[0, 1, 2, 3], "", &mut actual);
+        actual.push_str("# fixture class pruning criterion tree_and_predictions_fnv1a\n");
+        digest_lines(&criterion_table(396), &[0, 1, 2, 3, 4], "criterion ", &mut actual);
+        // NaN payloads cannot be binned, so `x` is a base attribute only.
+        digest_lines(&nan_table(500), &[1, 2, 3], "nan ", &mut actual);
+        digest_lines(&wide_table(3000), &[0, 1, 2, 3], "wide ", &mut actual);
         let path = c45_golden_path();
         if std::env::var_os("GOLDEN_REGEN").is_some() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();

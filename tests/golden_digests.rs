@@ -17,7 +17,9 @@
 //! confidence reaches the threshold. The configurations are QUIS at
 //! two seeds and sizes; generated, polluted tables of every mix of
 //! nominal, numeric and date attributes; and a fixture of value ties,
-//! heavy NULLs and an out-of-domain code. Naive Bayes, OneR and ZeroR,
+//! heavy NULLs and an out-of-domain code, which flags no row at the
+//! default minimal confidence and so runs again at 0.3, where it does.
+//! Naive Bayes, OneR and ZeroR,
 //! which have no flat tree and no persisted form, are pinned by their
 //! report digests on QUIS. Every configuration runs at threads 1 and 2.
 //! It pins the association auditor by the report CSV followed by the
@@ -119,6 +121,16 @@ fn render_association(out: &mut String) {
 /// FNV-1a (`None` for a classifier family that does not persist) and
 /// the report digest over the per-row confidence bits.
 fn audit_digests(auditor: &Auditor, table: &Table, threads: usize) -> (Option<u64>, u64) {
+    let (model, report, _) = audit_digests_flagged(auditor, table, threads);
+    (model, report)
+}
+
+/// [`audit_digests`], plus the number of flagged rows.
+fn audit_digests_flagged(
+    auditor: &Auditor,
+    table: &Table,
+    threads: usize,
+) -> (Option<u64>, u64, usize) {
     let schema = table.schema();
     let model = auditor.induce(table).expect("induction succeeds");
     let saved = matches!(auditor.config.inducer, InducerKind::C45(_)).then(|| {
@@ -145,7 +157,8 @@ fn audit_digests(auditor: &Auditor, table: &Table, threads: usize) -> (Option<u6
     for (row, c) in confidences.iter().enumerate() {
         assert_eq!(per_batch.is_flagged(row), *c >= per_batch.min_confidence);
     }
-    (saved, digest(&per_batch, schema, confidences.iter().map(|c| c.to_bits())))
+    let flagged = per_batch.n_suspicious();
+    (saved, digest(&per_batch, schema, confidences.iter().map(|c| c.to_bits())), flagged)
 }
 
 fn c45_auditor(threads: usize) -> Auditor {
@@ -252,6 +265,31 @@ fn render_mixed_and_families(out: &mut String) {
     }
 }
 
+/// The adversarial fixture flags nothing at the default minimal
+/// confidence of 0.8, so it is pinned again at 0.3, the highest tenth
+/// at which it flags rows.
+fn render_adversarial_flagging(out: &mut String) {
+    const MIN_CONFIDENCE: f64 = 0.3;
+    out.push_str(
+        "# adversarial-flagging min_confidence threads flagged model_fnv1a report_fnv1a\n",
+    );
+    let table = adversarial_table();
+    for threads in THREADS {
+        let auditor = Auditor::new(AuditConfig {
+            min_confidence: MIN_CONFIDENCE,
+            threads: threads.into(),
+            ..AuditConfig::default()
+        });
+        let (model, report, flagged) = audit_digests_flagged(&auditor, &table, threads);
+        assert!(flagged > 0, "the digest must cover flagged records");
+        let model = model.expect("C4.5 models persist");
+        let _ = writeln!(
+            out,
+            "adversarial-flagging {MIN_CONFIDENCE} {threads} {flagged} {model:016x} {report:016x}"
+        );
+    }
+}
+
 /// One snapshot line per (seed, rows, threads) configuration.
 fn render_snapshot() -> String {
     let mut out = String::from("# seed rows threads model_fnv1a report_fnv1a\n");
@@ -270,6 +308,7 @@ fn render_snapshot() -> String {
     }
     render_association(&mut out);
     render_mixed_and_families(&mut out);
+    render_adversarial_flagging(&mut out);
     out
 }
 
