@@ -7,25 +7,34 @@
 //! workspace. The row-at-a-time [`dq_table::Table::get`] path
 //! constructs a [`dq_table::Value`] enum per cell access; over the
 //! `O(attributes × rows × depth)` accesses of a tree induction that
-//! dominates the runtime. [`ColumnarTraining`] is built **once** per
-//! training set, from a table-level [`TableCache`], and replaces every
-//! cell access with a dense typed array read:
+//! dominates the runtime. A [`TableCache`] is built **once** per table
+//! and a [`ColumnarTraining`] once per training set; together they
+//! replace every cell access with a read of one of two structures:
 //!
-//! * nominal base attributes become a `Vec<u32>` of codes
-//!   ([`NULL_CODE`] marks NULL — out-of-domain codes keep their value,
-//!   since the induction treats any code past the label list exactly
-//!   like a missing value);
-//! * ordered (numeric/date) base attributes become a `Vec<f64>` of
-//!   widened payloads plus a `Vec<bool>` null mask, shared with the
-//!   cache, and a **presorted row index** (rows with known values,
-//!   stably sorted by value) that the SLIQ/SPRINT-style induction
-//!   threads down the recursion instead of re-sorting at every node.
-//!   The index is a stable filter of the cache's full-table sort: a
-//!   subsequence of a stably sorted sequence is exactly the stable
-//!   sort of the subset (training rows are ascending), so the order,
-//!   and every float downstream, equals a per-training-set sort;
-//! * the class column becomes dense pre-validated `u32` codes, so the
-//!   recursion never re-unwraps `Option<u32>` per instance.
+//! * a **row-major byte block** with one byte per table attribute and
+//!   row (`row_codes[row * stride + attr]`), so everything the node
+//!   loops need of a row sits in one cache line and the whole block of
+//!   an eight-attribute table at 200k rows (1.6 MB) stays in L2. A
+//!   nominal attribute's byte is its code when the code is below
+//!   [`ESCAPE`]; [`ESCAPE`] stands for NULL and for every code of 255
+//!   or more, which is missing for an attribute of at most 255 labels
+//!   and is read from the table's `u32` code otherwise. An ordered
+//!   attribute's byte is 1 for a known value and 0 for NULL. One loop
+//!   thus serves every label count: no schema is refused, and wide
+//!   attributes pay one table read per escaped cell only;
+//! * per ordered (numeric/date) base attribute, a `Vec<f64>` of
+//!   widened payloads shared with the cache, and a **presorted row
+//!   index** (rows with known values, stably sorted by value) that the
+//!   SLIQ/SPRINT-style induction threads down the recursion instead of
+//!   re-sorting at every node. The index is a stable filter of the
+//!   cache's full-table sort: a subsequence of a stably sorted sequence
+//!   is exactly the stable sort of the subset (training rows are
+//!   ascending), so the order, and every float downstream, equals a
+//!   per-training-set sort.
+//!
+//! The payloads and class codes are read once, when the recursion's
+//! root is built; below it, class codes ride in the node-local
+//! instance records.
 //!
 //! Row indices are stored as `u32` (half the footprint of `usize` on
 //! 64-bit targets, and the arrays here are what the induction streams
@@ -35,32 +44,32 @@ use crate::dataset::TrainingSet;
 use dq_table::AttrType;
 use std::sync::Arc;
 
-/// Sentinel code marking a NULL nominal cell (never a valid label code:
-/// label lists are bounded far below `u32::MAX`, and every consumer
-/// checks `code < card` before use).
+/// Sentinel class code of a row with a NULL class (never a valid label
+/// code: label lists are bounded far below `u32::MAX`).
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// One base attribute's dense column.
+/// The byte of [`ColumnarTraining::row_codes`] that stands for NULL or
+/// a nominal code of 255 or more: missing for an attribute of at most
+/// 255 labels, otherwise to be read from the table's `u32` code.
+pub const ESCAPE: u8 = u8::MAX;
+
+/// One base attribute's induction data.
 #[derive(Debug, Clone)]
 pub enum BaseColumn {
-    /// A nominal attribute: raw codes, [`NULL_CODE`] for NULL.
+    /// A nominal attribute; its codes live in the row-major byte block.
     Nominal {
-        /// Per-row codes (dense over the whole table).
-        codes: Vec<u32>,
-        /// Number of declared labels; codes at or past it (including
-        /// [`NULL_CODE`]) are treated as missing by the induction.
+        /// Number of declared labels; codes at or past it (and NULLs)
+        /// are treated as missing by the induction.
         card: usize,
     },
     /// An ordered (numeric or date) attribute, widened to `f64` like
-    /// [`dq_table::Value::as_numeric`] widens it. The payload arrays
-    /// are behind `Arc` so a shared [`TableCache`] hands the same
-    /// allocation to every per-class-attribute induction.
+    /// [`dq_table::Value::as_numeric`] widens it; its known/NULL flags
+    /// live in the row-major byte block.
     Ordered {
-        /// Per-row payloads (dense; entries under a `false` mask bit
-        /// are never read).
+        /// Per-row payloads, behind `Arc` so a shared [`TableCache`]
+        /// hands the same allocation to every per-class-attribute
+        /// induction (entries of NULL cells are never read).
         values: Arc<Vec<f64>>,
-        /// `known[r]` is `true` iff row `r` carries a non-NULL value.
-        known: Arc<Vec<bool>>,
         /// The training rows with known values, sorted by
         /// `(value, row)` — the one-off presort that replaces the
         /// per-node `sort_by` of the legacy induction.
@@ -73,51 +82,70 @@ pub enum BaseColumn {
 #[derive(Debug, Clone)]
 struct OrderedCache {
     values: Arc<Vec<f64>>,
-    known: Arc<Vec<bool>>,
     /// All rows with known values, sorted by `(value, row)`.
     sorted_all: Vec<u32>,
 }
 
-/// A table-level column cache: the widened payloads, null masks and
-/// full-table presort of every ordered attribute. The multiple
-/// classification / regression auditor induces one tree per attribute
-/// over the *same* table — with this cache the expensive per-attribute
-/// sorts run once per table instead of once per class attribute
-/// (each [`ColumnarTraining::build`] then derives its training-row
-/// presort by a stable filter, which preserves the byte-exact order a
-/// direct stable sort would produce).
+/// A table-level column cache: the row-major byte block, and the
+/// widened payloads and full-table presort of every ordered attribute.
+/// The multiple classification / regression auditor induces one tree
+/// per attribute over the *same* table — with this cache the block
+/// and the expensive per-attribute sorts are built once per table
+/// instead of once per class attribute (each
+/// [`ColumnarTraining::build`] then derives its training-row presort by
+/// a stable filter, which preserves the byte-exact order a direct
+/// stable sort would produce).
 #[derive(Debug, Clone, Default)]
 pub struct TableCache {
     /// Per table attribute; `None` for nominal attributes.
     ordered: Vec<Option<OrderedCache>>,
+    /// `n_rows × n_cols` bytes, row-major (see the module docs).
+    row_codes: Arc<Vec<u8>>,
 }
 
 impl TableCache {
-    /// Build the cache: one pass plus one stable sort per ordered
-    /// attribute of `table`.
+    /// Build the cache: one pass per attribute of `table`, plus one
+    /// stable sort per ordered attribute.
     pub fn build(table: &dq_table::Table) -> TableCache {
         let n_rows = table.n_rows();
         assert!(
             u32::try_from(n_rows).is_ok(),
             "columnar induction supports at most u32::MAX rows, got {n_rows}"
         );
-        let ordered = (0..table.n_cols())
-            .map(|a| match &table.schema().attr(a).ty {
-                AttrType::Nominal { .. } => None,
-                AttrType::Numeric { .. } | AttrType::Date { .. } => {
-                    let (values, known) = widen_ordered(table, a);
-                    let mut sorted_all: Vec<u32> =
-                        (0..n_rows as u32).filter(|&r| known[r as usize]).collect();
-                    sorted_all.sort_by(|&x, &y| values[x as usize].total_cmp(&values[y as usize]));
-                    Some(OrderedCache {
-                        values: Arc::new(values),
-                        known: Arc::new(known),
-                        sorted_all,
-                    })
+        let stride = table.n_cols();
+        let mut row_codes = vec![0u8; n_rows * stride];
+        let ordered = (0..stride)
+            .map(|a| {
+                let bytes = row_codes.iter_mut().skip(a).step_by(stride);
+                match &table.schema().attr(a).ty {
+                    AttrType::Nominal { .. } => {
+                        let src = table
+                            .column(a)
+                            .as_nominal()
+                            .expect("nominal attribute, nominal column");
+                        for (byte, code) in bytes.zip(src) {
+                            *byte = match *code {
+                                Some(c) if c < u32::from(ESCAPE) => c as u8,
+                                _ => ESCAPE,
+                            };
+                        }
+                        None
+                    }
+                    AttrType::Numeric { .. } | AttrType::Date { .. } => {
+                        let (values, known) = widen_ordered(table, a);
+                        for (byte, &k) in bytes.zip(&known) {
+                            *byte = u8::from(k);
+                        }
+                        let mut sorted_all: Vec<u32> =
+                            (0..n_rows as u32).filter(|&r| known[r as usize]).collect();
+                        sorted_all
+                            .sort_by(|&x, &y| values[x as usize].total_cmp(&values[y as usize]));
+                        Some(OrderedCache { values: Arc::new(values), sorted_all })
+                    }
                 }
             })
             .collect();
-        TableCache { ordered }
+        TableCache { ordered, row_codes: Arc::new(row_codes) }
     }
 }
 
@@ -155,18 +183,23 @@ pub struct ColumnarTraining {
     /// Class code per table row; [`NULL_CODE`] for rows with a NULL
     /// class (those never appear in the training instance set).
     pub class_codes: Vec<u32>,
-    /// One dense column per base attribute, parallel to
+    /// One entry per base attribute, parallel to
     /// `TrainingSet::base_attrs`.
     pub attrs: Vec<BaseColumn>,
+    /// The table's row-major byte block, shared with the
+    /// [`TableCache`]: one byte per table attribute and row, at
+    /// `row * stride + attr` (see the module docs for the encoding).
+    pub row_codes: Arc<Vec<u8>>,
+    /// Bytes per row of `row_codes`: the table's attribute count.
+    pub stride: usize,
 }
 
 impl ColumnarTraining {
     /// Materialize the training set's columns against `cache`, a
-    /// [`TableCache`] of `train.table`: nominal codes are copied,
-    /// ordered payloads are shared with the cache, and each
-    /// training-row presort is a stable filter of the cached
-    /// full-table sort. After this, induction never touches
-    /// `Table::get` or `Value` again.
+    /// [`TableCache`] of `train.table`: the byte block and ordered
+    /// payloads are shared with the cache, and each training-row
+    /// presort is a stable filter of the cached full-table sort. After
+    /// this, induction never touches `Table::get` or `Value` again.
     pub fn build(train: &TrainingSet<'_>, cache: &TableCache) -> ColumnarTraining {
         let n_rows = train.table.n_rows();
         assert!(
@@ -180,35 +213,33 @@ impl ColumnarTraining {
         let attrs = train
             .base_attrs
             .iter()
-            .map(|&a| {
-                let column = train.table.column(a);
-                match &train.table.schema().attr(a).ty {
-                    AttrType::Nominal { labels } => {
-                        let src = column.as_nominal().expect("nominal attribute, nominal column");
-                        BaseColumn::Nominal {
-                            codes: src.iter().map(|c| c.unwrap_or(NULL_CODE)).collect(),
-                            card: labels.len(),
-                        }
-                    }
-                    AttrType::Numeric { .. } | AttrType::Date { .. } => {
-                        let cached =
-                            cache.ordered[a].as_ref().expect("cache of the training table");
-                        let sorted_rows = cached
-                            .sorted_all
-                            .iter()
-                            .copied()
-                            .filter(|&r| class_codes[r as usize] != NULL_CODE)
-                            .collect();
-                        BaseColumn::Ordered {
-                            values: Arc::clone(&cached.values),
-                            known: Arc::clone(&cached.known),
-                            sorted_rows,
-                        }
-                    }
+            .map(|&a| match &train.table.schema().attr(a).ty {
+                AttrType::Nominal { labels } => BaseColumn::Nominal { card: labels.len() },
+                AttrType::Numeric { .. } | AttrType::Date { .. } => {
+                    let cached = cache.ordered[a].as_ref().expect("cache of the training table");
+                    let sorted_rows = cached
+                        .sorted_all
+                        .iter()
+                        .copied()
+                        .filter(|&r| class_codes[r as usize] != NULL_CODE)
+                        .collect();
+                    BaseColumn::Ordered { values: Arc::clone(&cached.values), sorted_rows }
                 }
             })
             .collect();
-        ColumnarTraining { class_codes, attrs }
+        ColumnarTraining {
+            class_codes,
+            attrs,
+            row_codes: Arc::clone(&cache.row_codes),
+            stride: train.table.n_cols(),
+        }
+    }
+
+    /// The bytes of `row`, one per table attribute.
+    #[inline]
+    pub fn row(&self, row: u32) -> &[u8] {
+        let start = row as usize * self.stride;
+        &self.row_codes[start..start + self.stride]
     }
 }
 
@@ -245,19 +276,18 @@ mod tests {
         let cols = ColumnarTraining::build(&train, &TableCache::build(&t));
         // Class codes: row 2 has a NULL class.
         assert_eq!(cols.class_codes, vec![0, 1, NULL_CODE, 0]);
-        // Nominal base attribute `n`.
-        match &cols.attrs[0] {
-            BaseColumn::Nominal { codes, card } => {
-                assert_eq!(*card, 3);
-                assert_eq!(codes, &vec![2, NULL_CODE, 0, 1]);
-            }
-            other => panic!("expected nominal column, got {other:?}"),
-        }
+        // One byte per attribute and row: nominal codes (ESCAPE for
+        // NULL), then known flags of `v` and `d`.
+        assert_eq!(cols.stride, 4);
+        assert_eq!(cols.row(0), &[0, 2, 1, 1]);
+        assert_eq!(cols.row(1), &[1, ESCAPE, 1, 0]);
+        assert_eq!(cols.row(2), &[ESCAPE, 0, 0, 1]);
+        assert_eq!(cols.row(3), &[0, 1, 1, 1]);
+        assert!(matches!(cols.attrs[0], BaseColumn::Nominal { card: 3 }));
         // Ordered base attribute `v`: training rows are 0, 1, 3 (row 2
         // has a NULL class); row 2's value is NULL anyway.
         match &cols.attrs[1] {
-            BaseColumn::Ordered { values, known, sorted_rows } => {
-                assert_eq!(known.as_slice(), &[true, true, false, true]);
+            BaseColumn::Ordered { values, sorted_rows } => {
                 assert_eq!(values[0], 5.0);
                 // (2.0, row 3) < (5.0, row 0) < (5.0, row 1): stable on ties.
                 assert_eq!(sorted_rows, &vec![3, 0, 1]);
@@ -266,9 +296,8 @@ mod tests {
         }
         // Date attribute widens to day numbers.
         match &cols.attrs[2] {
-            BaseColumn::Ordered { values, known, sorted_rows } => {
+            BaseColumn::Ordered { values, sorted_rows } => {
                 assert_eq!(values[0], 11000.0);
-                assert!(!known[1]);
                 assert_eq!(sorted_rows, &vec![3, 0]); // row 2 not a training row
             }
             other => panic!("expected ordered column, got {other:?}"),
@@ -277,17 +306,24 @@ mod tests {
 
     #[test]
     fn out_of_domain_codes_survive_verbatim() {
-        let t = table();
-        let mut t = t;
-        t.set(0, 1, Value::Nominal(99)).unwrap(); // past the 3-label list
+        // A code below 255 keeps its byte; past a 3-label list it reads
+        // as missing.
+        let mut t = table();
+        t.set(0, 1, Value::Nominal(99)).unwrap();
         let train = TrainingSet::full(&t, 0, 4).unwrap();
         let cols = ColumnarTraining::build(&train, &TableCache::build(&t));
-        match &cols.attrs[0] {
-            BaseColumn::Nominal { codes, card } => {
-                assert_eq!(codes[0], 99);
-                assert!(codes[0] as usize >= *card, "treated as missing by `< card` checks");
-            }
-            other => panic!("expected nominal column, got {other:?}"),
+        assert_eq!(cols.row(0)[1], 99);
+        // Codes from 255 up escape; the table keeps them verbatim
+        // for attributes with more than 255 labels.
+        let schema = SchemaBuilder::new().nominal_sized("w", 300).build().unwrap();
+        let mut t = Table::new(schema);
+        for code in [0, 254, 255, 299, 400] {
+            t.push_row_lenient(&[Value::Nominal(code)]).unwrap();
         }
+        t.push_row(&[Value::Null]).unwrap();
+        let cache = TableCache::build(&t);
+        assert_eq!(cache.row_codes.as_slice(), &[0, 254, ESCAPE, ESCAPE, ESCAPE, ESCAPE]);
+        assert_eq!(t.get(3, 0), Value::Nominal(299));
+        assert_eq!(t.get(4, 0), Value::Nominal(400));
     }
 }

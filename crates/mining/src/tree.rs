@@ -25,7 +25,7 @@
 //!   all rules that are not useful for error detection".
 
 use crate::classifier::{Classifier, Inducer, Prediction};
-use crate::columns::{BaseColumn, ColumnarTraining, TableCache};
+use crate::columns::{BaseColumn, ColumnarTraining, TableCache, ESCAPE};
 use crate::dataset::TrainingSet;
 use crate::error::MiningError;
 use dq_stats::{argmax, expected_error_confidence, max_error_confidence};
@@ -672,8 +672,9 @@ impl C45Inducer {
         self.config.validate()?;
         let ctx = InductionContext::new(train, &self.config, cache);
         let root_set = NodeSet::root(&ctx);
-        let mut scratch = Scratch::new(ctx.card);
-        let root = grow(&ctx, &mut scratch, root_set, 0);
+        let counts = class_counts(ctx.card, &root_set.instances);
+        let mut scratch = Scratch::new(ctx.card, train.table.n_rows());
+        let root = grow(&ctx, &mut scratch, root_set, counts, 0);
         Ok(self.finish_tree(train, root))
     }
 
@@ -706,45 +707,96 @@ struct InductionContext<'a, 'b> {
     train: &'a TrainingSet<'b>,
     card: usize,
     cfg: &'a C45Config,
-    /// The dense columnar cache (class codes, typed base columns,
+    /// The dense columnar cache (class codes, row-major byte block,
     /// presorted ordered-attribute row indices).
     cols: ColumnarTraining,
     /// For each base attribute position: its index into the per-node
     /// sorted lists (`None` for nominal attributes, which need none).
     ordered_idx: Vec<Option<usize>>,
-    /// `(attr_pos, card_attr, offset)` of every nominal base attribute:
-    /// the layout of the node-level single-pass count accumulation
-    /// (offsets into one flat `Σ card_attr × card` scratch matrix).
-    nominal_layout: Vec<(usize, usize, usize)>,
-    /// Total length of that flat matrix.
+    /// Byte offset within a block row (the table attribute) of each
+    /// ordered base attribute, indexed like the per-node sorted lists.
+    ordered_slots: Vec<usize>,
+    /// Every nominal base attribute, in base-attribute order: the
+    /// layout of the node-level single-pass count accumulation.
+    nominal_layout: Vec<NominalSlot<'b>>,
+    /// For each base attribute position: its index into
+    /// `nominal_layout` (`None` for ordered attributes).
+    nominal_idx: Vec<Option<usize>>,
+    /// Total length of the flat `Σ card_attr × card` count matrix.
     nominal_len: usize,
+}
+
+/// Where one nominal base attribute's codes and counts live.
+struct NominalSlot<'b> {
+    /// Position in `TrainingSet::base_attrs`.
+    pos: usize,
+    /// Byte offset within a block row: the table attribute.
+    slot: usize,
+    /// Number of labels.
+    card: usize,
+    /// Offset of its `card × class` matrix in the flat count matrix.
+    offset: usize,
+    /// The table's own codes, read for an [`ESCAPE`] byte of an
+    /// attribute with more than 255 labels.
+    codes: &'b [Option<u32>],
+}
+
+impl NominalSlot<'_> {
+    /// The code of `row` given its block byte; codes at or past `card`
+    /// (NULL included) mean missing.
+    #[inline]
+    fn code(&self, byte: u8, row: u32) -> usize {
+        if byte == ESCAPE && self.card > usize::from(ESCAPE) {
+            self.codes[row as usize].map_or(usize::MAX, |c| c as usize)
+        } else {
+            // Below the escape the byte is the code; an escape of an
+            // attribute of at most 255 labels is past its last code.
+            usize::from(byte)
+        }
+    }
 }
 
 impl<'a, 'b> InductionContext<'a, 'b> {
     fn new(train: &'a TrainingSet<'b>, cfg: &'a C45Config, cache: &TableCache) -> Self {
         let cols = ColumnarTraining::build(train, cache);
-        let mut next_ordered = 0usize;
-        let ordered_idx = cols
-            .attrs
-            .iter()
-            .map(|c| match c {
-                BaseColumn::Ordered { .. } => {
-                    next_ordered += 1;
-                    Some(next_ordered - 1)
-                }
-                BaseColumn::Nominal { .. } => None,
-            })
-            .collect();
         let card = train.class_card() as usize;
-        let mut nominal_layout = Vec::new();
+        let (mut ordered_idx, mut ordered_slots) = (Vec::new(), Vec::new());
+        let (mut nominal_idx, mut nominal_layout) = (Vec::new(), Vec::new());
         let mut nominal_len = 0usize;
         for (pos, col) in cols.attrs.iter().enumerate() {
-            if let BaseColumn::Nominal { card: card_attr, .. } = col {
-                nominal_layout.push((pos, *card_attr, nominal_len));
-                nominal_len += card_attr * card;
+            let slot = train.base_attrs[pos];
+            match col {
+                BaseColumn::Ordered { .. } => {
+                    ordered_idx.push(Some(ordered_slots.len()));
+                    ordered_slots.push(slot);
+                    nominal_idx.push(None);
+                }
+                BaseColumn::Nominal { card: card_attr } => {
+                    ordered_idx.push(None);
+                    nominal_idx.push(Some(nominal_layout.len()));
+                    let codes = train.table.column(slot).as_nominal().expect("nominal column");
+                    nominal_layout.push(NominalSlot {
+                        pos,
+                        slot,
+                        card: *card_attr,
+                        offset: nominal_len,
+                        codes,
+                    });
+                    nominal_len += card_attr * card;
+                }
             }
         }
-        InductionContext { train, card, cfg, cols, ordered_idx, nominal_layout, nominal_len }
+        InductionContext {
+            train,
+            card,
+            cfg,
+            cols,
+            ordered_idx,
+            ordered_slots,
+            nominal_layout,
+            nominal_idx,
+            nominal_len,
+        }
     }
 }
 
@@ -761,7 +813,7 @@ struct CandidateSplit {
     branch_sizes: Vec<f64>,
 }
 
-/// Shared stopping rules: `Some(leaf)` when the node must not be
+/// Shared stopping rules: `true` when the node must not be
 /// partitioned further.
 fn stop_as_leaf(ctx: &InductionContext, counts: &[f64], depth: usize) -> bool {
     let total: f64 = counts.iter().sum();
@@ -825,15 +877,32 @@ fn integrated_prune(ctx: &InductionContext, node: Node, counts: Vec<f64>) -> Nod
 // Columnar presorted induction (the hot path)
 // ---------------------------------------------------------------------------
 
-/// One node's instance view in the presorted recursion.
+/// One training instance of a node: its table row, its class code and
+/// its weight in this node. The class code fills what would otherwise
+/// be padding after the row, so counting classes never leaves the
+/// node-local arrays.
+#[derive(Debug, Clone, Copy)]
+struct Inst {
+    row: u32,
+    class: u32,
+    weight: f64,
+}
+
+/// One node's instance view in the presorted recursion. Every per-node
+/// loop reads these node-local arrays, plus at most one L2-sized
+/// per-row structure: the row-major byte block
+/// ([`ColumnarTraining::row_codes`]) or the branch map
+/// ([`Scratch::branch`]); no table-sized column is gathered from below
+/// the root.
 struct NodeSet {
-    /// `(row, weight)` in ascending row order — the order every class
-    /// count and missing weight is accumulated in.
-    instances: Vec<(u32, f64)>,
+    /// The node's instances in ascending row order — the order every
+    /// class count and missing weight is accumulated in.
+    instances: Vec<Inst>,
     /// Per ordered base attribute (indexed through
     /// `InductionContext::ordered_idx`): this node's known-value
     /// instances, sorted by `(value, row)`. Maintained by stable
-    /// partition, never re-sorted.
+    /// partition, never re-sorted; empty for a node the stopping rules
+    /// make a leaf.
     sorted: Vec<SortedCol>,
     /// Bitmask (by base-attribute position, first 64 only) of nominal
     /// attributes this node can no longer usefully split on: an
@@ -845,37 +914,55 @@ struct NodeSet {
     exhausted: u64,
 }
 
-/// One ordered attribute's node-local instances in presorted order,
-/// struct-of-arrays so the threshold scan streams sequentially instead
-/// of gathering `(value, class, weight)` through three random-access
-/// indirections per step.
+/// One ordered attribute's node-local instances in presorted order:
+/// the values in one array and the `(row, class, weight)` records in a
+/// parallel one, so the threshold scan streams two arrays
+/// sequentially, and a split routes each record by its row's byte in
+/// the branch map.
 struct SortedCol {
-    /// Global row indices (kept for the membership filter at splits).
-    rows: Vec<u32>,
-    /// Attribute values, parallel to `rows`.
+    /// Attribute values, ascending by `(value, row)`.
     values: Vec<f64>,
-    /// Class codes, parallel to `rows`.
-    classes: Vec<u32>,
-    /// Instance weights *in this node*, parallel to `rows`.
-    weights: Vec<f64>,
+    /// The instances, parallel to `values`; weights are this node's.
+    insts: Vec<Inst>,
+}
+
+impl SortedCol {
+    fn with_capacity(cap: usize) -> SortedCol {
+        SortedCol { values: Vec::with_capacity(cap), insts: Vec::with_capacity(cap) }
+    }
+
+    /// Whether no NaN payload sits at either end of the presort (NaNs
+    /// sort to the ends under `total_cmp`).
+    fn nan_free(&self) -> bool {
+        self.values.first().is_none_or(|v| !v.is_nan())
+            && self.values.last().is_none_or(|v| !v.is_nan())
+    }
 }
 
 impl NodeSet {
     fn root(ctx: &InductionContext) -> NodeSet {
-        let instances = ctx.train.rows.iter().map(|&r| (r as u32, 1.0)).collect();
+        let instances = ctx
+            .train
+            .rows
+            .iter()
+            .zip(&ctx.train.codes)
+            .map(|(&r, &class)| Inst { row: r as u32, class, weight: 1.0 })
+            .collect();
         let sorted = ctx
             .cols
             .attrs
             .iter()
             .filter_map(|c| match c {
-                BaseColumn::Ordered { values, sorted_rows, .. } => Some(SortedCol {
-                    rows: sorted_rows.clone(),
+                BaseColumn::Ordered { values, sorted_rows } => Some(SortedCol {
                     values: sorted_rows.iter().map(|&r| values[r as usize]).collect(),
-                    classes: sorted_rows
+                    insts: sorted_rows
                         .iter()
-                        .map(|&r| ctx.cols.class_codes[r as usize])
+                        .map(|&row| Inst {
+                            row,
+                            class: ctx.cols.class_codes[row as usize],
+                            weight: 1.0,
+                        })
                         .collect(),
-                    weights: vec![1.0; sorted_rows.len()],
                 }),
                 BaseColumn::Nominal { .. } => None,
             })
@@ -884,9 +971,16 @@ impl NodeSet {
     }
 }
 
+/// Branch-map byte of a row whose split value is missing (NULL, or a
+/// nominal code past the label list): its instance is distributed over
+/// every branch. Bytes below it are branch indices; [`ESCAPE`] marks a
+/// nominal branch index of 254 or more, read through
+/// [`branch_of_columnar`].
+const MISSING: u8 = ESCAPE - 1;
+
 /// Reusable per-induction scratch state: small class-indexed buffers
 /// that spare the candidate search one heap allocation per node ×
-/// attribute.
+/// attribute, and the one table-sized map every split routes by.
 struct Scratch {
     /// Low-side class counts of the threshold scan (length `card`).
     low: Vec<f64>,
@@ -909,10 +1003,15 @@ struct Scratch {
     best_low: Vec<f64>,
     /// Low-side snapshot of a pending run-interior cut (length `card`).
     pending_low: Vec<f64>,
+    /// One byte per table row: the branch of each row of the node being
+    /// split (a branch index, [`MISSING`] or [`ESCAPE`]). Filled once
+    /// per split, then read by the instance partition and by every
+    /// sorted-column partition; only the node's rows are meaningful.
+    branch: Vec<u8>,
 }
 
 impl Scratch {
-    fn new(card: usize) -> Scratch {
+    fn new(card: usize, n_rows: usize) -> Scratch {
         Scratch {
             low: vec![0.0; card],
             all: vec![0.0; card],
@@ -923,12 +1022,28 @@ impl Scratch {
             threshold_counts: Vec::new(),
             best_low: vec![0.0; card],
             pending_low: vec![0.0; card],
+            branch: vec![MISSING; n_rows],
         }
     }
 }
 
-fn grow(ctx: &InductionContext, scratch: &mut Scratch, node_set: NodeSet, depth: usize) -> Node {
-    let counts = class_counts_columnar(ctx, &node_set.instances);
+/// Class counts of `instances`, accumulated in instance order.
+fn class_counts(card: usize, instances: &[Inst]) -> Vec<f64> {
+    let mut counts = vec![0.0; card];
+    for inst in instances {
+        counts[inst.class as usize] += inst.weight;
+    }
+    counts
+}
+
+/// Grow the subtree of `node_set`, whose class counts are `counts`.
+fn grow(
+    ctx: &InductionContext,
+    scratch: &mut Scratch,
+    node_set: NodeSet,
+    counts: Vec<f64>,
+    depth: usize,
+) -> Node {
     if stop_as_leaf(ctx, &counts, depth) {
         return Node::Leaf { counts, enabled: true };
     }
@@ -941,22 +1056,60 @@ fn grow(ctx: &InductionContext, scratch: &mut Scratch, node_set: NodeSet, depth:
     let n_branches = best.branch_sizes.len();
     let fractions = branch_fractions(&best.branch_sizes);
 
+    // Fill the branch map for the node's rows, once: a threshold split
+    // reads its branches off the split column's node-local values (a
+    // row absent from it has a NULL value), a nominal split off the
+    // byte block.
+    let map = &mut scratch.branch;
+    let nominal = ctx.nominal_idx[best.attr_pos].map(|ni| &ctx.nominal_layout[ni]);
+    match (&best.kind, nominal) {
+        (SplitKind::Threshold(t), _) => {
+            let oi =
+                ctx.ordered_idx[best.attr_pos].expect("threshold split on an ordered attribute");
+            for inst in &node_set.instances {
+                map[inst.row as usize] = MISSING;
+            }
+            let split_col = &node_set.sorted[oi];
+            for (&v, inst) in split_col.values.iter().zip(&split_col.insts) {
+                map[inst.row as usize] = u8::from(v > *t);
+            }
+        }
+        (SplitKind::Nominal, Some(nom)) => {
+            for inst in &node_set.instances {
+                let code = nom.code(ctx.cols.row(inst.row)[nom.slot], inst.row);
+                map[inst.row as usize] = if code >= n_branches {
+                    MISSING
+                } else if code < usize::from(MISSING) {
+                    code as u8
+                } else {
+                    ESCAPE
+                };
+            }
+        }
+        (SplitKind::Nominal, None) => unreachable!("nominal split on a nominal attribute"),
+    }
+    let map = &scratch.branch;
+    let route = |row: u32| match map[row as usize] {
+        MISSING => None,
+        ESCAPE => branch_of_columnar(nominal.expect("escapes are nominal").codes, row, n_branches),
+        b => Some(usize::from(b)),
+    };
+
     // Partition the instances; NULLs go to every branch with their
     // weight scaled by the branch fraction.
-    let mut parts: Vec<Vec<(u32, f64)>> = (0..n_branches)
+    let mut parts: Vec<Vec<Inst>> = (0..n_branches)
         .map(|i| Vec::with_capacity((node_set.instances.len() as f64 * fractions[i]) as usize + 1))
         .collect();
-    let col = &ctx.cols.attrs[best.attr_pos];
     let mut distributed = false;
-    for &(row, w) in &node_set.instances {
-        match branch_of_columnar(col, &best.kind, row, n_branches) {
-            Some(b) => parts[b].push((row, w)),
+    for &inst in &node_set.instances {
+        match route(inst.row) {
+            Some(b) => parts[b].push(inst),
             None => {
                 distributed = true;
                 for (b, part) in parts.iter_mut().enumerate() {
-                    let wf = w * fractions[b];
-                    if wf >= MIN_WEIGHT {
-                        part.push((row, wf));
+                    let weight = inst.weight * fractions[b];
+                    if weight >= MIN_WEIGHT {
+                        part.push(Inst { weight, ..inst });
                     }
                 }
             }
@@ -969,144 +1122,103 @@ fn grow(ctx: &InductionContext, scratch: &mut Scratch, node_set: NodeSet, depth:
         } else {
             0
         };
+    // A child the stopping rules turn into a leaf needs no sorted
+    // columns.
+    let child_counts: Vec<Vec<f64>> = parts.iter().map(|p| class_counts(ctx.card, p)).collect();
+    let live: Vec<bool> = child_counts.iter().map(|c| !stop_as_leaf(ctx, c, depth + 1)).collect();
 
     // Thread the presorted columns down: stable partitioning of the
     // parent's columns yields each child's columns already sorted —
-    // this is what replaces the per-node re-sort. The split
-    // attribute's own column partitions *contiguously* at the
-    // threshold (its elements are sorted by exactly the tested value),
-    // so it is split by bulk copy; every other column re-derives each
-    // element's branch from the split column, carrying parent weights
-    // for routed rows and fraction-scaled weights for distributed
-    // (NULL-test) rows — the same decisions, weights and relative
-    // order the instance partition above produced.
+    // this is what replaces the per-node re-sort. Routed rows keep
+    // their parent weight and distributed (NULL-test) rows get the
+    // fraction-scaled weight — the same decisions, weights and
+    // relative order the instance partition above produced.
     let split_oi = match best.kind {
         SplitKind::Threshold(_) => ctx.ordered_idx[best.attr_pos],
         SplitKind::Nominal => None,
     };
-    let part_lens: Vec<usize> = parts.iter().map(Vec::len).collect();
-    let mut child_cols: Vec<Vec<SortedCol>> =
-        (0..n_branches).map(|_| Vec::with_capacity(node_set.sorted.len())).collect();
-    for (oi, parent) in node_set.sorted.iter().enumerate() {
-        // The split attribute's own column partitions *contiguously* at
-        // the threshold (its elements are sorted by exactly the tested
-        // value), so it splits by bulk copy. NaN payloads sort to the
-        // ends under total_cmp but route like ordinary values
-        // (`x > t` is false), breaking contiguity — they fall through
-        // to the general filter.
-        if split_oi == Some(oi) {
-            if let SplitKind::Threshold(t) = best.kind {
-                let no_nan = parent.values.first().is_none_or(|v| !v.is_nan())
-                    && parent.values.last().is_none_or(|v| !v.is_nan());
-                if no_nan {
-                    let cut = parent.values.partition_point(|&v| v <= t);
+    let mut child_cols: Vec<Vec<SortedCol>> = live
+        .iter()
+        .map(|&l| Vec::with_capacity(if l { node_set.sorted.len() } else { 0 }))
+        .collect();
+    if live.iter().any(|&l| l) {
+        for (oi, parent) in node_set.sorted.iter().enumerate() {
+            // The split attribute's own column partitions *contiguously*
+            // at the threshold (its elements are sorted by exactly the
+            // tested value), so it splits by bulk copy. NaN payloads
+            // sort to the ends under total_cmp but route like ordinary
+            // values (`x > t` is false), breaking contiguity — they fall
+            // through to the general filter.
+            if let (true, SplitKind::Threshold(t)) = (split_oi == Some(oi), &best.kind) {
+                if parent.nan_free() {
+                    let cut = parent.values.partition_point(|&v| v <= *t);
                     for (b, cols) in child_cols.iter_mut().enumerate() {
-                        let range = if b == 0 { 0..cut } else { cut..parent.rows.len() };
-                        cols.push(SortedCol {
-                            rows: parent.rows[range.clone()].to_vec(),
-                            values: parent.values[range.clone()].to_vec(),
-                            classes: parent.classes[range.clone()].to_vec(),
-                            weights: parent.weights[range].to_vec(),
-                        });
+                        if live[b] {
+                            let range = if b == 0 { 0..cut } else { cut..parent.values.len() };
+                            cols.push(SortedCol {
+                                values: parent.values[range.clone()].to_vec(),
+                                insts: parent.insts[range].to_vec(),
+                            });
+                        }
                     }
                     continue;
                 }
             }
-        }
-        // One pass over the parent column routes every element to its
-        // child column(s): routed rows keep their parent weight,
-        // distributed (NULL-test) rows get the fraction-scaled weight —
-        // the same decisions, weights and relative order the instance
-        // partition above produced.
-        let mut outs: Vec<SortedCol> = part_lens
-            .iter()
-            .map(|&len| {
-                let cap = len.min(parent.rows.len());
-                SortedCol {
-                    rows: Vec::with_capacity(cap),
-                    values: Vec::with_capacity(cap),
-                    classes: Vec::with_capacity(cap),
-                    weights: Vec::with_capacity(cap),
-                }
-            })
-            .collect();
-        for (i, &row) in parent.rows.iter().enumerate() {
-            match branch_of_columnar(col, &best.kind, row, n_branches) {
-                Some(rb) => {
-                    let out = &mut outs[rb];
-                    out.rows.push(row);
-                    out.values.push(parent.values[i]);
-                    out.classes.push(parent.classes[i]);
-                    out.weights.push(parent.weights[i]);
-                }
-                None => {
-                    for (b, out) in outs.iter_mut().enumerate() {
-                        let wf = parent.weights[i] * fractions[b];
-                        if wf >= MIN_WEIGHT {
-                            out.rows.push(row);
-                            out.values.push(parent.values[i]);
-                            out.classes.push(parent.classes[i]);
-                            out.weights.push(wf);
+            let mut outs: Vec<SortedCol> = parts
+                .iter()
+                .zip(&live)
+                .map(|(part, &l)| {
+                    SortedCol::with_capacity(if l { part.len().min(parent.insts.len()) } else { 0 })
+                })
+                .collect();
+            for (&v, &inst) in parent.values.iter().zip(&parent.insts) {
+                match route(inst.row) {
+                    Some(b) => {
+                        if live[b] {
+                            outs[b].values.push(v);
+                            outs[b].insts.push(inst);
+                        }
+                    }
+                    None => {
+                        for (b, out) in outs.iter_mut().enumerate() {
+                            let weight = inst.weight * fractions[b];
+                            if live[b] && weight >= MIN_WEIGHT {
+                                out.values.push(v);
+                                out.insts.push(Inst { weight, ..inst });
+                            }
                         }
                     }
                 }
             }
-        }
-        for (cols, out) in child_cols.iter_mut().zip(outs) {
-            cols.push(out);
+            for ((cols, out), &l) in child_cols.iter_mut().zip(outs).zip(&live) {
+                if l {
+                    cols.push(out);
+                }
+            }
         }
     }
-    let child_sets: Vec<NodeSet> = parts
-        .into_iter()
-        .zip(child_cols)
-        .map(|(part, sorted)| NodeSet { instances: part, sorted, exhausted: child_exhausted })
-        .collect();
     drop(node_set);
 
-    let children: Vec<Node> =
-        child_sets.into_iter().map(|s| grow(ctx, scratch, s, depth + 1)).collect();
+    let children: Vec<Node> = parts
+        .into_iter()
+        .zip(child_cols)
+        .zip(child_counts)
+        .map(|((instances, sorted), child_counts)| {
+            let set = NodeSet { instances, sorted, exhausted: child_exhausted };
+            grow(ctx, scratch, set, child_counts, depth + 1)
+        })
+        .collect();
     let node = Node::Split { attr, kind: best.kind, children, fractions, counts: counts.clone() };
     integrated_prune(ctx, node, counts)
 }
 
-fn class_counts_columnar(ctx: &InductionContext, instances: &[(u32, f64)]) -> Vec<f64> {
-    let mut counts = vec![0.0; ctx.card];
-    for &(row, w) in instances {
-        counts[ctx.cols.class_codes[row as usize] as usize] += w;
-    }
-    counts
-}
-
-/// Which branch a row falls into under the columnar cache; `None` for
-/// NULL or out-of-domain nominal codes (treated like missing, as C4.5
-/// treats unseen values). Mirrors [`branch_of`] exactly.
+/// The branch of `row` under a nominal split, from the table's own
+/// codes; `None` for NULL or out-of-domain codes (treated like missing,
+/// as C4.5 treats unseen values). Mirrors [`branch_of`] exactly; the
+/// split loops reach it only for an [`ESCAPE`] in the branch map.
 #[inline]
-fn branch_of_columnar(
-    col: &BaseColumn,
-    kind: &SplitKind,
-    row: u32,
-    n_branches: usize,
-) -> Option<usize> {
-    match (kind, col) {
-        (SplitKind::Nominal, BaseColumn::Nominal { codes, .. }) => {
-            let code = codes[row as usize] as usize;
-            if code < n_branches {
-                Some(code)
-            } else {
-                None
-            }
-        }
-        (SplitKind::Threshold(t), BaseColumn::Ordered { values, known, .. }) => {
-            if known[row as usize] {
-                Some(usize::from(values[row as usize] > *t))
-            } else {
-                None
-            }
-        }
-        // A split kind never disagrees with its own attribute's column
-        // kind (both derive from the schema).
-        _ => unreachable!("split kind matches the attribute's column kind"),
-    }
+fn branch_of_columnar(codes: &[Option<u32>], row: u32, n_branches: usize) -> Option<usize> {
+    codes[row as usize].map(|c| c as usize).filter(|&c| c < n_branches)
 }
 
 /// Split selection over the columnar node view. Besides the winning
@@ -1125,11 +1237,11 @@ fn select_split_columnar(
     let total: f64 = parent_counts.iter().sum();
 
     // One shared pass over the instances accumulates *every* nominal
-    // attribute's branch × class matrix (and missing weight) at once —
-    // the row, weight and class of each instance are loaded once
-    // instead of once per attribute. Per matrix, cells receive exactly
-    // the per-instance additions of the one-attribute loop, in the
-    // same instance order, so every count is bit-identical.
+    // attribute's branch × class matrix (and missing weight) at once,
+    // reading each instance's row of the byte block once instead of
+    // one table-sized column per attribute. Per matrix, cells receive
+    // exactly the per-instance additions of the one-attribute loop, in
+    // the same instance order, so every count is bit-identical.
     let card = ctx.card;
     scratch.counts.clear();
     scratch.counts.resize(ctx.nominal_len, 0.0);
@@ -1137,46 +1249,28 @@ fn select_split_columnar(
     scratch.nominal_missing.resize(ctx.nominal_layout.len(), 0.0);
     let exhausted = |pos: usize| pos < 64 && node_set.exhausted & (1u64 << pos) != 0;
     {
-        let nominal_cols: Vec<(&[u32], usize, usize, usize)> = ctx
-            .nominal_layout
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(pos, _, _))| !exhausted(pos))
-            .map(|(layout_i, &(pos, card_attr, offset))| {
-                let BaseColumn::Nominal { codes, .. } = &ctx.cols.attrs[pos] else {
-                    unreachable!("nominal layout points at a nominal column");
-                };
-                (codes.as_slice(), card_attr, offset, layout_i)
-            })
-            .collect();
+        let nominal_cols: Vec<(usize, &NominalSlot)> =
+            ctx.nominal_layout.iter().enumerate().filter(|(_, nom)| !exhausted(nom.pos)).collect();
         // Ordered attributes ride the same pass: their per-attribute
         // NULL weights accumulate in instance (row) order.
-        let ordered_known: Vec<&[bool]> = ctx
-            .cols
-            .attrs
-            .iter()
-            .filter_map(|c| match c {
-                BaseColumn::Ordered { known, .. } => Some(known.as_slice()),
-                BaseColumn::Nominal { .. } => None,
-            })
-            .collect();
         scratch.ordered_missing.clear();
-        scratch.ordered_missing.resize(ordered_known.len(), 0.0);
+        scratch.ordered_missing.resize(ctx.ordered_slots.len(), 0.0);
         let flat = &mut scratch.counts;
         let missing = &mut scratch.nominal_missing;
         let ordered_missing = &mut scratch.ordered_missing;
-        for &(row, w) in &node_set.instances {
-            let class = ctx.cols.class_codes[row as usize] as usize;
-            for &(codes, card_attr, offset, layout_i) in &nominal_cols {
-                let code = codes[row as usize] as usize;
-                if code < card_attr {
-                    flat[offset + code * card + class] += w;
+        for inst in &node_set.instances {
+            let (class, w) = (inst.class as usize, inst.weight);
+            let bytes = ctx.cols.row(inst.row);
+            for &(layout_i, nom) in &nominal_cols {
+                let code = nom.code(bytes[nom.slot], inst.row);
+                if code < nom.card {
+                    flat[nom.offset + code * card + class] += w;
                 } else {
                     missing[layout_i] += w;
                 }
             }
-            for (oi, known) in ordered_known.iter().enumerate() {
-                if !known[row as usize] {
+            for (oi, &slot) in ctx.ordered_slots.iter().enumerate() {
+                if bytes[slot] == 0 {
                     ordered_missing[oi] += w;
                 }
             }
@@ -1188,13 +1282,10 @@ fn select_split_columnar(
     // the pinned selection semantics.
     let mut dead_mask = 0u64;
     let mut candidates: Vec<CandidateSplit> = Vec::new();
-    let mut nominal_i = 0usize;
-    for (pos, col) in ctx.cols.attrs.iter().enumerate() {
-        let cand = match col {
-            BaseColumn::Nominal { .. } => {
-                let (_, card_attr, offset) = ctx.nominal_layout[nominal_i];
-                let missing = scratch.nominal_missing[nominal_i];
-                nominal_i += 1;
+    for pos in 0..ctx.cols.attrs.len() {
+        let cand = match ctx.nominal_idx[pos] {
+            Some(ni) => {
+                let nom = &ctx.nominal_layout[ni];
                 if exhausted(pos) {
                     // An ancestor's split left a single code here; the
                     // candidate would put all mass in one branch and be
@@ -1202,7 +1293,7 @@ fn select_split_columnar(
                     // the accumulation, the outcome is exactly `None`.
                     None
                 } else {
-                    let flat = &scratch.counts[offset..offset + card_attr * card];
+                    let flat = &scratch.counts[nom.offset..nom.offset + nom.card * card];
                     if ctx.cfg.min_inst > 0.0
                         && pos < 64
                         && !flat.iter().any(|&x| x >= ctx.cfg.min_inst)
@@ -1214,15 +1305,13 @@ fn select_split_columnar(
                         pos,
                         SplitKind::Nominal,
                         flat,
-                        card_attr,
-                        missing,
+                        nom.card,
+                        scratch.nominal_missing[ni],
                         total,
                     )
                 }
             }
-            BaseColumn::Ordered { .. } => {
-                threshold_candidate_presorted(ctx, scratch, node_set, pos, total)
-            }
+            None => threshold_candidate_presorted(ctx, scratch, node_set, pos, total),
         };
         if let Some(c) = cand {
             candidates.push(c);
@@ -1244,6 +1333,13 @@ fn select_split_columnar(
 /// entropy loop iterates only the classes present in the node (absent
 /// classes have zero counts on both sides and contribute nothing).
 ///
+/// The sweep walks value groups (runs of IEEE-equal values, exactly
+/// the cuts the exhaustive scan's `values[i + 1] <= x` test
+/// suppresses; NaN never equals and so forms singleton, never-pure
+/// groups) as it meets them: it first reads a group to find its end
+/// and whether one class fills it, then decides the cut in front of
+/// it, then adds the group to the low side.
+///
 /// The evaluated-cut set is thinned with the Fayyad-Irani boundary
 /// theorem (Fayyad & Irani 1992): the information-gain optimum of a
 /// binary split never lies strictly inside a run of same-class
@@ -1254,10 +1350,13 @@ fn select_split_columnar(
 ///
 /// * the min-branch feasibility window clips runs — the gain is convex
 ///   within a run, so its maximum over the feasible part of a run sits
-///   at the first or last *feasible* cut, which are evaluated even
-///   when run-interior (the last one retroactively, from a saved
-///   low-side snapshot, preserving the ascending first-maximum tie
-///   order);
+///   at the first or last *feasible* cut. The first is evaluated even
+///   when run-interior; the last is evaluated retroactively, from a
+///   saved low-side snapshot, when the window closes inside the run. A
+///   run still open when the scan ends reaches the last value, where
+///   the gain would be 0 with everything on the low side, so by
+///   convexity its first evaluated cut scores at least as high as any
+///   later one and nothing is evaluated at the end;
 /// * every evaluated cut computes `low_w` and its entropies with the
 ///   same float operations in the same order as the exhaustive scan,
 ///   so the winning `(gain, threshold)` is bit-identical.
@@ -1273,7 +1372,7 @@ fn threshold_candidate_presorted(
     // Missing (NULL) weight, pre-accumulated in instance order by the
     // node-level shared pass.
     let missing = scratch.ordered_missing[oi];
-    let n = sorted.rows.len();
+    let n = sorted.insts.len();
     if n < 2 {
         return None;
     }
@@ -1283,12 +1382,12 @@ fn threshold_candidate_presorted(
     // value itself ("split points taken from the set of all occurring
     // values").
     let card = ctx.card;
-    let (values, classes, weights) = (&sorted.values, &sorted.classes, &sorted.weights);
+    let (values, insts) = (&sorted.values, &sorted.insts);
     let Scratch { low, all, present, best_low, pending_low, threshold_counts, .. } = scratch;
     let all = &mut all[..card];
     all.fill(0.0);
-    for i in 0..n {
-        all[classes[i] as usize] += weights[i];
+    for inst in insts {
+        all[inst.class as usize] += inst.weight;
     }
     present.clear();
     for (k, &a) in all.iter().enumerate() {
@@ -1300,28 +1399,6 @@ fn threshold_candidate_presorted(
     let parent_entropy = dq_stats::entropy(all);
     let min_side = ctx.cfg.min_branch.max(f64::MIN_POSITIVE);
     let guard = 1e-6 * (known_weight + 1.0);
-
-    // Value groups of IEEE-equal values (exactly the cuts the
-    // exhaustive scan's `values[i + 1] <= x` test suppresses; NaN
-    // never equals and so forms singleton, never-pure groups): start
-    // index plus the group's pure class, if any. Cut `g` (for
-    // `g ≥ 1`) separates groups `g-1` and `g`.
-    let mut groups: Vec<(u32, Option<u32>)> = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        let v0 = values[i];
-        let mut j = i;
-        let mut pure = if v0.is_nan() { None } else { Some(classes[i]) };
-        while j + 1 < n && values[j + 1] == v0 {
-            j += 1;
-            if pure.is_some_and(|c| c != classes[j]) {
-                pure = None;
-            }
-        }
-        groups.push((i as u32, pure));
-        i = j + 1;
-    }
-    let n_groups = groups.len();
 
     let low = &mut low[..card];
     let pending_low = &mut pending_low[..card];
@@ -1370,10 +1447,22 @@ fn threshold_candidate_presorted(
     let mut pending: Option<(f64, usize)> = None;
     let mut run_low = 0.0f64;
     let mut was_feasible = false;
-    for g in 0..n_groups {
-        let start = groups[g].0 as usize;
-        // The cut between group g-1 and group g.
-        if g >= 1 {
+    // The pure class of the previous value group, if one class fills it.
+    let mut prev_pure: Option<u32> = None;
+    let mut start = 0usize;
+    while start < n {
+        // Find this value group's end and whether one class fills it.
+        let v0 = values[start];
+        let mut pure = if v0.is_nan() { None } else { Some(insts[start].class) };
+        let mut end = start + 1;
+        while end < n && values[end] == v0 {
+            if pure.is_some_and(|c| c != insts[end].class) {
+                pure = None;
+            }
+            end += 1;
+        }
+        // The cut between the previous group and this one.
+        if start > 0 {
             let run_high = known_weight - run_low;
             let feasible =
                 if (run_low - min_side).abs() > guard && (run_high - min_side).abs() > guard {
@@ -1385,7 +1474,7 @@ fn threshold_candidate_presorted(
                     !(low_w < min_side || known_weight - low_w < min_side)
                 };
             if feasible {
-                let boundary = !(groups[g - 1].1.is_some() && groups[g - 1].1 == groups[g].1);
+                let boundary = !(prev_pure.is_some() && prev_pure == pure);
                 if boundary || !was_feasible {
                     // Run boundary, or the first feasible cut of a
                     // clipped run: evaluate exactly.
@@ -1417,42 +1506,31 @@ fn threshold_candidate_presorted(
             }
             was_feasible = feasible;
         }
-        let end = if g + 1 < n_groups { groups[g + 1].0 as usize } else { n };
-        for t in start..end {
-            low[classes[t] as usize] += weights[t];
-            run_low += weights[t];
+        for inst in &insts[start..end] {
+            low[inst.class as usize] += inst.weight;
+            run_low += inst.weight;
         }
-    }
-    if let Some((px, ppos)) = pending.take() {
-        // Scan ended while the window was still open: the remembered
-        // cut was the last feasible one.
-        let plw = fresh_low_w(pending_low);
-        let gain = evaluate(pending_low, plw, known_weight - plw);
-        if best.is_none_or(|(bg, _, _)| gain > bg) {
-            best = Some((gain, px, ppos));
-            best_low.copy_from_slice(pending_low);
-        }
+        prev_pure = pure;
+        start = end;
     }
     let (_, threshold, cut_end) = best?;
     threshold_counts.clear();
     threshold_counts.resize(2 * card, 0.0);
     let flat = threshold_counts;
-    let nan_free =
-        values.first().is_none_or(|v| !v.is_nan()) && values.last().is_none_or(|v| !v.is_nan());
-    if nan_free {
+    if sorted.nan_free() {
         // NaN-free columns route exactly by sorted position: the low
         // side is the prefix through `cut_end`, whose class counts the
         // winning cut already accumulated (same additions, same
         // order); only the high suffix needs a pass.
         flat[..card].copy_from_slice(best_low);
-        for t in cut_end + 1..n {
-            flat[card + classes[t] as usize] += weights[t];
+        for inst in &insts[cut_end + 1..] {
+            flat[card + inst.class as usize] += inst.weight;
         }
     } else {
         // NaN payloads sort to the ends but compare false against any
         // threshold — keep the exhaustive routing for them.
-        for i in 0..n {
-            flat[usize::from(values[i] > threshold) * card + classes[i] as usize] += weights[i];
+        for (&v, inst) in values.iter().zip(insts.iter()) {
+            flat[usize::from(v > threshold) * card + inst.class as usize] += inst.weight;
         }
     }
     finish_candidate_flat(ctx, attr_pos, SplitKind::Threshold(threshold), flat, 2, missing, total)
