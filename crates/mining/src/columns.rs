@@ -32,9 +32,9 @@
 //!   ascending), so the order, and every float downstream, equals a
 //!   per-training-set sort.
 //!
-//! The payloads and class codes are read once, when the recursion's
-//! root is built; below it, class codes ride in the node-local
-//! instance records.
+//! The payloads, and the class codes of [`TrainingSet::class_codes`],
+//! are read once, when the recursion's root is built; below it, class
+//! codes ride in the node-local instance records.
 //!
 //! Row indices are stored as `u32` (half the footprint of `usize` on
 //! 64-bit targets, and the arrays here are what the induction streams
@@ -43,10 +43,6 @@
 use crate::dataset::TrainingSet;
 use dq_table::AttrType;
 use std::sync::Arc;
-
-/// Sentinel class code of a row with a NULL class (never a valid label
-/// code: label lists are bounded far below `u32::MAX`).
-pub const NULL_CODE: u32 = u32::MAX;
 
 /// The byte of [`ColumnarTraining::row_codes`] that stands for NULL or
 /// a nominal code of 255 or more: missing for an attribute of at most
@@ -180,9 +176,6 @@ fn widen_ordered(table: &dq_table::Table, attr: usize) -> (Vec<f64>, Vec<bool>) 
 /// The dense columnar cache of one [`TrainingSet`].
 #[derive(Debug, Clone)]
 pub struct ColumnarTraining {
-    /// Class code per table row; [`NULL_CODE`] for rows with a NULL
-    /// class (those never appear in the training instance set).
-    pub class_codes: Vec<u32>,
     /// One entry per base attribute, parallel to
     /// `TrainingSet::base_attrs`.
     pub attrs: Vec<BaseColumn>,
@@ -206,10 +199,6 @@ impl ColumnarTraining {
             u32::try_from(n_rows).is_ok(),
             "columnar induction supports at most u32::MAX rows, got {n_rows}"
         );
-        let mut class_codes = vec![NULL_CODE; n_rows];
-        for (&r, &c) in train.rows.iter().zip(&train.codes) {
-            class_codes[r] = c;
-        }
         let attrs = train
             .base_attrs
             .iter()
@@ -221,14 +210,13 @@ impl ColumnarTraining {
                         .sorted_all
                         .iter()
                         .copied()
-                        .filter(|&r| class_codes[r as usize] != NULL_CODE)
+                        .filter(|&r| train.class_codes[r as usize].is_some())
                         .collect();
                     BaseColumn::Ordered { values: Arc::clone(&cached.values), sorted_rows }
                 }
             })
             .collect();
         ColumnarTraining {
-            class_codes,
             attrs,
             row_codes: Arc::clone(&cache.row_codes),
             stride: train.table.n_cols(),
@@ -274,8 +262,6 @@ mod tests {
         let t = table();
         let train = TrainingSet::full(&t, 0, 4).unwrap();
         let cols = ColumnarTraining::build(&train, &TableCache::build(&t));
-        // Class codes: row 2 has a NULL class.
-        assert_eq!(cols.class_codes, vec![0, 1, NULL_CODE, 0]);
         // One byte per attribute and row: nominal codes (ESCAPE for
         // NULL), then known flags of `v` and `d`.
         assert_eq!(cols.stride, 4);

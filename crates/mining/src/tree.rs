@@ -707,8 +707,8 @@ struct InductionContext<'a, 'b> {
     train: &'a TrainingSet<'b>,
     card: usize,
     cfg: &'a C45Config,
-    /// The dense columnar cache (class codes, row-major byte block,
-    /// presorted ordered-attribute row indices).
+    /// The dense columnar cache (row-major byte block, ordered
+    /// payloads and presorted row indices).
     cols: ColumnarTraining,
     /// For each base attribute position: its index into the per-node
     /// sorted lists (`None` for nominal attributes, which need none).
@@ -959,7 +959,8 @@ impl NodeSet {
                         .iter()
                         .map(|&row| Inst {
                             row,
-                            class: ctx.cols.class_codes[row as usize],
+                            class: ctx.train.class_codes[row as usize]
+                                .expect("presorted rows are training rows"),
                             weight: 1.0,
                         })
                         .collect(),
