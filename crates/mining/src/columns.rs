@@ -13,8 +13,8 @@
 //!
 //! * a **row-major byte block** with one byte per table attribute and
 //!   row (`row_codes[row * stride + attr]`), so everything the node
-//!   loops need of a row sits in one cache line and the whole block of
-//!   an eight-attribute table at 200k rows (1.6 MB) stays in L2. A
+//!   loops need of a row sits in adjacent bytes, and the whole block
+//!   of an eight-attribute table at 200k rows (1.6 MB) fits in L2. A
 //!   nominal attribute's byte is its code when the code is below
 //!   [`ESCAPE`]; [`ESCAPE`] stands for NULL and for every code of 255
 //!   or more, which is missing for an attribute of at most 255 labels
