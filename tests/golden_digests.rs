@@ -290,6 +290,36 @@ fn render_adversarial_flagging(out: &mut String) {
     }
 }
 
+/// ZeroR on QUIS flags nothing at the default minimal confidence of
+/// 0.8, so it is pinned again at 0.3, the highest tenth at which it
+/// flags rows on both seeds. These lines pin the findings of the scan
+/// branch that classifies whole records instead of walking a flat tree.
+fn render_zeror_flagging(out: &mut String) {
+    const MIN_CONFIDENCE: f64 = 0.3;
+    out.push_str("# zeror-flagging min_confidence seed rows threads flagged report_fnv1a\n");
+    for seed in SEEDS {
+        let quis = generate_quis(
+            &QuisConfig::default().with_rows(ROWS[0]),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        for threads in THREADS {
+            let auditor = Auditor::new(AuditConfig {
+                inducer: InducerKind::ZeroR,
+                min_confidence: MIN_CONFIDENCE,
+                threads: threads.into(),
+                ..AuditConfig::default()
+            });
+            let (_, report, flagged) = audit_digests_flagged(&auditor, &quis.dirty, threads);
+            assert!(flagged > 0, "the digest must cover flagged records");
+            let _ = writeln!(
+                out,
+                "zeror-flagging {MIN_CONFIDENCE} {seed} {} {threads} {flagged} {report:016x}",
+                ROWS[0]
+            );
+        }
+    }
+}
+
 /// One snapshot line per (seed, rows, threads) configuration.
 fn render_snapshot() -> String {
     let mut out = String::from("# seed rows threads model_fnv1a report_fnv1a\n");
@@ -309,6 +339,7 @@ fn render_snapshot() -> String {
     render_association(&mut out);
     render_mixed_and_families(&mut out);
     render_adversarial_flagging(&mut out);
+    render_zeror_flagging(&mut out);
     out
 }
 
