@@ -22,15 +22,33 @@
 //! numbers and dates are formatted in place, and the finished row goes
 //! to the `BufWriter` in a single `write_all`.
 //!
-//! **Reading** ([`CsvChunkReader`]) reads each line with `read_until`
-//! into one reused byte buffer and splits it in a single pass with no
-//! intermediate vector. Each batch's columns are resolved to their
-//! typed vectors once, and every cell is parsed straight into its
-//! column: labels map to codes through a per-reader FNV-1a index built
-//! once from the schema, canonical dates are decoded byte by byte
-//! ([`parse_iso`]). A row that fails part-way is rolled back by
-//! truncating every column to the batch's row count, so a quarantined
-//! row never leaves half a row behind.
+//! **Reading** ([`CsvChunkReader`]) works on bytes. Each line is found
+//! with a newline search straight in the [`BufRead`] buffer and parsed
+//! in place; only a line that straddles two buffer fills is copied, into
+//! one reused byte buffer. A line is split on the byte `,` in a single
+//! pass with no intermediate vector. Each batch's columns are resolved
+//! to their typed vectors once, and every cell is parsed straight into
+//! its column:
+//!
+//! * a label maps to its code through a per-column open-addressing
+//!   table built once from the schema ([`LabelTable`]), keyed by the
+//!   label's first 8 bytes packed into a `u64` plus its length, with a
+//!   full-byte compare only for labels longer than 8 bytes;
+//! * an unsigned integer of at most 15 digits is accumulated exactly
+//!   (below 2^53, so the conversion to `f64` is exact); any other
+//!   number goes through `str::parse::<f64>`. A number that parses to
+//!   NaN or ±inf is a cell error, so every read number is finite;
+//! * canonical dates are decoded byte by byte ([`parse_iso`]).
+//!
+//! A successful cell never holds invalid UTF-8 (labels, digits and
+//! dates are UTF-8), so lines are not validated up front: a line that
+//! fails at any cell is checked for UTF-8 first, and invalid input is
+//! the fatal [`TableError::Io`] of a broken stream, even in quarantine
+//! mode. The header, and lines skipped by
+//! [`CsvChunkReader::skip_data_rows`], are validated as they are read.
+//! A row that fails part-way is rolled back by truncating every column
+//! to the batch's row count, so a quarantined row never leaves half a
+//! row behind.
 //!
 //! * [`CsvChunkReader`] reads the stream as bounded-size [`Table`]
 //!   batches through [`BatchSource`], so a file (much) larger than RAM
@@ -53,12 +71,9 @@ use crate::column::Column;
 use crate::date::{parse_iso, write_iso};
 use crate::error::TableError;
 use crate::schema::{AttrType, Attribute, Schema};
-use crate::schema_io::Fnv1a;
 use crate::table::Table;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::hash::BuildHasherDefault;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
 /// The longest line, terminator included, a reader accepts (1 MiB).
@@ -70,9 +85,6 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// `chunk_rows` (or [`read_csv`]'s unbounded batch) grows the columns
 /// as rows arrive, so the reservation never follows a caller's bound.
 const BATCH_RESERVE_ROWS: usize = 4096;
-
-/// Label → code for one nominal column.
-type LabelIndex = HashMap<Box<str>, u32, BuildHasherDefault<Fnv1a>>;
 
 /// Write `table` as CSV.
 pub fn write_csv<W: Write>(table: &Table, out: W) -> Result<(), TableError> {
@@ -233,7 +245,7 @@ pub struct CsvChunkReader<R: BufRead> {
     /// Per column, label → code for nominal columns (first occurrence
     /// wins, like [`Attribute::code`](crate::Attribute::code)); empty
     /// for the others.
-    codes: Vec<LabelIndex>,
+    labels: Vec<LabelTable>,
     lines: Lines<R>,
     chunk_rows: usize,
     done: bool,
@@ -248,11 +260,11 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// Open a chunked reader: reads and validates the header row.
     /// `chunk_rows` is clamped to at least 1.
     pub fn new(schema: Arc<Schema>, reader: R, chunk_rows: usize) -> Result<Self, TableError> {
-        let mut lines = Lines { reader, buf: Vec::new(), line_no: 0 };
+        let mut lines = Lines { reader, buf: Vec::new(), in_place: 0, line_no: 0 };
         let Some((_, header)) = lines.next()? else {
             return Err(TableError::Csv("missing header row".into()));
         };
-        let names: Vec<&str> = header.split(',').collect();
+        let names: Vec<&str> = utf8(header)?.split(',').collect();
         if names.len() != schema.len() {
             return Err(TableError::Csv(format!(
                 "header has {} columns, schema has {}",
@@ -268,22 +280,11 @@ impl<R: BufRead> CsvChunkReader<R> {
                 )));
             }
         }
-        let codes = schema
-            .attributes()
-            .iter()
-            .map(|attr| {
-                let mut index = LabelIndex::default();
-                if let AttrType::Nominal { labels } = &attr.ty {
-                    for (code, label) in labels.iter().enumerate() {
-                        index.entry(label.as_str().into()).or_insert(code as u32);
-                    }
-                }
-                index
-            })
-            .collect();
+        let labels =
+            schema.attributes().iter().map(|attr| LabelTable::new(attr_labels(attr))).collect();
         Ok(CsvChunkReader {
             schema,
-            codes,
+            labels,
             lines,
             chunk_rows: chunk_rows.max(1),
             done: false,
@@ -346,6 +347,7 @@ impl<R: BufRead> CsvChunkReader<R> {
                     self.lines.line_no
                 )));
             };
+            utf8(line).inspect_err(|_| self.done = true)?;
             if !line.is_empty() {
                 skipped += 1;
             }
@@ -365,9 +367,13 @@ impl<R: BufRead> CsvChunkReader<R> {
     /// absorbing malformed rows in quarantine mode. Returns the batch's
     /// row count, which every column's length equals.
     fn fill(&mut self, columns: &mut [Column]) -> Result<usize, TableError> {
-        let mut sinks: Vec<Sink<'_>> =
-            columns.iter_mut().zip(&self.codes).map(|(col, codes)| Sink::new(col, codes)).collect();
         let attrs = self.schema.attributes();
+        let mut sinks: Vec<Sink<'_>> = columns
+            .iter_mut()
+            .zip(&self.labels)
+            .zip(attrs)
+            .map(|((col, table), attr)| Sink::new(col, table, attr_labels(attr)))
+            .collect();
         let mut n_rows = 0;
         while n_rows < self.chunk_rows {
             let Some((line_no, line)) = self.lines.next()? else {
@@ -378,6 +384,8 @@ impl<R: BufRead> CsvChunkReader<R> {
             }
             match push_row(&mut sinks, attrs, line, line_no, n_rows) {
                 Ok(()) => n_rows += 1,
+                // Invalid UTF-8: the stream is broken, not the row.
+                Err(e @ TableError::Io(_)) => return Err(e),
                 Err(e) => self.quarantine.absorb(line_no, line, e)?,
             }
         }
@@ -451,7 +459,9 @@ impl Quarantine {
     /// Capture the malformed row at `line`, or hand back its error: in
     /// fatal mode, and (as [`TableError::QuarantineBudget`]) once the
     /// budget is spent.
-    fn absorb(&mut self, line: usize, raw: &str, error: TableError) -> Result<(), TableError> {
+    /// `raw` is a refused line, which [`push_row`] has checked for
+    /// UTF-8.
+    fn absorb(&mut self, line: usize, raw: &[u8], error: TableError) -> Result<(), TableError> {
         let Some(budget) = self.max_bad_rows else {
             return Err(error);
         };
@@ -459,88 +469,329 @@ impl Quarantine {
             return Err(TableError::QuarantineBudget { max_bad_rows: budget, line });
         }
         self.total += 1;
-        self.rows.push(QuarantinedRow { line, error, raw: raw.to_string() });
+        let raw = String::from_utf8_lossy(raw).into_owned();
+        self.rows.push(QuarantinedRow { line, error, raw });
         Ok(())
     }
 }
 
-/// The physical lines of a stream, read through one reused buffer and
-/// a [`MAX_LINE_BYTES`] window.
+/// The physical lines of a stream, found as bytes in the reader's own
+/// buffer, through a [`MAX_LINE_BYTES`] window.
 #[derive(Debug)]
 struct Lines<R> {
     reader: R,
+    /// The last line, when it straddled two buffer fills.
     buf: Vec<u8>,
+    /// The length of the last line when it lay whole in the reader's
+    /// buffer (0 otherwise): the bytes the next call consumes.
+    in_place: usize,
     /// The 1-based number of the last line read (0 before the header).
     line_no: usize,
 }
 
 impl<R: BufRead> Lines<R> {
-    /// The next line's number and text, trailing `\r`/`\n` trimmed, or
+    /// The next line's number and bytes, trailing `\r`/`\n` trimmed, or
     /// `None` at end of stream. A line over the cap is a
-    /// [`TableError::Csv`]; invalid UTF-8 is the [`TableError::Io`] that
-    /// `BufRead::read_line` gives.
-    fn next(&mut self) -> Result<Option<(usize, &str)>, TableError> {
+    /// [`TableError::Csv`]. The bytes are not checked for UTF-8.
+    fn next(&mut self) -> Result<Option<(usize, &[u8])>, TableError> {
+        self.reader.consume(std::mem::take(&mut self.in_place));
         self.buf.clear();
-        let n =
-            (&mut self.reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut self.buf)?;
-        if n == 0 {
-            return Ok(None);
+        loop {
+            let (newline, available) = self.peek()?;
+            let len = newline.map_or(available, |i| i + 1);
+            if self.buf.len() + len > MAX_LINE_BYTES {
+                return Err(TableError::Csv(format!(
+                    "line {}: longer than {MAX_LINE_BYTES} bytes, the line cap",
+                    self.line_no + 1
+                )));
+            }
+            if available == 0 {
+                if self.buf.is_empty() {
+                    return Ok(None);
+                }
+                break;
+            }
+            if newline.is_some() && self.buf.is_empty() {
+                self.in_place = len;
+                break;
+            }
+            self.buf.extend_from_slice(&self.reader.fill_buf()?[..len]);
+            self.reader.consume(len);
+            if newline.is_some() {
+                break;
+            }
         }
-        if n > MAX_LINE_BYTES {
-            return Err(TableError::Csv(format!(
-                "line {}: longer than {MAX_LINE_BYTES} bytes, the line cap",
-                self.line_no + 1
-            )));
-        }
-        let text = std::str::from_utf8(&self.buf)
-            .map_err(|_| TableError::Io("stream did not contain valid UTF-8".into()))?;
         self.line_no += 1;
-        Ok(Some((self.line_no, text.trim_end_matches(['\n', '\r']))))
+        let line = match self.in_place {
+            0 => &self.buf[..],
+            len => &self.reader.fill_buf()?[..len],
+        };
+        let end = line.iter().rposition(|&b| b != b'\n' && b != b'\r').map_or(0, |i| i + 1);
+        Ok(Some((self.line_no, &line[..end])))
+    }
+
+    /// The position of the first newline in the reader's buffer, if
+    /// any, and the buffer's length (0 at end of stream).
+    fn peek(&mut self) -> io::Result<(Option<usize>, usize)> {
+        loop {
+            match self.reader.fill_buf() {
+                Ok(bytes) => return Ok((find_byte(bytes, b'\n'), bytes.len())),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// The position of the first `needle` in `haystack`, eight bytes at a
+/// time: the zero-byte test on `word ^ needle·0x0101…01` flags the
+/// first match exactly, since its borrows only run towards later bytes.
+fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let pattern = LO * u64::from(needle);
+    let mut words = haystack.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word = u64::from_le_bytes(word.try_into().unwrap()) ^ pattern;
+        let zeros = word.wrapping_sub(LO) & !word & HI;
+        if zeros != 0 {
+            return Some(8 * i + (zeros.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == needle).map(|at| haystack.len() - tail.len() + at)
+}
+
+/// The `,`-separated cells of a line, as `slice::split` yields them
+/// (one empty cell for an empty line).
+struct SplitCells<'a>(Option<&'a [u8]>);
+
+impl<'a> Iterator for SplitCells<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.0?;
+        Some(match find_byte(rest, b',') {
+            Some(at) => {
+                self.0 = Some(&rest[at + 1..]);
+                &rest[..at]
+            }
+            None => {
+                self.0 = None;
+                rest
+            }
+        })
+    }
+}
+
+/// `bytes` as text, or the [`TableError::Io`] of a stream that is not
+/// UTF-8.
+fn utf8(bytes: &[u8]) -> Result<&str, TableError> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| TableError::Io("stream did not contain valid UTF-8".into()))
+}
+
+/// The labels of a nominal attribute; none for the other kinds.
+fn attr_labels(attr: &Attribute) -> &[String] {
+    match &attr.ty {
+        AttrType::Nominal { labels } => labels,
+        _ => &[],
+    }
+}
+
+/// Label → code for one nominal column: an open-addressing table with
+/// linear probing, at most half full. A slot's key is the label's
+/// first 8 bytes packed into a `u64` (zero-padded) plus the label's
+/// length, so a label of at most 8 bytes is matched by two integer
+/// compares; a longer one is then compared in full against the
+/// schema's label. The first label with a given text wins, like
+/// [`Attribute::code`](crate::Attribute::code).
+///
+/// A label displaced from its home slot costs a second probe, and a
+/// mispredicted branch whenever the cells alternate between displaced
+/// and home labels. So construction tries [`LabelTable::SEEDS`] hash
+/// seeds at each of four table sizes for a placement with every label
+/// at home, within [`LabelTable::BUILD_BUDGET`] label insertions, and
+/// keeps the first placement when it finds none. Lookups are the same
+/// either way.
+#[derive(Debug)]
+struct LabelTable {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the slot.
+    shift: u32,
+    /// Mixed into every key before hashing.
+    seed: u64,
+}
+
+/// One [`LabelTable`] slot; `code == EMPTY` marks a free one.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    prefix: u64,
+    len: u32,
+    code: u32,
+}
+
+impl Slot {
+    const EMPTY: u32 = u32::MAX;
+}
+
+impl LabelTable {
+    /// Hash seeds tried per table size.
+    const SEEDS: usize = 16;
+    /// Label insertions construction may spend looking for a placement
+    /// without displaced labels.
+    const BUILD_BUDGET: usize = 4096;
+
+    fn new(labels: &[String]) -> Self {
+        let base = (2 * labels.len()).next_power_of_two().max(2);
+        let attempts = (Self::BUILD_BUDGET / labels.len().max(1)).clamp(1, 4 * Self::SEEDS);
+        let mut first = None;
+        for attempt in 0..attempts {
+            let seed = (attempt % Self::SEEDS) as u64;
+            let (table, displaced) = Self::place(labels, base << (attempt / Self::SEEDS), seed);
+            if !displaced {
+                return table;
+            }
+            first.get_or_insert(table);
+        }
+        first.expect("at least one attempt")
+    }
+
+    /// `labels` inserted into `n_slots` slots under hash seed `seed`,
+    /// and whether any label landed outside its home slot.
+    fn place(labels: &[String], n_slots: usize, seed: u64) -> (Self, bool) {
+        let mut table = LabelTable {
+            slots: vec![Slot { prefix: 0, len: 0, code: Slot::EMPTY }; n_slots],
+            shift: 64 - n_slots.trailing_zeros(),
+            seed: seed.wrapping_mul(0x5851_f42d_4c95_7f2d),
+        };
+        let mut displaced = false;
+        for (code, label) in labels.iter().enumerate() {
+            let label = label.as_bytes();
+            if let Err(at) = table.probe(label, labels) {
+                displaced |= at != table.home(pack(label), label.len());
+                let len = label.len() as u32;
+                table.slots[at] = Slot { prefix: pack(label), len, code: code as u32 };
+            }
+        }
+        (table, displaced)
+    }
+
+    /// The slot where the probe for a key starts.
+    fn home(&self, prefix: u64, len: usize) -> usize {
+        let hash = (prefix ^ len as u64 ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> self.shift) as usize
+    }
+
+    /// The code of the label spelled `cell` (`labels` are the column's
+    /// labels the table was built from).
+    fn get(&self, cell: &[u8], labels: &[String]) -> Option<u32> {
+        self.probe(cell, labels).ok()
+    }
+
+    /// `Ok(code)` of the label spelled `cell`, or `Err(slot)`: the free
+    /// slot where its probe ended.
+    fn probe(&self, cell: &[u8], labels: &[String]) -> Result<u32, usize> {
+        let prefix = pack(cell);
+        let len = cell.len();
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(prefix, len);
+        loop {
+            let slot = self.slots[at];
+            if slot.code == Slot::EMPTY {
+                return Err(at);
+            }
+            if slot.prefix == prefix
+                && slot.len as usize == len
+                && (len <= 8 || labels[slot.code as usize].as_bytes() == cell)
+            {
+                return Ok(slot.code);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
+/// The first 8 bytes of `bytes`, zero-padded, as a little-endian `u64`:
+/// one load for 8 bytes or more, two overlapping 4-byte loads for 4 to
+/// 7, and three byte loads (the first, middle and last) for 1 to 3.
+fn pack(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    let word = |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()));
+    match n {
+        8.. => u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+        4..=7 => word(0) | word(n - 4) << (8 * (n - 4)),
+        1..=3 => {
+            let byte = |at: usize| u64::from(bytes[at]) << (8 * at);
+            byte(0) | byte(n / 2) | byte(n - 1)
+        }
+        0 => 0,
+    }
+}
+
+/// A numeric cell's value. An unsigned integer of at most 15 digits is
+/// below 2^53, so accumulating it in a `u64` and converting is exact and
+/// gives the bits `str::parse::<f64>` gives; every other cell goes
+/// through `str::parse::<f64>`. NaN and ±inf are refused, so every read
+/// number is finite. The error is what the cell is not.
+fn parse_number(cell: &[u8]) -> Result<f64, &'static str> {
+    if cell.len() <= 15 && cell.iter().all(u8::is_ascii_digit) {
+        let n = cell.iter().fold(0u64, |n, &b| n * 10 + u64::from(b - b'0'));
+        return Ok(n as f64);
+    }
+    let x: f64 = std::str::from_utf8(cell).ok().and_then(|s| s.parse().ok()).ok_or("a number")?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err("a finite number")
     }
 }
 
 /// One batch column resolved to its typed vector (and, for nominal
-/// columns, the label index its cells are looked up in).
+/// columns, the label table its cells are looked up in and the labels
+/// behind it).
 enum Sink<'a> {
-    Nominal(&'a mut Vec<Option<u32>>, &'a LabelIndex),
+    Nominal(&'a mut Vec<Option<u32>>, &'a LabelTable, &'a [String]),
     Number(&'a mut Vec<Option<f64>>),
     Date(&'a mut Vec<Option<i64>>),
 }
 
 impl<'a> Sink<'a> {
-    fn new(column: &'a mut Column, codes: &'a LabelIndex) -> Self {
+    fn new(column: &'a mut Column, table: &'a LabelTable, labels: &'a [String]) -> Self {
         match column {
-            Column::Nominal(cells) => Sink::Nominal(cells, codes),
+            Column::Nominal(cells) => Sink::Nominal(cells, table, labels),
             Column::Number(cells) => Sink::Number(cells),
             Column::Date(cells) => Sink::Date(cells),
         }
     }
 
     /// Parse `cell` onto the column; the empty cell is NULL. A bad cell
-    /// pushes nothing and returns the error's message.
-    fn push(&mut self, cell: &str) -> Result<(), String> {
+    /// pushes nothing and returns what it is not (the tail of its error
+    /// message).
+    fn push(&mut self, cell: &[u8]) -> Result<(), &'static str> {
         match self {
-            Sink::Nominal(cells, codes) => {
-                let code = if cell.is_empty() {
-                    None
-                } else if let Some(code) = cell.strip_prefix('#') {
+            Sink::Nominal(cells, table, labels) => {
+                let code = match cell {
+                    [] => None,
                     // `#<code>` is the escape for out-of-label codes
                     // written by the writer for polluted cells.
-                    let code = code.parse::<u32>();
-                    Some(code.map_err(|_| format!("`{cell}` is not a `#<code>` escape"))?)
-                } else {
-                    let code = codes.get(cell);
-                    Some(*code.ok_or_else(|| format!("`{cell}` is not a label of the domain"))?)
+                    [b'#', code @ ..] => Some(
+                        std::str::from_utf8(code)
+                            .ok()
+                            .and_then(|code| code.parse::<u32>().ok())
+                            .ok_or("a `#<code>` escape")?,
+                    ),
+                    _ => Some(table.get(cell, labels).ok_or("a label of the domain")?),
                 };
                 cells.push(code);
             }
             Sink::Number(cells) => cells.push(match cell {
-                "" => None,
-                _ => Some(cell.parse::<f64>().map_err(|_| format!("`{cell}` is not a number"))?),
+                [] => None,
+                _ => Some(parse_number(cell)?),
             }),
             Sink::Date(cells) => cells.push(match cell {
-                "" => None,
-                _ => Some(parse_iso(cell).ok_or_else(|| format!("`{cell}` is not an ISO date"))?),
+                [] => None,
+                _ => Some(std::str::from_utf8(cell).ok().and_then(parse_iso).ok_or("an ISO date")?),
             }),
         }
         Ok(())
@@ -549,7 +800,7 @@ impl<'a> Sink<'a> {
     /// Drop every cell past the first `n_rows`.
     fn truncate(&mut self, n_rows: usize) {
         match self {
-            Sink::Nominal(cells, _) => cells.truncate(n_rows),
+            Sink::Nominal(cells, ..) => cells.truncate(n_rows),
             Sink::Number(cells) => cells.truncate(n_rows),
             Sink::Date(cells) => cells.truncate(n_rows),
         }
@@ -562,7 +813,7 @@ impl<'a> Sink<'a> {
 fn push_row(
     sinks: &mut [Sink<'_>],
     attrs: &[Attribute],
-    line: &str,
+    line: &[u8],
     line_no: usize,
     n_rows: usize,
 ) -> Result<(), TableError> {
@@ -575,35 +826,40 @@ fn push_row(
     pushed
 }
 
-/// The cells of [`push_row`], split off the line in one pass. An arity
-/// error, which needs the full cell count, takes precedence over a bad
-/// cell.
+/// The cells of [`push_row`], split off the line in one pass. A refused
+/// line that is not UTF-8 is the [`TableError::Io`] of a broken stream.
+/// Otherwise an arity error, which needs the full cell count, takes
+/// precedence over a bad cell.
 fn push_cells(
     sinks: &mut [Sink<'_>],
     attrs: &[Attribute],
-    line: &str,
+    line: &[u8],
     line_no: usize,
 ) -> Result<(), TableError> {
     let width = sinks.len();
-    let arity = |n_cells: usize| {
-        TableError::Csv(format!("line {line_no}: {n_cells} cells, schema has {width}"))
-    };
-    let mut cells = line.split(',');
-    for (c, sink) in sinks.iter_mut().enumerate() {
-        let cell = cells.next().ok_or_else(|| arity(c))?;
-        if let Err(message) = sink.push(cell) {
-            let n_cells = c + 1 + cells.count();
-            return Err(if n_cells == width {
-                TableError::CsvCell { line: line_no, column: attrs[c].name.clone(), message }
-            } else {
-                arity(n_cells)
-            });
+    let mut cells = SplitCells(Some(line));
+    let mut n_cells = 0;
+    let mut bad_cell = None;
+    for (sink, cell) in sinks.iter_mut().zip(&mut cells) {
+        n_cells += 1;
+        if let Err(what) = sink.push(cell) {
+            bad_cell = Some((n_cells - 1, cell, what));
+            break;
         }
     }
-    match cells.count() {
-        0 => Ok(()),
-        extra => Err(arity(width + extra)),
+    n_cells += cells.count();
+    if n_cells == width && bad_cell.is_none() {
+        return Ok(());
     }
+    utf8(line)?;
+    Err(match bad_cell {
+        Some((c, cell, what)) if n_cells == width => TableError::CsvCell {
+            line: line_no,
+            column: attrs[c].name.clone(),
+            message: format!("`{}` is not {what}", String::from_utf8_lossy(cell)),
+        },
+        _ => TableError::Csv(format!("line {line_no}: {n_cells} cells, schema has {width}")),
+    })
 }
 
 #[cfg(test)]
@@ -947,7 +1203,8 @@ mod tests {
     #[test]
     fn a_rejected_row_leaves_every_column_at_the_row_count() {
         let s = schema();
-        let codes: Vec<LabelIndex> = (0..s.len()).map(|_| LabelIndex::default()).collect();
+        let tables: Vec<LabelTable> =
+            s.attributes().iter().map(|a| LabelTable::new(attr_labels(a))).collect();
         let mut columns: Vec<Column> =
             s.attributes().iter().map(|a| Column::for_type(&a.ty)).collect();
         let mut n_rows = 0;
@@ -956,9 +1213,13 @@ mod tests {
         let lines =
             [",1,2000-01-01", "#3,1,2000-02-30", ",1", ",1,,", "#x,1,", ",,", ",2,x", ",3,"];
         for (i, line) in lines.into_iter().enumerate() {
-            let mut sinks: Vec<Sink<'_>> =
-                columns.iter_mut().zip(&codes).map(|(col, codes)| Sink::new(col, codes)).collect();
-            if push_row(&mut sinks, s.attributes(), line, i + 2, n_rows).is_ok() {
+            let mut sinks: Vec<Sink<'_>> = columns
+                .iter_mut()
+                .zip(&tables)
+                .zip(s.attributes())
+                .map(|((col, table), attr)| Sink::new(col, table, attr_labels(attr)))
+                .collect();
+            if push_row(&mut sinks, s.attributes(), line.as_bytes(), i + 2, n_rows).is_ok() {
                 n_rows += 1;
             }
             assert!(columns.iter().all(|c| c.len() == n_rows), "after `{line}`: {columns:?}");
@@ -973,5 +1234,248 @@ mod tests {
         let mut reader = CsvChunkReader::new(s, input.as_bytes(), 0).unwrap();
         assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 1);
         assert!(reader.next_batch().unwrap().is_none());
+    }
+
+    /// Reads `input` through a `BufReader` of every small capacity, so
+    /// lines straddle buffer fills at every offset, and checks each
+    /// read agrees with the read of the whole slice.
+    fn read_at_every_capacity(s: &Arc<Schema>, input: &[u8]) -> Result<Table, TableError> {
+        let whole = read_csv(s.clone(), input);
+        for capacity in 1..=17 {
+            let got = read_csv(s.clone(), BufReader::with_capacity(capacity, input));
+            match (&got, &whole) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.n_rows(), b.n_rows(), "capacity {capacity}");
+                    for r in 0..a.n_rows() {
+                        assert_eq!(a.row(r), b.row(r), "capacity {capacity}, row {r}");
+                    }
+                }
+                (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "capacity {capacity}"),
+            }
+        }
+        whole
+    }
+
+    #[test]
+    fn find_byte_and_cells_agree_with_the_slice_methods() {
+        let text = b"ab,,c\n\x80,\xff,\n,longer cell here,\x2c\x0a,,end,";
+        for start in 0..text.len() {
+            for end in start..=text.len() {
+                let s = &text[start..end];
+                for needle in [b'\n', b',', 0x80, 0xff, b'e'] {
+                    assert_eq!(find_byte(s, needle), s.iter().position(|&b| b == needle));
+                }
+                let split: Vec<&[u8]> = s.split(|&b| b == b',').collect();
+                assert_eq!(SplitCells(Some(s)).collect::<Vec<_>>(), split, "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lines_straddling_buffer_fills_read_like_whole_lines() {
+        let s = schema();
+        let input = "color,size,built\r\nred,1,2000-01-01\n\n\r\ngreen,12345,\r\r\n,,\nred,2.5,";
+        let t = read_at_every_capacity(&s, input.as_bytes()).unwrap();
+        assert_eq!(t.n_rows(), 4);
+        assert_eq!(t.get(1, 1), Value::Number(12345.0));
+        assert_eq!(t.get(3, 1), Value::Number(2.5));
+        let bad = "color,size,built\nred,1,\ngreen,x,\n";
+        let err = read_at_every_capacity(&s, bad.as_bytes()).unwrap_err();
+        assert!(matches!(err, TableError::CsvCell { line: 3, .. }), "got {err:?}");
+
+        // The line cap holds when the line arrives in pieces.
+        let long = format!("color,size,built\nred,1,\n{}\n", "r".repeat(MAX_LINE_BYTES + 1));
+        let err = read_csv(s, BufReader::with_capacity(4096, long.as_bytes())).unwrap_err();
+        let cap = format!("line 3: longer than {MAX_LINE_BYTES} bytes, the line cap");
+        assert_eq!(err, TableError::Csv(cap));
+    }
+
+    #[test]
+    fn label_table_finds_the_first_label_with_the_cell_bytes() {
+        let labels: Vec<String> = [
+            "red",
+            "ab",
+            "ab\0",
+            "dup",
+            "dup",
+            "abcdefgh",
+            "abcdefgh-one",
+            "abcdefgh-two",
+            "abcdefgh-one",
+            "héllo",
+            "日本語のラベル",
+            "#hash",
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain((0..300).map(|i| format!("v{i}")))
+        .chain((0..40).map(|i| format!("a-long-label-{i:03}")))
+        .collect();
+        let table = LabelTable::new(&labels);
+        let first = |cell: &[u8]| labels.iter().position(|l| l.as_bytes() == cell);
+        let mut cells: Vec<Vec<u8>> = labels.iter().map(|l| l.as_bytes().to_vec()).collect();
+        for extra in [
+            "a",
+            "ab\0\0",
+            "abcdefg",
+            "abcdefghi",
+            "abcdefgh-on",
+            "abcdefgh-onex",
+            "abcdefgh-thr",
+            "re",
+            "redd",
+            "RED",
+            "hél",
+            "日本語",
+            "v300",
+            "v",
+            "a-long-label-",
+            "a-long-label-040",
+        ] {
+            cells.push(extra.as_bytes().to_vec());
+        }
+        cells.push("日本語".as_bytes()[..4].to_vec());
+        for cell in &cells {
+            let expected = first(cell).map(|i| i as u32);
+            assert_eq!(table.get(cell, &labels), expected, "{:?}", String::from_utf8_lossy(cell));
+        }
+        assert_eq!(table.get(b"dup", &labels), Some(3), "the first duplicate wins");
+        assert_eq!(table.get(b"abcdefgh-one", &labels), Some(6), "the first duplicate wins");
+        assert_eq!(LabelTable::new(&[]).get(b"red", &[]), None);
+
+        // `pack` is the zero-padded little-endian prefix at every length.
+        let text = b"abcdefghij";
+        for n in 0..=text.len() {
+            let mut word = [0u8; 8];
+            word[..n.min(8)].copy_from_slice(&text[..n.min(8)]);
+            assert_eq!(pack(&text[..n]), u64::from_le_bytes(word), "length {n}");
+        }
+
+        // A small domain gets a placement with every label at home; a
+        // large one falls back to probing and still finds every label.
+        let small: Vec<String> = ["401", "402", "403", "404", "407", "501", "541", "601", "602"]
+            .map(String::from)
+            .to_vec();
+        let table = LabelTable::new(&small);
+        for (code, label) in small.iter().enumerate() {
+            let at = table.home(pack(label.as_bytes()), label.len());
+            assert_eq!(table.slots[at].code, code as u32, "{label} must sit in its home slot");
+        }
+
+        // Through the reader, next to the `#<code>` escape.
+        let s =
+            SchemaBuilder::new().nominal("l", labels.iter().map(String::as_str)).build().unwrap();
+        let input = "l\ndup\nab\nab\0\n日本語のラベル\nabcdefgh-two\n";
+        let t = read_csv(s.clone(), input.as_bytes()).unwrap();
+        let codes: Vec<Value> = (0..t.n_rows()).map(|r| t.get(r, 0)).collect();
+        let expected = [3, 1, 2, 10, 7].map(Value::Nominal);
+        assert_eq!(codes, expected);
+        for cell in ["abcdefgh-", "ab\0\0", "日本語"] {
+            let err = read_csv(s.clone(), format!("l\n{cell}\n").as_bytes()).unwrap_err();
+            let message = format!("`{cell}` is not a label of the domain");
+            assert_eq!(err, TableError::CsvCell { line: 2, column: "l".into(), message });
+        }
+    }
+
+    #[test]
+    fn escapes_accept_every_u32_spelling() {
+        let s = schema();
+        for (cell, code) in [("#+5", 5), ("#007", 7), ("#0", 0), ("#4294967295", u32::MAX)] {
+            let t = read_csv(s.clone(), format!("color,size,built\n{cell},,\n").as_bytes());
+            assert_eq!(t.unwrap().get(0, 0), Value::Nominal(code), "{cell}");
+        }
+        for cell in ["#", "#-1", "#4294967296", "# 5", "#5 ", "#0x5", "#+"] {
+            let err = read_csv(s.clone(), format!("color,size,built\n{cell},,\n").as_bytes());
+            let message = format!("`{cell}` is not a `#<code>` escape");
+            let expected = TableError::CsvCell { line: 2, column: "color".into(), message };
+            assert_eq!(err.unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn the_integer_fast_path_gives_the_bits_of_str_parse() {
+        let cells = [
+            "0",
+            "00",
+            "007",
+            "9",
+            "123456789012345",
+            "999999999999999",
+            "000000000000001",
+            "1234567890123456",
+            "9007199254740993",
+            "12345678901234567",
+            "99999999999999999",
+            "-0",
+            "+0",
+            "1e3",
+            "1.5",
+            "-12",
+        ];
+        for cell in cells {
+            let expected: f64 = cell.parse().unwrap();
+            let got = parse_number(cell.as_bytes()).unwrap();
+            assert_eq!(got.to_bits(), expected.to_bits(), "{cell}");
+        }
+        assert_eq!(parse_number(b"-0").unwrap().to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_cell_errors() {
+        let s = schema();
+        for cell in ["NaN", "nan", "inf", "-inf", "+infinity", "1e400", "-1e400"] {
+            let input = format!("color,size,built\nred,1,\nred,{cell},\n");
+            let message = format!("`{cell}` is not a finite number");
+            let expected = TableError::CsvCell { line: 3, column: "size".into(), message };
+            assert_eq!(read_csv(s.clone(), input.as_bytes()).unwrap_err(), expected);
+            let mut reader =
+                CsvChunkReader::new(s.clone(), input.as_bytes(), 9).unwrap().with_quarantine(1);
+            assert_eq!(reader.next_batch().unwrap().unwrap().n_rows(), 1);
+            let quarantined = reader.take_quarantined();
+            assert_eq!(quarantined.len(), 1);
+            assert_eq!(quarantined[0].error, expected);
+            assert_eq!(quarantined[0].raw, format!("red,{cell},"));
+        }
+        // Finite extremes still read.
+        let t = read_csv(s, "color,size,built\nred,1e308,\nred,-1e-320,\n".as_bytes()).unwrap();
+        assert_eq!(t.get(0, 1), Value::Number(1e308));
+        assert_eq!(t.get(1, 1), Value::Number(-1e-320));
+    }
+
+    #[test]
+    fn invalid_utf8_in_any_cell_is_a_fatal_io_error() {
+        let s = schema();
+        let utf8 = TableError::Io("stream did not contain valid UTF-8".into());
+        let bad_lines: [&[u8]; 6] = [
+            b"r\xffd,1,",
+            b"\xc3,1,",
+            b"red,1\xff,",
+            b"red,\xe6\x97,",
+            b"red,1,2000-01-0\xff",
+            b"red,1,\xf0\x9f\x98",
+        ];
+        for line in bad_lines {
+            let mut input = b"color,size,built\nred,1,\n".to_vec();
+            input.extend_from_slice(line);
+            input.extend_from_slice(b"\nred,2,\n");
+            assert_eq!(read_csv(s.clone(), &input[..]).unwrap_err(), utf8, "{line:?}");
+            let mut reader =
+                CsvChunkReader::new(s.clone(), &input[..], 9).unwrap().with_quarantine(9);
+            assert_eq!(reader.next_batch().unwrap_err(), utf8, "{line:?}");
+            assert!(matches!(reader.next_batch(), Ok(None)), "fused");
+            assert_eq!(reader.quarantined_total(), 0);
+            // An arity error on the same line is a broken stream too.
+            let mut long = input.clone();
+            let at = long.iter().rposition(|&b| b == b'\n').unwrap() - b"red,2,".len() - 1;
+            long.insert(at, b',');
+            assert_eq!(read_csv(s.clone(), &long[..]).unwrap_err(), utf8, "{line:?}");
+        }
+        // The header and skipped rows are checked as they are read.
+        let header = b"col\xffr,size,built\nred,1,\n";
+        assert_eq!(CsvChunkReader::new(s.clone(), &header[..], 9).unwrap_err(), utf8);
+        let input = b"color,size,built\nr\xffd,1,\nred,2,\n";
+        let mut reader = CsvChunkReader::new(s, &input[..], 9).unwrap();
+        assert_eq!(reader.skip_data_rows(1).unwrap_err(), utf8);
+        assert!(matches!(reader.next_batch(), Ok(None)), "fused");
     }
 }

@@ -32,7 +32,6 @@ use crate::date::parse_iso;
 use crate::error::TableError;
 use crate::schema::{AttrType, Schema};
 use crate::value::Value;
-use std::hash::Hasher;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -188,35 +187,9 @@ fn parse_decl(
 /// is total — but such schemas cannot be persisted anyway.
 pub fn fingerprint(schema: &Schema) -> u64 {
     let text = render_schema(schema).unwrap_or_else(|_| format!("{schema:?}"));
-    let mut hash = Fnv1a::default();
-    hash.write(text.as_bytes());
-    hash.finish()
-}
-
-/// The FNV-1a 64-bit hash as a [`Hasher`]: behind [`fingerprint`], and
-/// the CSV reader's label index, where a deterministic byte-at-a-time
-/// hash beats SipHash on short labels. (The index is built once from
-/// the schema and never grows, so SipHash's flooding resistance buys
-/// it nothing.)
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

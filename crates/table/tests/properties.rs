@@ -179,9 +179,33 @@ fn csv_oracle(t: &Table) -> Vec<u8> {
 /// parser must agree on, plus random `YYYY-MM-DD` strings around the
 /// valid month and day ranges.
 fn dirty_csv(seed: u64) -> (Arc<Schema>, String) {
-    const NUMBERS: [&str; 20] = [
-        "1", "-0.0", "0", "2.5", "+7", ".5", "5.", "1e308", "1e309", "-1e-320", "inf", "-inf",
-        "NaN", "nan", "infinity", "1_000", "0x10", "abc", " 1", "1,5",
+    const NUMBERS: [&str; 26] = [
+        "1",
+        "-0.0",
+        "0",
+        "2.5",
+        "+7",
+        ".5",
+        "5.",
+        "1e308",
+        "1e309",
+        "-1e-320",
+        "inf",
+        "-inf",
+        "NaN",
+        "nan",
+        "infinity",
+        "1_000",
+        "0x10",
+        "abc",
+        " 1",
+        "1,5",
+        "007",
+        "1e400",
+        "123456789012345",
+        "1234567890123456",
+        "12345678901234567",
+        "-NaN",
     ];
     const DATES: [&str; 20] = [
         "2000-01-01",
@@ -318,7 +342,8 @@ fn oracle_date(s: &str) -> Option<i64> {
 
 /// A naive reader of a header-valid CSV text: split lines and cells
 /// with `str::split`, parse each cell with `str::parse` or
-/// [`oracle_date`], stage each row as `Value`s and push it through
+/// [`oracle_date`] (refusing numbers that parse to NaN or ±inf), stage
+/// each row as `Value`s and push it through
 /// `push_row_lenient`; cut batches of `chunk` rows, quarantine up to
 /// `budget` malformed rows, and stop at the first error, dropping the
 /// unfinished batch.
@@ -361,7 +386,8 @@ fn oracle_read(
                         Value::Nominal(attr.code(cell).ok_or_else(|| bad("a label of the domain"))?)
                     }
                     AttrType::Numeric { .. } => {
-                        Value::Number(cell.parse().map_err(|_| bad("a number"))?)
+                        let x: f64 = cell.parse().map_err(|_| bad("a number"))?;
+                        Value::Number(if x.is_finite() { x } else { Err(bad("a finite number"))? })
                     }
                     AttrType::Date { .. } => {
                         Value::Date(oracle_date(cell).ok_or_else(|| bad("an ISO date"))?)
