@@ -14,7 +14,7 @@
 //! one table serves "both for training and data audit".
 
 use crate::confidence::min_instances_for_confidence;
-use crate::engine::{scan_chunk, scan_sharded};
+use crate::engine::{scan_chunk, scan_sharded, LeafVerdicts};
 use crate::error::AuditError;
 use crate::report::AuditReport;
 use dq_exec::{Parallelism, WorkerPool};
@@ -115,31 +115,45 @@ pub struct AttrModel {
     /// Leaves removed by the rule-deletion step.
     pub deleted_rules: usize,
     /// The flattened evaluator compiled from a C4.5 tree at
-    /// construction time (`None` for other classifier families) —
-    /// what [`Auditor::detect`] classifies through.
-    flat: Option<FlatTree>,
+    /// construction time, with its leaves' detection verdicts (`None`
+    /// for other classifier families) — what [`Auditor::detect`]
+    /// classifies and scores through.
+    flat: Option<(FlatTree, LeafVerdicts)>,
 }
 
 impl AttrModel {
     /// Assemble a dependency model, compiling the classifier into its
-    /// flat detection form when it is a C4.5 tree. Every model — from
-    /// [`Auditor::induce`] or from a persisted file — is built through
-    /// here, so detection always has the flat evaluator available.
+    /// flat detection form when it is a C4.5 tree, and scoring that
+    /// tree's leaves once at the model configuration's confidence
+    /// `level`. Every model — from [`Auditor::induce`] or from a
+    /// persisted file — is built through here, so detection always has
+    /// the flat evaluator and the leaf verdicts available.
     pub fn new(
         class_attr: AttrIdx,
         spec: ClassSpec,
         classifier: Box<dyn Classifier>,
         rules: Vec<TreeRule>,
         deleted_rules: usize,
+        level: f64,
     ) -> Self {
-        let flat = classifier.as_c45().map(FlatTree::from_tree);
+        let flat = classifier.as_c45().map(|tree| {
+            let flat = FlatTree::from_tree(tree);
+            let verdicts = LeafVerdicts::new(&flat, level);
+            (flat, verdicts)
+        });
         AttrModel { class_attr, spec, classifier, rules, deleted_rules, flat }
     }
 
     /// The flattened tree evaluator, when the classifier is a C4.5
     /// tree.
     pub fn flat_tree(&self) -> Option<&FlatTree> {
-        self.flat.as_ref()
+        self.flat.as_ref().map(|(flat, _)| flat)
+    }
+
+    /// The flat tree and its leaf verdicts, when the classifier is a
+    /// C4.5 tree.
+    pub(crate) fn compiled(&self) -> Option<(&FlatTree, &LeafVerdicts)> {
+        self.flat.as_ref().map(|(flat, verdicts)| (flat, verdicts))
     }
 }
 
@@ -324,11 +338,13 @@ fn induce_one(
                 0
             };
             let rules = tree.to_rules();
-            Ok(AttrModel::new(class_attr, train.spec.clone(), Box::new(tree), rules, deleted))
+            let spec = train.spec.clone();
+            Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted, config.level))
         }
         other => {
             let classifier = other.build().induce(train).map_err(wrap)?;
-            Ok(AttrModel::new(class_attr, train.spec.clone(), classifier, Vec::new(), 0))
+            let spec = train.spec.clone();
+            Ok(AttrModel::new(class_attr, spec, classifier, Vec::new(), 0, config.level))
         }
     }
 }

@@ -18,7 +18,16 @@
 //! Every detection path runs the one columnar `scan_chunk` through
 //! `scan_sharded`, and its bytes — findings, the report CSV and every
 //! per-row confidence — are pinned by the frozen digests of
-//! `tests/golden_digests.rs`. A detection holds one batch plus its
+//! `tests/golden_digests.rs`. The scan scores each C4.5 leaf once: when
+//! a model is built, [`LeafVerdicts`] computes every enabled leaf's
+//! support, predicted class, Def. 7 error confidence for each observed
+//! class code and NULL confidence, at the model configuration's level.
+//! A row whose descent reaches one leaf without a NULL test then costs
+//! one tree walk and one lookup per model; a row that a NULL test
+//! spreads over several leaves, and every model without a flat tree,
+//! is scored from its weighted class counts as before. Both give the
+//! same bits, because a verdict is the same function of the same leaf
+//! counts. A detection holds one batch plus its
 //! findings: the per-row
 //! overall error confidence (Def. 8) exists only per batch, through
 //! [`AuditEngine::scan_batch`], and is never accumulated. The batch
@@ -26,10 +35,13 @@
 //! engine's answers are **byte-identical** to the batch auditor's — the
 //! invariant `tests/serve_equivalence.rs` pins under concurrency.
 
-use crate::auditor::{materialize_class, AttrModel, StructureModel};
+use crate::auditor::{materialize_class, AttrModel, AuditConfig, StructureModel};
+use crate::confidence::null_error_confidence;
 use crate::error::AuditError;
 use crate::report::{AuditReport, Finding};
 use dq_exec::{Parallelism, WorkerPool};
+use dq_mining::{FlatTree, Reach};
+use dq_stats::{argmax, error_confidence};
 use dq_table::{BatchSource, CsvChunkReader, RowSlice, Schema, Table, TableError, Value};
 use std::io::BufRead;
 use std::path::Path;
@@ -209,6 +221,84 @@ where
     (findings, confidences)
 }
 
+/// The detection verdicts of a C4.5 model's enabled leaves, scored once
+/// when the model is built, at its configuration's confidence level.
+#[derive(Debug, Clone)]
+pub(crate) struct LeafVerdicts {
+    /// Class codes per leaf.
+    card: usize,
+    /// Per leaf: its support, predicted class and NULL confidence.
+    leaves: Vec<Verdict>,
+    /// Per leaf, `card` Def. 7 error confidences, one per observed class
+    /// code.
+    confidences: Vec<f64>,
+}
+
+impl LeafVerdicts {
+    /// Score every enabled leaf of `flat` at confidence `level`.
+    pub(crate) fn new(flat: &FlatTree, level: f64) -> Self {
+        let card = flat.class_card() as usize;
+        let mut leaves = Vec::with_capacity(flat.n_leaves());
+        let mut confidences = Vec::with_capacity(flat.n_leaves() * card);
+        for leaf in 0..flat.n_leaves() as u32 {
+            let counts = flat.leaf_counts(leaf);
+            leaves.push(Verdict {
+                support: counts.iter().sum(),
+                confidence: null_error_confidence(counts, level),
+                predicted: argmax(counts) as u32,
+            });
+            confidences.extend((0..card).map(|code| error_confidence(counts, code, level)));
+        }
+        LeafVerdicts { card, leaves, confidences }
+    }
+
+    /// Leaf `leaf`'s verdict on a row whose class cell has code
+    /// `observed` (`None` for NULL): exactly [`Verdict::from_counts`] on
+    /// the leaf's counts.
+    fn verdict(&self, leaf: u32, observed: Option<u32>, flag_nulls: bool) -> Verdict {
+        let scored = self.leaves[leaf as usize];
+        let confidence = match observed {
+            Some(code) if (code as usize) < self.card => {
+                self.confidences[leaf as usize * self.card + code as usize]
+            }
+            Some(_) => 0.0,
+            None if flag_nulls => scored.confidence,
+            None => 0.0,
+        };
+        Verdict { confidence, ..scored }
+    }
+}
+
+/// One model's verdict on one row.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// The training weight the prediction rests on.
+    support: f64,
+    /// The error confidence of the observed value (Def. 7, or the NULL
+    /// confidence); 0 when there is no support.
+    confidence: f64,
+    /// The predicted class code, which a finding proposes.
+    predicted: u32,
+}
+
+impl Verdict {
+    /// Score the observed class code (`None` for NULL) against weighted
+    /// class `counts`. The predicted code is computed only for a
+    /// positive confidence, the only verdicts a finding can come from;
+    /// it reads 0 otherwise.
+    fn from_counts(counts: &[f64], observed: Option<u32>, cfg: &AuditConfig) -> Verdict {
+        let support: f64 = counts.iter().sum();
+        let confidence = match observed {
+            _ if support <= 0.0 => 0.0,
+            Some(code) => error_confidence(counts, code as usize, cfg.level),
+            None if cfg.flag_nulls => null_error_confidence(counts, cfg.level),
+            None => 0.0,
+        };
+        let predicted = if confidence > 0.0 { argmax(counts) as u32 } else { 0 };
+        Verdict { support, confidence, predicted }
+    }
+}
+
 /// Scan one row chunk against the structure model, returning the
 /// chunk's findings (global row indices) and, if `keep_confidences`,
 /// its per-row overall error confidences (Def. 8) in row order (else an
@@ -218,13 +308,15 @@ where
 /// bit-identical at every thread count.
 ///
 /// This is the **columnar** inner loop: C4.5 models classify through
-/// their compiled [`dq_mining::FlatTree`]s straight off the table's
-/// typed columns into one reused class-count buffer — no per-row
-/// `Vec<Value>` materialization, no per-prediction allocation. A full
-/// row record is materialized only when a non-C4.5 model (which takes
-/// whole records) is present. A row's overall confidence is the maximum
-/// of its per-model Def. 7 error confidences (Def. 8); findings follow
-/// in row order, then model order.
+/// their compiled [`FlatTree`]s straight off the table's typed columns
+/// and read the reached leaf's [`LeafVerdicts`] entry; only a row that
+/// a NULL test spreads over several leaves is scored from counts
+/// accumulated into one reused buffer — no per-row `Vec<Value>`
+/// materialization, no per-prediction allocation. A full row record is
+/// materialized only when a non-C4.5 model (which takes whole records)
+/// is present. A row's overall confidence is the maximum of its
+/// per-model Def. 7 error confidences (Def. 8); findings follow in row
+/// order, then model order.
 pub(crate) fn scan_chunk(
     model: &StructureModel,
     chunk: &RowSlice<'_>,
@@ -236,10 +328,11 @@ pub(crate) fn scan_chunk(
     let mut confidences = Vec::with_capacity(if keep_confidences { chunk.len() } else { 0 });
     // Per-model facts hoisted out of the row loop (the class-card
     // lookup is a virtual call; rows × models of them add up).
-    let prepared: Vec<(&AttrModel, usize, Option<&dq_mining::FlatTree>)> = model
+    type Prepared<'m> = (&'m AttrModel, usize, Option<(&'m FlatTree, &'m LeafVerdicts)>);
+    let prepared: Vec<Prepared<'_>> = model
         .models
         .iter()
-        .map(|m| (m, m.classifier.class_card() as usize, m.flat_tree()))
+        .map(|m| (m, m.classifier.class_card() as usize, m.compiled()))
         .collect();
     let max_card = prepared.iter().map(|&(_, card, _)| card).max().unwrap_or(0);
     let mut acc = vec![0.0f64; max_card];
@@ -248,7 +341,7 @@ pub(crate) fn scan_chunk(
     // only when a non-C4.5 model (which takes whole records) is
     // present.
     let mut cells: Vec<dq_table::TypedCell> = Vec::with_capacity(table.n_cols());
-    let needs_record = prepared.iter().any(|&(_, _, flat)| flat.is_none());
+    let needs_record = prepared.iter().any(|&(_, _, compiled)| compiled.is_none());
     let mut record: Vec<Value> = Vec::with_capacity(if needs_record { table.n_cols() } else { 0 });
     for row in chunk.rows() {
         table.typed_row_into(row, &mut cells);
@@ -256,32 +349,24 @@ pub(crate) fn scan_chunk(
             table.row_into(row, &mut record);
         }
         let mut row_confidence = 0.0f64;
-        for &(m, card, flat) in &prepared {
-            let boxed_prediction;
-            let counts: &[f64] = match flat {
-                Some(flat) => flat.classify_cells(&cells, &mut acc[..card]),
+        for &(m, card, compiled) in &prepared {
+            let observed = || m.spec.code_of_cell(cells[m.class_attr]);
+            let verdict = match compiled {
+                Some((flat, verdicts)) => match flat.descend(&cells, &mut acc[..card]) {
+                    Reach::Leaf(leaf) => verdicts.verdict(leaf, observed(), cfg.flag_nulls),
+                    Reach::Disabled => continue,
+                    Reach::Spread(counts) => Verdict::from_counts(counts, observed(), cfg),
+                },
                 None => {
-                    boxed_prediction = m.classifier.predict(&record);
-                    &boxed_prediction.counts
+                    let prediction = m.classifier.predict(&record);
+                    Verdict::from_counts(&prediction.counts, observed(), cfg)
                 }
             };
-            let support: f64 = counts.iter().sum();
-            if support <= 0.0 {
+            if verdict.confidence <= 0.0 {
                 continue;
             }
-            let confidence = match m.spec.code_of_cell(cells[m.class_attr]) {
-                Some(code) => dq_stats::error_confidence(counts, code as usize, cfg.level),
-                None if cfg.flag_nulls => {
-                    crate::confidence::null_error_confidence(counts, cfg.level)
-                }
-                None => 0.0,
-            };
-            if confidence <= 0.0 {
-                continue;
-            }
-            row_confidence = row_confidence.max(confidence);
-            if confidence >= cfg.min_confidence {
-                let predicted_code = dq_stats::argmax(counts) as u32;
+            row_confidence = row_confidence.max(verdict.confidence);
+            if verdict.confidence >= cfg.min_confidence {
                 findings.push(Finding {
                     row,
                     attr: m.class_attr,
@@ -290,10 +375,10 @@ pub(crate) fn scan_chunk(
                         table.schema(),
                         m.class_attr,
                         &m.spec,
-                        predicted_code,
+                        verdict.predicted,
                     ),
-                    confidence,
-                    support,
+                    confidence: verdict.confidence,
+                    support: verdict.support,
                 });
             }
         }

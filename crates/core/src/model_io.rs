@@ -554,9 +554,10 @@ fn parse_attr_model<R: BufRead>(
     }
     let tree = DecisionTree::from_parts(root, spec.card(), class_attr, level);
     let rules = tree.to_rules();
-    // AttrModel::new compiles the flat evaluator here, at load time —
-    // a loaded model detects at the same speed as a freshly induced one.
-    Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted_rules))
+    // AttrModel::new compiles the flat evaluator and scores its leaves
+    // here, at load time — a loaded model detects at the same speed as a
+    // freshly induced one.
+    Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted_rules, level))
 }
 
 fn parse_class_spec<R: BufRead>(

@@ -12,13 +12,20 @@
 //!
 //! * a contiguous node arena (`Vec<FlatNode>`, children of one split
 //!   stored adjacently and addressed by index, no `Box`es);
-//! * one shared leaf-count arena and one shared fraction arena
-//!   (`Vec<f64>` each), indexed by offset.
+//! * one shared leaf-count arena, `class_card` counts per enabled leaf
+//!   in leaf-index order, and one shared fraction arena (`Vec<f64>`
+//!   each), indexed by offset.
 //!
-//! [`FlatTree::classify_cells`] is the one evaluator: it reads a row's
+//! [`FlatTree::descend`] is the one evaluator: it reads a row's
 //! [`TypedCell`]s (fetched once per row by
 //! [`dq_table::Table::typed_row_into`] and shared by every attribute's
-//! tree) — no per-row `Vec<Value>` materialization — and performs
+//! tree) — no per-row `Vec<Value>` materialization. A row that meets no
+//! NULL (or unseen) test value reaches exactly one leaf, and `descend`
+//! returns that leaf's index ([`Reach::Leaf`]), so a caller can keep
+//! anything it derives from a leaf's counts — `dq_core` keeps each
+//! leaf's detection verdict — and look it up once per row instead of
+//! recomputing it. A row that a NULL test spreads over several leaves
+//! gets its weighted class counts ([`Reach::Spread`]), computed with
 //! **exactly the floating-point operations, in exactly the order**, of
 //! [`Node`]-tree classification, so audit reports stay byte-identical
 //! at every chunk size and thread count. The boxed tree's
@@ -34,11 +41,11 @@ use dq_table::TypedCell;
 /// fraction arena at `frac_at` with the same layout.
 #[derive(Debug, Clone, Copy)]
 enum FlatNode {
-    /// An enabled leaf: its class counts live at `counts_at` in the
-    /// count arena.
+    /// An enabled leaf: its class counts live at `leaf * class_card`
+    /// in the count arena.
     Leaf {
-        /// Offset into the count arena.
-        counts_at: u32,
+        /// The leaf's index among the tree's enabled leaves.
+        leaf: u32,
     },
     /// A leaf deleted from the structure model — contributes nothing.
     DisabledLeaf,
@@ -65,6 +72,19 @@ enum FlatNode {
         /// Fraction-arena offset of this split's routing fractions.
         frac_at: u32,
     },
+}
+
+/// Where a row's descent through a [`FlatTree`] ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reach<'a> {
+    /// One enabled leaf, reached without a NULL (or unseen) test value:
+    /// its index, `0..`[`FlatTree::n_leaves`].
+    Leaf(u32),
+    /// A leaf deleted from the structure model: no support.
+    Disabled,
+    /// A NULL (or unseen) test value spread the row over several
+    /// branches: the weighted class counts.
+    Spread(&'a [f64]),
 }
 
 /// A [`DecisionTree`] compiled into contiguous arenas for fast
@@ -96,9 +116,9 @@ impl FlatTree {
         match node {
             Node::Leaf { counts, enabled } => {
                 self.nodes[at] = if *enabled {
-                    let counts_at = self.counts.len() as u32;
+                    let leaf = self.n_leaves() as u32;
                     self.counts.extend_from_slice(counts);
-                    FlatNode::Leaf { counts_at }
+                    FlatNode::Leaf { leaf }
                 } else {
                     FlatNode::DisabledLeaf
                 };
@@ -136,32 +156,42 @@ impl FlatTree {
         self.class_card
     }
 
+    /// Number of enabled leaves, indexed `0..n_leaves()` in
+    /// [`Reach::Leaf`].
+    pub fn n_leaves(&self) -> usize {
+        self.counts.len() / self.class_card.max(1) as usize
+    }
+
+    /// The class counts of enabled leaf `leaf`, straight out of the
+    /// arena.
+    pub fn leaf_counts(&self, leaf: u32) -> &[f64] {
+        let card = self.class_card as usize;
+        let from = leaf as usize * card;
+        &self.counts[from..from + card]
+    }
+
     /// Classify one row given as [`TypedCell`]s (see
     /// [`dq_table::Table::typed_row_into`]) — the detection scan's
     /// entry point. The cells are fetched once per row and shared by
     /// every attribute's tree, so a chain of splits on one attribute
     /// costs one array read per node instead of one column dispatch.
     ///
-    /// The common no-missing-value descent runs as a loop and returns
-    /// the reached leaf's count slice **straight out of the arena**:
-    /// at weight 1.0 the boxed tree's accumulation into a zeroed
-    /// buffer produces exactly those bytes (`0.0 + 1.0 · c = c`), so
-    /// nothing is copied (a disabled leaf yields the empty slice, the
-    /// same zero support a zeroed buffer carries). Only NULL (or
-    /// unseen) test values fall back to the recursive fractional
-    /// distribution into `acc`. Arithmetic and traversal order are
-    /// exactly those of the boxed tree, so the returned counts are
-    /// bit-identical.
-    pub fn classify_cells<'a>(&'a self, cells: &[TypedCell], acc: &'a mut [f64]) -> &'a [f64] {
+    /// The common no-missing-value descent runs as a loop and ends at
+    /// one leaf: an enabled leaf's index ([`Reach::Leaf`]; at weight 1.0
+    /// the boxed tree's accumulation into a zeroed buffer produces
+    /// exactly [`FlatTree::leaf_counts`], since `0.0 + 1.0 · c = c`) or
+    /// [`Reach::Disabled`] (the zero support a zeroed buffer carries).
+    /// Only NULL (or unseen) test values fall back to the recursive
+    /// fractional distribution into `acc` ([`Reach::Spread`]).
+    /// Arithmetic and traversal order are exactly those of the boxed
+    /// tree, so the counts are bit-identical.
+    pub fn descend<'a>(&'a self, cells: &[TypedCell], acc: &'a mut [f64]) -> Reach<'a> {
         debug_assert_eq!(acc.len(), self.class_card as usize);
         let mut at = 0u32;
         loop {
             match self.nodes[at as usize] {
-                FlatNode::DisabledLeaf => return &[],
-                FlatNode::Leaf { counts_at } => {
-                    let from = counts_at as usize;
-                    return &self.counts[from..from + self.class_card as usize];
-                }
+                FlatNode::DisabledLeaf => return Reach::Disabled,
+                FlatNode::Leaf { leaf } => return Reach::Leaf(leaf),
                 FlatNode::NominalSplit { attr, n_children, children_at, frac_at } => {
                     match cells[attr as usize].as_nominal() {
                         Some(code) if code < n_children => at = children_at + code,
@@ -175,7 +205,7 @@ impl FlatTree {
                                 1.0,
                                 acc,
                             );
-                            return acc;
+                            return Reach::Spread(acc);
                         }
                     }
                 }
@@ -185,7 +215,7 @@ impl FlatTree {
                         None => {
                             acc.fill(0.0);
                             self.distribute_cells(children_at, 2, frac_at, cells, 1.0, acc);
-                            return acc;
+                            return Reach::Spread(acc);
                         }
                     }
                 }
@@ -199,10 +229,8 @@ impl FlatTree {
         }
         match self.nodes[at as usize] {
             FlatNode::DisabledLeaf => {}
-            FlatNode::Leaf { counts_at } => {
-                let from = counts_at as usize;
-                let counts = &self.counts[from..from + acc.len()];
-                for (a, &c) in acc.iter_mut().zip(counts) {
+            FlatNode::Leaf { leaf } => {
+                for (a, &c) in acc.iter_mut().zip(self.leaf_counts(leaf)) {
                     *a += weight * c;
                 }
             }
@@ -287,10 +315,12 @@ mod tests {
     fn flat_classification_is_bit_identical_to_the_boxed_tree() {
         let t = mixed_table();
         let ts = TrainingSet::full(&t, 3, 4).unwrap();
-        for pruning in [Pruning::None, Pruning::ExpectedErrorConfidence] {
+        let mut reached = [0usize; 3];
+        let pruned = [Pruning::None, Pruning::ExpectedErrorConfidence];
+        for (pruning, min_conf) in pruned.into_iter().flat_map(|p| [(p, 0.0), (p, 0.8)]) {
             let cfg = C45Config { pruning, ..C45Config::default() };
             let mut tree = C45Inducer::new(cfg).induce_tree(&ts).unwrap();
-            tree.disable_undetecting_leaves(0.8);
+            tree.disable_undetecting_leaves(min_conf);
             let flat = FlatTree::from_tree(&tree);
             assert_eq!(flat.class_card(), tree.class_card());
             let mut acc = vec![0.0; flat.class_card() as usize];
@@ -299,18 +329,28 @@ mod tests {
                 let record = t.row(r);
                 let boxed = tree.predict(&record);
                 t.typed_row_into(r, &mut cells);
-                let direct = flat.classify_cells(&cells, &mut acc);
-                if direct.is_empty() {
-                    // Disabled-leaf shorthand: stands for an all-zero
-                    // count vector.
-                    assert!(boxed.counts.iter().all(|&c| c == 0.0), "row {r}");
-                } else {
-                    for (&a, &b) in direct.iter().zip(&boxed.counts) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "arena-direct, row {r}");
+                let direct = match flat.descend(&cells, &mut acc) {
+                    Reach::Leaf(leaf) => {
+                        reached[0] += 1;
+                        flat.leaf_counts(leaf).to_vec()
                     }
+                    // Stands for an all-zero count vector.
+                    Reach::Disabled => {
+                        reached[1] += 1;
+                        vec![0.0; boxed.counts.len()]
+                    }
+                    Reach::Spread(counts) => {
+                        reached[2] += 1;
+                        counts.to_vec()
+                    }
+                };
+                assert_eq!(direct.len(), boxed.counts.len(), "row {r}");
+                for (&a, &b) in direct.iter().zip(&boxed.counts) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
                 }
             }
         }
+        assert!(reached.iter().all(|&n| n > 0), "every kind of descent is covered: {reached:?}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use classifier::{Classifier, Inducer, InducerKind, Prediction};
 pub use columns::{BaseColumn, ColumnarTraining, TableCache};
 pub use dataset::{ClassSpec, TrainingSet};
 pub use error::MiningError;
-pub use flat::FlatTree;
+pub use flat::{FlatTree, Reach};
 pub use knn::KnnInducer;
 pub use naive_bayes::NaiveBayesInducer;
 pub use oner::OneRInducer;
