@@ -458,9 +458,8 @@ struct Quarantine {
 impl Quarantine {
     /// Capture the malformed row at `line`, or hand back its error: in
     /// fatal mode, and (as [`TableError::QuarantineBudget`]) once the
-    /// budget is spent.
-    /// `raw` is a refused line, which [`push_row`] has checked for
-    /// UTF-8.
+    /// budget is spent. `raw` is the refused line, which [`push_row`]
+    /// has checked for UTF-8.
     fn absorb(&mut self, line: usize, raw: &[u8], error: TableError) -> Result<(), TableError> {
         let Some(budget) = self.max_bad_rows else {
             return Err(error);
@@ -552,7 +551,7 @@ fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     let pattern = LO * u64::from(needle);
     let mut words = haystack.chunks_exact(8);
     for (i, word) in words.by_ref().enumerate() {
-        let word = u64::from_le_bytes(word.try_into().unwrap()) ^ pattern;
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of 8 bytes")) ^ pattern;
         let zeros = word.wrapping_sub(LO) & !word & HI;
         if zeros != 0 {
             return Some(8 * i + (zeros.trailing_zeros() / 8) as usize);
@@ -717,9 +716,10 @@ impl LabelTable {
 /// 7, and three byte loads (the first, middle and last) for 1 to 3.
 fn pack(bytes: &[u8]) -> u64 {
     let n = bytes.len();
-    let word = |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()));
+    let word =
+        |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")));
     match n {
-        8.. => u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+        8.. => u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
         4..=7 => word(0) | word(n - 4) << (8 * (n - 4)),
         1..=3 => {
             let byte = |at: usize| u64::from(bytes[at]) << (8 * at);
