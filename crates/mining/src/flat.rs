@@ -35,43 +35,54 @@ use crate::classifier::Classifier;
 use crate::tree::{DecisionTree, Node, SplitKind, MIN_WEIGHT};
 use dq_table::TypedCell;
 
-/// One node of the flattened tree. Children of a split occupy the
-/// arena slots `children_at .. children_at + n_children` in branch
-/// order; a split's missing-value routing fractions occupy the
-/// fraction arena at `frac_at` with the same layout.
+/// One node of the flattened tree: a leaf when `n_children` is 0, else
+/// a split whose children occupy the arena slots `at .. at +
+/// n_children` in branch order and whose missing-value routing
+/// fractions occupy the fraction arena at `frac_at` with the same
+/// layout. Every node shares one layout, so a descent step is one load
+/// and one test for a leaf.
 #[derive(Debug, Clone, Copy)]
-enum FlatNode {
-    /// An enabled leaf: its class counts live at `leaf * class_card`
-    /// in the count arena.
-    Leaf {
-        /// The leaf's index among the tree's enabled leaves.
-        leaf: u32,
-    },
-    /// A leaf deleted from the structure model — contributes nothing.
-    DisabledLeaf,
-    /// `attr`'s nominal code selects among `n_children` children.
-    NominalSplit {
-        /// Tested base attribute.
-        attr: u32,
-        /// Number of children (= the attribute's label count at
-        /// induction time).
-        n_children: u32,
-        /// Arena offset of the first child.
-        children_at: u32,
-        /// Fraction-arena offset of this split's routing fractions.
-        frac_at: u32,
-    },
-    /// `attr <= threshold` selects child 0, `> threshold` child 1.
-    ThresholdSplit {
-        /// Tested base attribute.
-        attr: u32,
-        /// The split threshold.
-        threshold: f64,
-        /// Arena offset of the low child (the high child follows it).
-        children_at: u32,
-        /// Fraction-arena offset of this split's routing fractions.
-        frac_at: u32,
-    },
+struct FlatNode {
+    /// A threshold split's cut: `attr <= threshold` selects child 0,
+    /// `> threshold` child 1.
+    threshold: f64,
+    /// A split's tested base attribute.
+    attr: u32,
+    /// A split's first child; a leaf's index among the tree's enabled
+    /// leaves (its class counts live at `at * class_card` in the count
+    /// arena), or [`FlatNode::DISABLED`] for a leaf deleted from the
+    /// structure model, which contributes nothing.
+    at: u32,
+    /// 0 for a leaf; 2 for a threshold split; the attribute's label
+    /// count at induction time for a nominal split.
+    n_children: u32,
+    /// Fraction-arena offset of a split's routing fractions.
+    frac_at: u32,
+    /// Whether a split compares `attr` with `threshold`; else `attr`'s
+    /// nominal code selects the child.
+    by_threshold: bool,
+}
+
+impl FlatNode {
+    /// The `at` of a disabled leaf.
+    const DISABLED: u32 = u32::MAX;
+
+    fn leaf(at: u32) -> FlatNode {
+        FlatNode { threshold: 0.0, attr: 0, at, n_children: 0, frac_at: 0, by_threshold: false }
+    }
+
+    /// The branch a split sends a row down, or `None` for a NULL (or
+    /// unseen, or wrongly typed) test value.
+    #[inline]
+    fn branch(&self, cells: &[TypedCell]) -> Option<u32> {
+        match cells[self.attr as usize] {
+            TypedCell::Numeric(Some(x)) if self.by_threshold => Some(u32::from(x > self.threshold)),
+            TypedCell::Nominal(Some(code)) if !self.by_threshold && code < self.n_children => {
+                Some(code)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Where a row's descent through a [`FlatTree`] ends.
@@ -103,7 +114,7 @@ impl FlatTree {
     /// evaluates bit-identically to the source tree.
     pub fn from_tree(tree: &DecisionTree) -> FlatTree {
         let mut flat = FlatTree {
-            nodes: vec![FlatNode::DisabledLeaf],
+            nodes: vec![FlatNode::leaf(FlatNode::DISABLED)],
             counts: Vec::new(),
             fractions: Vec::new(),
             class_card: tree.class_card(),
@@ -115,34 +126,35 @@ impl FlatTree {
     fn fill(&mut self, node: &Node, at: usize) {
         match node {
             Node::Leaf { counts, enabled } => {
-                self.nodes[at] = if *enabled {
+                if *enabled {
                     let leaf = self.n_leaves() as u32;
                     self.counts.extend_from_slice(counts);
-                    FlatNode::Leaf { leaf }
-                } else {
-                    FlatNode::DisabledLeaf
-                };
+                    self.nodes[at] = FlatNode::leaf(leaf);
+                }
             }
             Node::Split { attr, kind, children, fractions, .. } => {
                 let children_at = self.nodes.len() as u32;
                 for _ in children {
-                    self.nodes.push(FlatNode::DisabledLeaf);
+                    self.nodes.push(FlatNode::leaf(FlatNode::DISABLED));
                 }
                 let frac_at = self.fractions.len() as u32;
                 self.fractions.extend_from_slice(fractions);
-                self.nodes[at] = match kind {
-                    SplitKind::Nominal => FlatNode::NominalSplit {
-                        attr: *attr as u32,
-                        n_children: children.len() as u32,
-                        children_at,
-                        frac_at,
-                    },
-                    SplitKind::Threshold(t) => FlatNode::ThresholdSplit {
-                        attr: *attr as u32,
-                        threshold: *t,
-                        children_at,
-                        frac_at,
-                    },
+                // A split without children distributes nothing: a
+                // disabled leaf, which keeps `n_children == 0` for leaves.
+                if children.is_empty() {
+                    return;
+                }
+                let (by_threshold, threshold) = match kind {
+                    SplitKind::Nominal => (false, 0.0),
+                    SplitKind::Threshold(t) => (true, *t),
+                };
+                self.nodes[at] = FlatNode {
+                    by_threshold,
+                    threshold,
+                    attr: *attr as u32,
+                    at: children_at,
+                    n_children: children.len() as u32,
+                    frac_at,
                 };
                 for (i, child) in children.iter().enumerate() {
                     self.fill(child, children_at as usize + i);
@@ -185,41 +197,23 @@ impl FlatTree {
     /// fractional distribution into `acc` ([`Reach::Spread`]).
     /// Arithmetic and traversal order are exactly those of the boxed
     /// tree, so the counts are bit-identical.
+    #[inline]
     pub fn descend<'a>(&'a self, cells: &[TypedCell], acc: &'a mut [f64]) -> Reach<'a> {
         debug_assert_eq!(acc.len(), self.class_card as usize);
-        let mut at = 0u32;
-        loop {
-            match self.nodes[at as usize] {
-                FlatNode::DisabledLeaf => return Reach::Disabled,
-                FlatNode::Leaf { leaf } => return Reach::Leaf(leaf),
-                FlatNode::NominalSplit { attr, n_children, children_at, frac_at } => {
-                    match cells[attr as usize].as_nominal() {
-                        Some(code) if code < n_children => at = children_at + code,
-                        _ => {
-                            acc.fill(0.0);
-                            self.distribute_cells(
-                                children_at,
-                                n_children,
-                                frac_at,
-                                cells,
-                                1.0,
-                                acc,
-                            );
-                            return Reach::Spread(acc);
-                        }
-                    }
-                }
-                FlatNode::ThresholdSplit { attr, threshold, children_at, frac_at } => {
-                    match cells[attr as usize].as_numeric() {
-                        Some(x) => at = children_at + u32::from(x > threshold),
-                        None => {
-                            acc.fill(0.0);
-                            self.distribute_cells(children_at, 2, frac_at, cells, 1.0, acc);
-                            return Reach::Spread(acc);
-                        }
-                    }
+        let mut node = self.nodes[0];
+        while node.n_children > 0 {
+            match node.branch(cells) {
+                Some(b) => node = self.nodes[(node.at + b) as usize],
+                None => {
+                    acc.fill(0.0);
+                    self.distribute_cells(&node, cells, 1.0, acc);
+                    return Reach::Spread(acc);
                 }
             }
+        }
+        match node.at {
+            FlatNode::DISABLED => Reach::Disabled,
+            leaf => Reach::Leaf(leaf),
         }
     }
 
@@ -227,50 +221,31 @@ impl FlatTree {
         if weight < MIN_WEIGHT {
             return;
         }
-        match self.nodes[at as usize] {
-            FlatNode::DisabledLeaf => {}
-            FlatNode::Leaf { leaf } => {
-                for (a, &c) in acc.iter_mut().zip(self.leaf_counts(leaf)) {
-                    *a += weight * c;
-                }
+        let node = self.nodes[at as usize];
+        if node.n_children > 0 {
+            match node.branch(cells) {
+                Some(b) => self.accumulate_cells(node.at + b, cells, weight, acc),
+                // NULL (or unseen) test value: distribute over all
+                // branches with the training fractions.
+                None => self.distribute_cells(&node, cells, weight, acc),
             }
-            FlatNode::NominalSplit { attr, n_children, children_at, frac_at } => {
-                match cells[attr as usize].as_nominal() {
-                    Some(code) if code < n_children => {
-                        self.accumulate_cells(children_at + code, cells, weight, acc);
-                    }
-                    // NULL (or unseen) test value: distribute over all
-                    // branches with the training fractions.
-                    _ => {
-                        self.distribute_cells(children_at, n_children, frac_at, cells, weight, acc)
-                    }
-                }
-            }
-            FlatNode::ThresholdSplit { attr, threshold, children_at, frac_at } => {
-                match cells[attr as usize].as_numeric() {
-                    Some(x) => {
-                        let child = children_at + u32::from(x > threshold);
-                        self.accumulate_cells(child, cells, weight, acc);
-                    }
-                    None => self.distribute_cells(children_at, 2, frac_at, cells, weight, acc),
-                }
+        } else if node.at != FlatNode::DISABLED {
+            for (a, &c) in acc.iter_mut().zip(self.leaf_counts(node.at)) {
+                *a += weight * c;
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // private split-shared helper
     fn distribute_cells(
         &self,
-        children_at: u32,
-        n_children: u32,
-        frac_at: u32,
+        split: &FlatNode,
         cells: &[TypedCell],
         weight: f64,
         acc: &mut [f64],
     ) {
-        for b in 0..n_children {
-            let f = self.fractions[(frac_at + b) as usize];
-            self.accumulate_cells(children_at + b, cells, weight * f, acc);
+        for b in 0..split.n_children {
+            let f = self.fractions[(split.frac_at + b) as usize];
+            self.accumulate_cells(split.at + b, cells, weight * f, acc);
         }
     }
 }

@@ -38,7 +38,8 @@
 //!   (below 2^53, so the conversion to `f64` is exact); any other
 //!   number goes through `str::parse::<f64>`. A number that parses to
 //!   NaN or ±inf is a cell error, so every read number is finite;
-//! * canonical dates are decoded byte by byte ([`parse_iso`]).
+//! * canonical dates are decoded byte by byte
+//!   ([`parse_iso`](crate::date::parse_iso)).
 //!
 //! A successful cell never holds invalid UTF-8 (labels, digits and
 //! dates are UTF-8), so lines are not validated up front: a line that
@@ -68,7 +69,7 @@
 
 use crate::batch::BatchSource;
 use crate::column::Column;
-use crate::date::{parse_iso, write_iso};
+use crate::date::{parse_iso_bytes, write_iso};
 use crate::error::TableError;
 use crate::schema::{AttrType, Attribute, Schema};
 use crate::table::Table;
@@ -543,22 +544,30 @@ impl<R: BufRead> Lines<R> {
 }
 
 /// The position of the first `needle` in `haystack`, eight bytes at a
-/// time: the zero-byte test on `word ^ needle·0x0101…01` flags the
-/// first match exactly, since its borrows only run towards later bytes.
+/// time. `needle` is not 0, which the zero padding of a short last word
+/// would match.
 fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let pattern = LO * u64::from(needle);
-    let mut words = haystack.chunks_exact(8);
-    for (i, word) in words.by_ref().enumerate() {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks of 8 bytes")) ^ pattern;
-        let zeros = word.wrapping_sub(LO) & !word & HI;
-        if zeros != 0 {
-            return Some(8 * i + (zeros.trailing_zeros() / 8) as usize);
+    debug_assert_ne!(needle, 0);
+    let mut at = 0;
+    while at < haystack.len() {
+        let matches = byte_mask(pack(&haystack[at..]), needle);
+        if matches != 0 {
+            return Some(at + (matches.trailing_zeros() / 8) as usize);
         }
+        at += 8;
     }
-    let tail = words.remainder();
-    tail.iter().position(|&b| b == needle).map(|at| haystack.len() - tail.len() + at)
+    None
+}
+
+/// The high bit of each byte of `word` that equals `needle`: the exact
+/// zero-byte test on `word ^ needle·0x0101…01`, where `(x & 0x7f) +
+/// 0x7f` carries into a byte's high bit unless its low seven bits are
+/// zero, and never into the next byte.
+fn byte_mask(word: u64, needle: u8) -> u64 {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (LO * u64::from(needle));
+    !(((x & LOW7) + LOW7) | x | LOW7)
 }
 
 /// The `,`-separated cells of a line, as `slice::split` yields them
@@ -791,7 +800,7 @@ impl<'a> Sink<'a> {
             }),
             Sink::Date(cells) => cells.push(match cell {
                 [] => None,
-                _ => Some(std::str::from_utf8(cell).ok().and_then(parse_iso).ok_or("an ISO date")?),
+                _ => Some(parse_iso_bytes(cell).ok_or("an ISO date")?),
             }),
         }
         Ok(())
@@ -1258,11 +1267,11 @@ mod tests {
 
     #[test]
     fn find_byte_and_cells_agree_with_the_slice_methods() {
-        let text = b"ab,,c\n\x80,\xff,\n,longer cell here,\x2c\x0a,,end,";
+        let text = b"ab,,c\n\x80,\xff,\n,-longer cell\0here,\x2c\x0a,,end,-,+";
         for start in 0..text.len() {
             for end in start..=text.len() {
                 let s = &text[start..end];
-                for needle in [b'\n', b',', 0x80, 0xff, b'e'] {
+                for needle in [b'\n', b',', b'-', 0x80, 0xff, b'e'] {
                     assert_eq!(find_byte(s, needle), s.iter().position(|&b| b == needle));
                 }
                 let split: Vec<&[u8]> = s.split(|&b| b == b',').collect();

@@ -72,12 +72,19 @@ pub fn write_iso<W: fmt::Write>(out: &mut W, z: i64) -> fmt::Result {
 /// `str::parse` does per field (`+2000-1-1`, `02000-01-01`, …); both
 /// paths agree on every input.
 pub fn parse_iso(s: &str) -> Option<i64> {
-    let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = s.as_bytes() else {
-        return parse_iso_fields(s);
+    parse_iso_bytes(s.as_bytes())
+}
+
+/// [`parse_iso`] on bytes, for the CSV reader: the canonical shape is
+/// decoded without a UTF-8 check, and only the general path needs text.
+pub(crate) fn parse_iso_bytes(s: &[u8]) -> Option<i64> {
+    let general = || std::str::from_utf8(s).ok().and_then(parse_iso_fields);
+    let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = s else {
+        return general();
     };
     let digits = [y0, y1, y2, y3, m0, m1, d0, d1];
     if !digits.iter().all(u8::is_ascii_digit) {
-        return parse_iso_fields(s);
+        return general();
     }
     let [y0, y1, y2, y3, m0, m1, d0, d1] = digits.map(|b| u32::from(b - b'0'));
     let y = y0 * 1000 + y1 * 100 + y2 * 10 + y3;
