@@ -6,7 +6,7 @@
 //! quickly". [`AuditEngine`] is the serve-forever half of that split
 //! made concrete: it owns everything detection needs — the
 //! [`StructureModel`] (whose [`AttrModel`]s carry their compiled
-//! [`FlatTree`](dq_mining::FlatTree) evaluators) and the relation's
+//! [`FlatTree`] evaluators) and the relation's
 //! [`Schema`] — and exposes every detection entry point through
 //! `&self`, so one engine can answer any number of concurrent
 //! requests. Nothing is compiled at construction beyond what loading
@@ -19,7 +19,7 @@
 //! `scan_sharded`, and its bytes — findings, the report CSV and every
 //! per-row confidence — are pinned by the frozen digests of
 //! `tests/golden_digests.rs`. The scan scores each C4.5 leaf once: when
-//! a model is built, [`LeafVerdicts`] computes every enabled leaf's
+//! a model is built, `LeafVerdicts` computes every enabled leaf's
 //! support, predicted class, Def. 7 error confidence for each observed
 //! class code and NULL confidence, at the model configuration's level.
 //! A row whose descent reaches one leaf without a NULL test then costs

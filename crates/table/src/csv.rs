@@ -23,17 +23,19 @@
 //! to the `BufWriter` in a single `write_all`.
 //!
 //! **Reading** ([`CsvChunkReader`]) works on bytes. Each line is found
-//! with a newline search straight in the [`BufRead`] buffer and parsed
-//! in place; only a line that straddles two buffer fills is copied, into
-//! one reused byte buffer. A line is split on the byte `,` in a single
-//! pass with no intermediate vector. Each batch's columns are resolved
+//! by a newline search, eight bytes at a time, straight in the
+//! [`BufRead`] buffer and parsed in place; only a line that straddles
+//! two buffer fills is copied, into one reused byte buffer. A line is
+//! split on the byte `,` in a single pass with no intermediate vector. Each batch's columns are resolved
 //! to their typed vectors once, and every cell is parsed straight into
 //! its column:
 //!
 //! * a label maps to its code through a per-column open-addressing
-//!   table built once from the schema ([`LabelTable`]), keyed by the
+//!   table built once from the schema (`LabelTable`), keyed by the
 //!   label's first 8 bytes packed into a `u64` plus its length, with a
-//!   full-byte compare only for labels longer than 8 bytes;
+//!   full-byte compare only for labels longer than 8 bytes, and built
+//!   with a hash seed that leaves every label of a small domain in its
+//!   home slot;
 //! * an unsigned integer of at most 15 digits is accumulated exactly
 //!   (below 2^53, so the conversion to `f64` is exact); any other
 //!   number goes through `str::parse::<f64>`. A number that parses to
