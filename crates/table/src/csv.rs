@@ -26,16 +26,15 @@
 //! by a newline search, eight bytes at a time, straight in the
 //! [`BufRead`] buffer and parsed in place; only a line that straddles
 //! two buffer fills is copied, into one reused byte buffer. A line is
-//! split on the byte `,` in a single pass with no intermediate vector. Each batch's columns are resolved
-//! to their typed vectors once, and every cell is parsed straight into
-//! its column:
+//! split on the byte `,` in a single pass with no intermediate vector.
+//! Each batch's columns are resolved to their typed vectors once, and
+//! every cell is parsed straight into its column:
 //!
 //! * a label maps to its code through a per-column open-addressing
 //!   table built once from the schema (`LabelTable`), keyed by the
 //!   label's first 8 bytes packed into a `u64` plus its length, with a
-//!   full-byte compare only for labels longer than 8 bytes, and built
-//!   with a hash seed that leaves every label of a small domain in its
-//!   home slot;
+//!   full-byte compare only for labels longer than 8 bytes (whose
+//!   further bytes are hashed too);
 //! * an unsigned integer of at most 15 digits is accumulated exactly
 //!   (below 2^53, so the conversion to `f64` is exact); any other
 //!   number goes through `str::parse::<f64>`. A number that parses to
@@ -617,20 +616,14 @@ fn attr_labels(attr: &Attribute) -> &[String] {
 /// schema's label. The first label with a given text wins, like
 /// [`Attribute::code`](crate::Attribute::code).
 ///
-/// A label displaced from its home slot costs a second probe, and a
-/// mispredicted branch whenever the cells alternate between displaced
-/// and home labels. So construction tries [`LabelTable::SEEDS`] hash
-/// seeds at each of four table sizes for a placement with every label
-/// at home, within [`LabelTable::BUILD_BUDGET`] label insertions, and
-/// keeps the first placement when it finds none. Lookups are the same
-/// either way.
+/// The home slot hashes the key and, for a label longer than 8 bytes,
+/// every further byte, so labels that share a prefix and a length
+/// (`product-000001`, `product-000002`, …) still spread over the table.
 #[derive(Debug)]
 struct LabelTable {
     slots: Vec<Slot>,
     /// `64 - log2(slots.len())`: the hash's top bits pick the slot.
     shift: u32,
-    /// Mixed into every key before hashing.
-    seed: u64,
 }
 
 /// One [`LabelTable`] slot; `code == EMPTY` marks a free one.
@@ -646,51 +639,35 @@ impl Slot {
 }
 
 impl LabelTable {
-    /// Hash seeds tried per table size.
-    const SEEDS: usize = 16;
-    /// Label insertions construction may spend looking for a placement
-    /// without displaced labels.
-    const BUILD_BUDGET: usize = 4096;
+    /// The odd multiplier of the hash (2^64 / golden ratio).
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
     fn new(labels: &[String]) -> Self {
-        let base = (2 * labels.len()).next_power_of_two().max(2);
-        let attempts = (Self::BUILD_BUDGET / labels.len().max(1)).clamp(1, 4 * Self::SEEDS);
-        let mut first = None;
-        for attempt in 0..attempts {
-            let seed = (attempt % Self::SEEDS) as u64;
-            let (table, displaced) = Self::place(labels, base << (attempt / Self::SEEDS), seed);
-            if !displaced {
-                return table;
-            }
-            first.get_or_insert(table);
-        }
-        first.expect("at least one attempt")
-    }
-
-    /// `labels` inserted into `n_slots` slots under hash seed `seed`,
-    /// and whether any label landed outside its home slot.
-    fn place(labels: &[String], n_slots: usize, seed: u64) -> (Self, bool) {
+        let n_slots = (2 * labels.len()).next_power_of_two().max(2);
         let mut table = LabelTable {
             slots: vec![Slot { prefix: 0, len: 0, code: Slot::EMPTY }; n_slots],
             shift: 64 - n_slots.trailing_zeros(),
-            seed: seed.wrapping_mul(0x5851_f42d_4c95_7f2d),
         };
-        let mut displaced = false;
         for (code, label) in labels.iter().enumerate() {
             let label = label.as_bytes();
             if let Err(at) = table.probe(label, labels) {
-                displaced |= at != table.home(pack(label), label.len());
                 let len = label.len() as u32;
                 table.slots[at] = Slot { prefix: pack(label), len, code: code as u32 };
             }
         }
-        (table, displaced)
+        table
     }
 
-    /// The slot where the probe for a key starts.
-    fn home(&self, prefix: u64, len: usize) -> usize {
-        let hash = (prefix ^ len as u64 ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (hash >> self.shift) as usize
+    /// The slot where the probe for `cell` starts; `prefix` is
+    /// `pack(cell)`.
+    fn home(&self, prefix: u64, cell: &[u8]) -> usize {
+        let mut key = prefix ^ cell.len() as u64;
+        if cell.len() > 8 {
+            for chunk in cell[8..].chunks(8) {
+                key = key.wrapping_mul(Self::MIX).rotate_left(31) ^ pack(chunk);
+            }
+        }
+        (key.wrapping_mul(Self::MIX) >> self.shift) as usize
     }
 
     /// The code of the label spelled `cell` (`labels` are the column's
@@ -705,7 +682,7 @@ impl LabelTable {
         let prefix = pack(cell);
         let len = cell.len();
         let mask = self.slots.len() - 1;
-        let mut at = self.home(prefix, len);
+        let mut at = self.home(prefix, cell);
         loop {
             let slot = self.slots[at];
             if slot.code == Slot::EMPTY {
@@ -1362,15 +1339,23 @@ mod tests {
             assert_eq!(pack(&text[..n]), u64::from_le_bytes(word), "length {n}");
         }
 
-        // A small domain gets a placement with every label at home; a
-        // large one falls back to probing and still finds every label.
-        let small: Vec<String> = ["401", "402", "403", "404", "407", "501", "541", "601", "602"]
-            .map(String::from)
-            .to_vec();
-        let table = LabelTable::new(&small);
-        for (code, label) in small.iter().enumerate() {
-            let at = table.home(pack(label.as_bytes()), label.len());
-            assert_eq!(table.slots[at].code, code as u32, "{label} must sit in its home slot");
+        // Thousands of labels of one length that share their first 8
+        // bytes, or all but a middle stretch, still spread: no probe
+        // chain grows long.
+        for domain in [
+            (1..=5000).map(|i| format!("product-{i:06}")).collect::<Vec<_>>(),
+            (1..=5000).map(|i| format!("category/{i:05}/item-name")).collect(),
+        ] {
+            let table = LabelTable::new(&domain);
+            let mask = table.slots.len() - 1;
+            let mut longest = 0;
+            for (at, slot) in table.slots.iter().enumerate().filter(|(_, s)| s.code != Slot::EMPTY)
+            {
+                let label = domain[slot.code as usize].as_bytes();
+                assert_eq!(table.get(label, &domain), Some(slot.code));
+                longest = longest.max((at.wrapping_sub(table.home(slot.prefix, label)) & mask) + 1);
+            }
+            assert!(longest <= 16, "{}: a probe chain of {longest} slots", domain[0]);
         }
 
         // Through the reader, next to the `#<code>` escape.
