@@ -124,30 +124,24 @@ pub struct AttrModel {
 impl AttrModel {
     /// Assemble a dependency model, compiling the classifier into its
     /// flat detection form when it is a C4.5 tree, and scoring that
-    /// tree's leaves once at the model configuration's confidence
-    /// `level`. Every model — from [`Auditor::induce`] or from a
-    /// persisted file — is built through here, so detection always has
-    /// the flat evaluator and the leaf verdicts available.
+    /// tree's leaves once at the confidence level the tree was induced
+    /// with. Every model — from [`Auditor::induce`] or from a persisted
+    /// file — is built through here, and both build their trees at the
+    /// structure model's configured level, so detection always has the
+    /// flat evaluator and the leaf verdicts available.
     pub fn new(
         class_attr: AttrIdx,
         spec: ClassSpec,
         classifier: Box<dyn Classifier>,
         rules: Vec<TreeRule>,
         deleted_rules: usize,
-        level: f64,
     ) -> Self {
         let flat = classifier.as_c45().map(|tree| {
             let flat = FlatTree::from_tree(tree);
-            let verdicts = LeafVerdicts::new(&flat, level);
+            let verdicts = LeafVerdicts::new(&flat, tree.level());
             (flat, verdicts)
         });
         AttrModel { class_attr, spec, classifier, rules, deleted_rules, flat }
-    }
-
-    /// The flattened tree evaluator, when the classifier is a C4.5
-    /// tree.
-    pub fn flat_tree(&self) -> Option<&FlatTree> {
-        self.flat.as_ref().map(|(flat, _)| flat)
     }
 
     /// The flat tree and its leaf verdicts, when the classifier is a
@@ -339,12 +333,12 @@ fn induce_one(
             };
             let rules = tree.to_rules();
             let spec = train.spec.clone();
-            Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted, config.level))
+            Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted))
         }
         other => {
             let classifier = other.build().induce(train).map_err(wrap)?;
             let spec = train.spec.clone();
-            Ok(AttrModel::new(class_attr, spec, classifier, Vec::new(), 0, config.level))
+            Ok(AttrModel::new(class_attr, spec, classifier, Vec::new(), 0))
         }
     }
 }
@@ -703,7 +697,7 @@ mod tests {
             ..AuditConfig::default()
         });
         let model = auditor.induce(&t).unwrap();
-        assert!(model.models.iter().all(|m| m.flat_tree().is_none()));
+        assert!(model.models.iter().all(|m| m.compiled().is_none()));
         let (report, _) = detect_three_ways(&auditor, model, &t);
         assert!(report.n_suspicious() > 0, "the deviation must be flagged");
     }

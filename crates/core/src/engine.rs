@@ -222,9 +222,12 @@ where
 }
 
 /// The detection verdicts of a C4.5 model's enabled leaves, scored once
-/// when the model is built, at its configuration's confidence level.
+/// when the model is built, at the confidence level its tree was induced
+/// with — the structure model's configured level.
 #[derive(Debug, Clone)]
 pub(crate) struct LeafVerdicts {
+    /// The confidence level the verdicts were scored at.
+    level: f64,
     /// Class codes per leaf.
     card: usize,
     /// Per leaf: its support, predicted class and NULL confidence.
@@ -249,7 +252,7 @@ impl LeafVerdicts {
             });
             confidences.extend((0..card).map(|code| error_confidence(counts, code, level)));
         }
-        LeafVerdicts { card, leaves, confidences }
+        LeafVerdicts { level, card, leaves, confidences }
     }
 
     /// Leaf `leaf`'s verdict on a row whose class cell has code
@@ -334,6 +337,11 @@ pub(crate) fn scan_chunk(
         .iter()
         .map(|m| (m, m.classifier.class_card() as usize, m.compiled()))
         .collect();
+    // Leaf verdicts and the rows scored from counts below must use one
+    // confidence level.
+    debug_assert!(prepared.iter().all(|&(_, _, compiled)| {
+        compiled.is_none_or(|(_, verdicts)| verdicts.level.to_bits() == cfg.level.to_bits())
+    }));
     let max_card = prepared.iter().map(|&(_, card, _)| card).max().unwrap_or(0);
     let mut acc = vec![0.0f64; max_card];
     // One typed-cell row buffer shared by every model's tree walk (the

@@ -557,7 +557,7 @@ fn parse_attr_model<R: BufRead>(
     // AttrModel::new compiles the flat evaluator and scores its leaves
     // here, at load time — a loaded model detects at the same speed as a
     // freshly induced one.
-    Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted_rules, level))
+    Ok(AttrModel::new(class_attr, spec, Box::new(tree), rules, deleted_rules))
 }
 
 fn parse_class_spec<R: BufRead>(
