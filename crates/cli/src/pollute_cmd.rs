@@ -24,7 +24,7 @@ use crate::checkpoint::{
 use crate::io_util::{at, load_schema, say};
 use dq_job::Journal;
 use dq_pollute::{PolluteStream, PollutionConfig, CELLS_CSV_HEADER};
-use dq_table::{BatchSource, CsvChunkReader, CsvWriter, Schema, Table, TableError};
+use dq_table::{BatchSource, CsvChunkReader, CsvRows, Schema, Table, TableError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
@@ -150,17 +150,33 @@ pub struct PollutionOutputs {
 /// A [`BatchSource`] pass-through that renders every batch it passes
 /// as CSV for the job output `out` — how `dq generate tdg` writes
 /// `clean.csv` while pollution consumes the very same batches, in one
-/// pass. Without an output, a plain pass-through.
+/// pass. Each clean row is rendered once: the tee keeps where each row
+/// of the last batch ends in its rendered bytes, so [`pollute_into`]
+/// builds the dirty CSV from those bytes for every row pollution left
+/// untouched. Without an output, a plain pass-through, and the dirty
+/// CSV renders every row (`dq pollute` reads user CSV, which need not
+/// be canonical: `1.50` renders as `1.5`).
 pub struct Tee<S> {
     inner: S,
     out: Option<OutputId>,
     /// CSV rows rendered since the pollution loop last drained them.
-    rendered: Vec<u8>,
+    rendered: String,
+    /// Where the last batch's rows begin in `rendered`.
+    last_start: usize,
+    /// Where each of the last batch's rows ends in `rendered`.
+    row_ends: Vec<usize>,
 }
 
 impl<S> Tee<S> {
     pub fn new(inner: S, out: Option<OutputId>) -> Self {
-        Tee { inner, out, rendered: Vec::new() }
+        Tee { inner, out, rendered: String::new(), last_start: 0, row_ends: Vec::new() }
+    }
+
+    /// The rendered CSV line, newline included, of row `row` of the
+    /// last batch passed.
+    fn row(&self, row: usize) -> &str {
+        let start = if row == 0 { self.last_start } else { self.row_ends[row - 1] };
+        &self.rendered[start..self.row_ends[row]]
     }
 }
 
@@ -172,9 +188,9 @@ impl<S: BatchSource> BatchSource for Tee<S> {
     fn next_batch(&mut self) -> Result<Option<Table>, TableError> {
         let batch = self.inner.next_batch()?;
         if let (Some(batch), Some(_)) = (&batch, self.out) {
-            let mut csv = CsvWriter::append(batch.schema().clone(), &mut self.rendered);
-            csv.write_batch(batch)?;
-            csv.finish()?;
+            self.last_start = self.rendered.len();
+            self.row_ends.clear();
+            CsvRows::new(batch).render_all(&mut self.rendered, &mut self.row_ends);
         }
         Ok(batch)
     }
@@ -196,6 +212,13 @@ impl<S: BatchSource> BatchSource for Tee<S> {
 /// so the streamed log is byte-identical to a one-shot rendering at
 /// the end. Returns `(clean rows, dirty rows, corrupted rows)` over
 /// the whole job, previous incarnations included.
+///
+/// When the tee renders the clean rows, a dirty row that no polluter
+/// touched is a copy of its clean row's bytes (twice for a duplicate);
+/// only touched rows are rendered. The stream may pull several clean
+/// batches before it returns a dirty one (pollution can delete a
+/// batch whole); all of them go to the tee's output, and the copies
+/// index the last, the batch that produced the dirty rows.
 pub fn pollute_into<S: BatchSource>(
     mut job: Job,
     source: Tee<S>,
@@ -224,18 +247,36 @@ pub fn pollute_into<S: BatchSource>(
     job.commit(|journal| record(&stream, journal))?;
     let mut cells_rendered = 0usize;
     let mut cells = String::new();
+    let copying = stream.source().out.is_some();
+    let mut dirty_csv = String::new();
     loop {
         let batch = stream.next_batch().map_err(|e| at(input, e))?;
+        if let Some(batch) = &batch {
+            if copying {
+                dirty_csv.clear();
+                let rows = CsvRows::new(batch);
+                for (r, copy) in stream.clean_copies().iter().enumerate() {
+                    match *copy {
+                        Some(clean_row) => dirty_csv.push_str(stream.source().row(clean_row)),
+                        None => rows.render(r, &mut dirty_csv),
+                    }
+                }
+                job.write(outputs.dirty, dirty_csv.as_bytes())?;
+            } else {
+                job.write_batch(outputs.dirty, batch)?;
+            }
+        }
         // Hand over the tee'd clean rows before anything can commit:
         // the journal cursor counts every clean row pulled, including
         // the chunks pollution deleted entirely.
         let tee = stream.source_mut();
         if let Some(out) = tee.out {
-            job.write(out, &tee.rendered)?;
+            job.write(out, tee.rendered.as_bytes())?;
             tee.rendered.clear();
         }
-        let Some(batch) = batch else { break };
-        job.write_batch(outputs.dirty, &batch)?;
+        if batch.is_none() {
+            break;
+        }
         if let Some(log) = outputs.log {
             cells.clear();
             stream.log().render_cells_csv(&schema, cells_rendered, &mut cells);

@@ -85,7 +85,7 @@ pub fn pollute<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (Table, PollutionLog) {
     let mut log = PollutionLog::default();
-    let dirty = pollute_chunk(clean, 0, config, &mut log, rng);
+    let dirty = pollute_chunk(clean, 0, config, &mut log, rng, &mut Vec::new());
     (dirty, log)
 }
 
@@ -98,21 +98,32 @@ pub fn pollute<R: Rng + ?Sized>(
 /// `AuditEngine::detect` applies to finding rows). Returns the dirty rows
 /// this chunk contributes, in order.
 ///
+/// `copies` is refilled with one entry per returned dirty row:
+/// `Some(r)` when the row is a copy of row `r` of `clean` that no cell
+/// polluter activated on (kept or duplicated), `None` when some cell
+/// polluter did. An activated polluter whose changes cancel out still
+/// counts as a touch: the net comparison uses `sql_eq`, under which
+/// `0.0` equals `-0.0`, yet the two render differently.
+///
 /// The RNG is consumed strictly in clean-row order, so chunking never
 /// changes the byte stream: concatenating the returned chunks equals
-/// an unchunked [`pollute`] over the concatenated input.
+/// an unchunked [`pollute`] over the concatenated input. A row's
+/// record is built only when its first cell polluter activates, which
+/// draws nothing from the RNG.
 pub(crate) fn pollute_chunk<R: Rng + ?Sized>(
     clean: &Table,
     clean_row_offset: usize,
     config: &PollutionConfig,
     log: &mut PollutionLog,
     rng: &mut R,
+    copies: &mut Vec<Option<usize>>,
 ) -> Table {
     let schema = clean.schema();
     let mut dirty = Table::with_capacity(schema.clone(), clean.n_rows());
+    copies.clear();
     let mut record: Vec<Value> = Vec::with_capacity(clean.n_cols());
     for r in 0..clean.n_rows() {
-        clean.row_into(r, &mut record);
+        let mut touched = false;
         let mut action = RowAction::Keep;
         let mut changes: Vec<(usize, Value, Value, crate::polluter::PolluterKind)> = Vec::new();
         for step in &config.steps {
@@ -130,11 +141,31 @@ pub(crate) fn pollute_chunk<R: Rng + ?Sized>(
                     };
                 }
                 other => {
+                    if !touched {
+                        clean.row_into(r, &mut record);
+                        touched = true;
+                    }
                     for (attr, before, after) in other.apply_cells(schema, &mut record, rng) {
                         changes.push((attr, before, after, other.kind()));
                     }
                 }
             }
+        }
+        let emitted = match action {
+            RowAction::Delete => {
+                log.log_deletion(clean_row_offset + r);
+                continue;
+            }
+            RowAction::Keep => 1,
+            RowAction::Duplicate => 2,
+        };
+        if !touched {
+            for copy in 0..emitted {
+                log.push_row(clean_row_offset + r, copy == 1);
+                dirty.push_row_from(clean, r).expect("a chunk copies rows of its own schema");
+                copies.push(Some(r));
+            }
+            continue;
         }
         // The ground truth is the *net* deviation of the dirty record
         // from the clean one: when several polluters touch a cell they
@@ -156,22 +187,13 @@ pub(crate) fn pollute_chunk<R: Rng + ?Sized>(
                 net.push((attr, old_v, *new_v, kind));
             }
         }
-        match action {
-            RowAction::Delete => log.log_deletion(clean_row_offset + r),
-            RowAction::Keep | RowAction::Duplicate => {
-                let dirty_row = log.push_row(clean_row_offset + r, false);
-                dirty.push_row_lenient(&record).expect("polluted record keeps cell kinds");
-                for &(attr, before, after, kind) in &net {
-                    log.log_cell(dirty_row, attr, kind, before, after);
-                }
-                if action == RowAction::Duplicate {
-                    let dup_row = log.push_row(clean_row_offset + r, true);
-                    dirty.push_row_lenient(&record).expect("duplicate record keeps cell kinds");
-                    // The copy carries the same cell corruptions.
-                    for &(attr, before, after, kind) in &net {
-                        log.log_cell(dup_row, attr, kind, before, after);
-                    }
-                }
+        // The copy a duplicate adds carries the same cell corruptions.
+        for copy in 0..emitted {
+            let dirty_row = log.push_row(clean_row_offset + r, copy == 1);
+            dirty.push_row_lenient(&record).expect("polluted record keeps cell kinds");
+            copies.push(None);
+            for &(attr, before, after, kind) in &net {
+                log.log_cell(dirty_row, attr, kind, before, after);
             }
         }
     }

@@ -26,6 +26,9 @@ pub struct PolluteStream<S, R> {
     config: PollutionConfig,
     rng: R,
     log: PollutionLog,
+    /// Per dirty row of the last batch: the row of its clean batch it
+    /// copies untouched, if any (see [`PolluteStream::clean_copies`]).
+    copies: Vec<Option<usize>>,
     clean_rows_seen: usize,
     rows_emitted: usize,
     done: bool,
@@ -41,6 +44,7 @@ impl<S: BatchSource, R: Rng> PolluteStream<S, R> {
             config,
             rng,
             log: PollutionLog::default(),
+            copies: Vec::new(),
             clean_rows_seen: 0,
             rows_emitted: 0,
             done: false,
@@ -69,6 +73,7 @@ impl<S: BatchSource, R: Rng> PolluteStream<S, R> {
             config,
             rng,
             log: PollutionLog::with_base(dirty_rows),
+            copies: Vec::new(),
             clean_rows_seen,
             rows_emitted: dirty_rows,
             done: false,
@@ -82,10 +87,28 @@ impl<S: BatchSource, R: Rng> PolluteStream<S, R> {
         &self.log
     }
 
+    /// Which rows of the batch `next_batch` last returned are untouched
+    /// copies: one entry per dirty row, `Some(r)` when no cell polluter
+    /// activated on it and it equals row `r` of the clean batch that
+    /// produced it (a kept row, or either copy of a duplicated one),
+    /// `None` when a cell polluter activated, even if its changes
+    /// cancelled out. The clean batch is the *last* one pulled from
+    /// the source: batches that pollution deleted whole come before
+    /// it. A consumer that rendered that clean batch can reuse the
+    /// bytes of every `Some` row instead of rendering it again.
+    pub fn clean_copies(&self) -> &[Option<usize>] {
+        &self.copies
+    }
+
     /// The owned RNG — a checkpointing job reads its state here at
     /// each commit, so a resumed incarnation can rebuild it.
     pub fn rng(&self) -> &R {
         &self.rng
+    }
+
+    /// The inner source.
+    pub fn source(&self) -> &S {
+        &self.source
     }
 
     /// The inner source, mutably — a checkpointing job flushes a tee'd
@@ -150,7 +173,14 @@ impl<S: BatchSource, R: Rng> BatchSource for PolluteStream<S, R> {
             };
             let offset = self.clean_rows_seen;
             self.clean_rows_seen += clean.n_rows();
-            let dirty = pollute_chunk(&clean, offset, &self.config, &mut self.log, &mut self.rng);
+            let dirty = pollute_chunk(
+                &clean,
+                offset,
+                &self.config,
+                &mut self.log,
+                &mut self.rng,
+                &mut self.copies,
+            );
             if dirty.is_empty() {
                 continue;
             }

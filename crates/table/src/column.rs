@@ -161,6 +161,23 @@ impl Column {
         }
     }
 
+    /// Append cell `row` of `other` (which must be of the same kind) —
+    /// the one-cell sibling of [`Column::append_from`], behind
+    /// [`crate::Table::push_row_from`].
+    #[inline]
+    pub fn push_from(&mut self, other: &Column, row: usize) {
+        match (self, other) {
+            (Column::Nominal(v), Column::Nominal(o)) => v.push(o[row]),
+            (Column::Number(v), Column::Number(o)) => v.push(o[row]),
+            (Column::Date(v), Column::Date(o)) => v.push(o[row]),
+            (col, other) => panic!(
+                "cannot append {:?} column to {:?} column",
+                other.kind_name(),
+                col.kind_name()
+            ),
+        }
+    }
+
     /// Remove the cell at `row`, shifting later cells up (order-
     /// preserving, O(n)).
     pub fn remove(&mut self, row: usize) {

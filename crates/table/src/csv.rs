@@ -17,10 +17,13 @@
 //! exactly. Labels starting with `#` are reserved for this escape.
 //!
 //! **Writing** ([`CsvWriter`], behind [`write_csv`]) resolves each
-//! column of a batch to its typed vector once, then renders every row
-//! into one reused buffer: label bytes come straight from the schema,
-//! numbers and dates are formatted in place, and the finished row goes
-//! to the `BufWriter` in a single `write_all`.
+//! column of a batch to its typed vector once ([`CsvRows`]), then
+//! renders every row into one reused buffer: label bytes come straight
+//! from the schema, numbers and dates are formatted in place, and the
+//! finished row goes to the `BufWriter` in a single `write_all`.
+//! [`CsvRows::render_all`] renders a batch through the same row
+//! renderer into memory and records where each row ends, so a caller
+//! can reuse a row's bytes (the untouched rows of a polluted copy).
 //!
 //! **Reading** ([`CsvChunkReader`]) works on bytes. Each line is found
 //! by a newline search, eight bytes at a time, straight in the
@@ -147,25 +150,10 @@ impl<W: Write> CsvWriter<W> {
         if !Arc::ptr_eq(&self.schema, batch.schema()) && *self.schema != **batch.schema() {
             return Err(TableError::SchemaMismatch);
         }
-        let columns: Vec<Cells<'_>> = (0..batch.n_cols())
-            .map(|c| match (batch.column(c), &self.schema.attr(c).ty) {
-                (Column::Nominal(codes), AttrType::Nominal { labels }) => {
-                    Cells::Nominal(codes, labels)
-                }
-                (Column::Nominal(codes), _) => Cells::Nominal(codes, &[]),
-                (Column::Number(xs), _) => Cells::Number(xs),
-                (Column::Date(days), _) => Cells::Date(days),
-            })
-            .collect();
+        let rows = CsvRows::new(batch);
         for r in 0..batch.n_rows() {
             self.row.clear();
-            for (c, cells) in columns.iter().enumerate() {
-                if c > 0 {
-                    self.row.push(',');
-                }
-                cells.render(r, &mut self.row).expect("writing to a String cannot fail");
-            }
-            self.row.push('\n');
+            rows.render(r, &mut self.row);
             self.w.write_all(self.row.as_bytes())?;
         }
         Ok(())
@@ -175,6 +163,54 @@ impl<W: Write> CsvWriter<W> {
     pub fn finish(mut self) -> Result<(), TableError> {
         self.w.flush()?;
         Ok(())
+    }
+}
+
+/// A batch resolved for rendering: each column to its typed cells
+/// once (and, for nominal columns, to the labels its codes index). The
+/// one CSV row renderer: [`CsvWriter::write_batch`] and
+/// [`CsvRows::render_all`] both render through [`CsvRows::render`], so
+/// a row renders to the same bytes whichever writes it.
+pub struct CsvRows<'a> {
+    columns: Vec<Cells<'a>>,
+    n_rows: usize,
+}
+
+impl<'a> CsvRows<'a> {
+    /// Resolve the columns of `batch`.
+    pub fn new(batch: &'a Table) -> Self {
+        let columns = (0..batch.n_cols())
+            .map(|c| match (batch.column(c), &batch.schema().attr(c).ty) {
+                (Column::Nominal(codes), AttrType::Nominal { labels }) => {
+                    Cells::Nominal(codes, labels)
+                }
+                (Column::Nominal(codes), _) => Cells::Nominal(codes, &[]),
+                (Column::Number(xs), _) => Cells::Number(xs),
+                (Column::Date(days), _) => Cells::Date(days),
+            })
+            .collect();
+        CsvRows { columns, n_rows: batch.n_rows() }
+    }
+
+    /// Append row `row` to `out` as one CSV line, newline included.
+    pub fn render(&self, row: usize, out: &mut String) {
+        for (c, cells) in self.columns.iter().enumerate() {
+            if c > 0 {
+                out.push(',');
+            }
+            cells.render(row, out).expect("writing to a String cannot fail");
+        }
+        out.push('\n');
+    }
+
+    /// Append every row to `out`, and push the offset in `out` where
+    /// each row's line ends onto `row_ends` — so a caller can copy a
+    /// single row's bytes back out without rendering it again.
+    pub fn render_all(&self, out: &mut String, row_ends: &mut Vec<usize>) {
+        for r in 0..self.n_rows {
+            self.render(r, out);
+            row_ends.push(out.len());
+        }
     }
 }
 

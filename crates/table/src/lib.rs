@@ -41,7 +41,7 @@ pub mod value;
 pub use batch::{BatchSource, ReplaySource, TableBatches};
 pub use builder::SchemaBuilder;
 pub use column::{Column, TypedCell};
-pub use csv::{read_csv, write_csv, CsvChunkReader, CsvWriter, QuarantinedRow};
+pub use csv::{read_csv, write_csv, CsvChunkReader, CsvRows, CsvWriter, QuarantinedRow};
 pub use discretize::{discretize_equal_frequency, discretize_equal_width, Binning};
 pub use error::TableError;
 pub use schema::{AttrType, Attribute, Schema};

@@ -224,6 +224,27 @@ impl Table {
         Ok(())
     }
 
+    /// Append a copy of row `row` of `other` by columnar copy, with no
+    /// per-cell `Value` records or kind checks — how pollution emits a
+    /// row no polluter touched. The schemas must agree as for
+    /// [`Table::append_rows`]. Returns the new row's index.
+    pub fn push_row_from(&mut self, other: &Table, row: RowIdx) -> Result<RowIdx, TableError> {
+        if row >= other.n_rows {
+            return Err(TableError::RowOutOfRange(row));
+        }
+        if !Arc::ptr_eq(&self.schema, &other.schema) {
+            let (expected, got) = (self.schema.fingerprint(), other.schema.fingerprint());
+            if expected != got {
+                return Err(TableError::SchemaFingerprint { expected, got });
+            }
+        }
+        for (col, o) in self.columns.iter_mut().zip(&other.columns) {
+            col.push_from(o, row);
+        }
+        self.n_rows += 1;
+        Ok(self.n_rows - 1)
+    }
+
     /// A copy of the contiguous row range `start..end` as a new table
     /// over the same `Arc<Schema>` (columnar bulk copy, no per-row
     /// `Value` records). An empty range yields an empty table.

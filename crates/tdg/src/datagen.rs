@@ -361,9 +361,14 @@ impl BatchSource for GenerateStream {
         if self.pending.is_empty() {
             return Ok(None);
         }
-        let take = self.batch_rows.min(self.pending.n_rows());
-        let batch = self.pending.slice_rows(0, take)?;
-        self.pending = self.pending.slice_rows(take, self.pending.n_rows())?;
+        let batch = if self.batch_rows >= self.pending.n_rows() {
+            // The batch takes every pending row: move them out.
+            std::mem::replace(&mut self.pending, Table::new(self.generator.schema.clone()))
+        } else {
+            let batch = self.pending.slice_rows(0, self.batch_rows)?;
+            self.pending = self.pending.slice_rows(self.batch_rows, self.pending.n_rows())?;
+            batch
+        };
         self.rows_emitted += batch.n_rows();
         Ok(Some(batch))
     }
