@@ -482,6 +482,39 @@ mod tests {
     }
 
     #[test]
+    fn nan_in_a_numeric_class_is_binned_like_null() {
+        // A table built in memory admits NaN (`push_row_lenient`); the
+        // CSV reader refuses it. Induction must not panic on it.
+        let schema = SchemaBuilder::new()
+            .nominal("x", ["lo", "hi"])
+            .numeric("n", 0.0, 100.0)
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..200 {
+            let (x, n) = if i % 2 == 0 { (0, 10.0) } else { (1, 90.0) };
+            t.push_row(&[Value::Nominal(x), Value::Number(n)]).unwrap();
+        }
+        t.push_row_lenient(&[Value::Nominal(0), Value::Number(f64::NAN)]).unwrap();
+        assert_eq!(t.n_rows(), 201);
+        let auditor = Auditor::new(AuditConfig { bins: 4, ..AuditConfig::default() });
+        let model = auditor.induce(&t).expect("NaN is a missing class value, not a panic");
+        let report = auditor.detect(&model, &t);
+        // The same table with NULL for NaN audits to the same findings.
+        let mut with_null = t.slice_rows(0, 200).unwrap();
+        with_null.push_row(&[Value::Nominal(0), Value::Null]).unwrap();
+        let null_report = auditor.detect(&auditor.induce(&with_null).unwrap(), &with_null);
+        let key = |f: &crate::Finding| (f.row, f.attr, f.proposed, f.confidence);
+        assert_eq!(
+            report.findings.iter().map(key).collect::<Vec<_>>(),
+            null_report.findings.iter().map(key).collect::<Vec<_>>()
+        );
+        // Like a strongly predicted NULL, the NaN is flagged as missing.
+        let f = report.best_finding_for(200).expect("the NaN row is flagged");
+        assert_eq!((f.attr, f.proposed), (1, Value::Number(10.0)));
+    }
+
+    #[test]
     fn audited_attrs_subset_is_respected() {
         let t = anecdote(2000, 400);
         let auditor =

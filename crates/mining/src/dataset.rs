@@ -34,7 +34,8 @@ impl ClassSpec {
         }
     }
 
-    /// Class code of a raw cell value (`None` for NULL).
+    /// Class code of a raw cell value (`None` for NULL, and for NaN in
+    /// a binned class, which no bin orders).
     pub fn code_of(&self, v: &Value) -> Option<u32> {
         match self {
             ClassSpec::Nominal { card } => match v {
@@ -45,7 +46,7 @@ impl ClassSpec {
                 Value::Nominal(_) => Some(card.saturating_sub(1)),
                 _ => None,
             },
-            ClassSpec::Binned { binning } => v.as_numeric().map(|x| binning.bin_of(x)),
+            ClassSpec::Binned { binning } => binned_code(binning, v.as_numeric()),
         }
     }
 
@@ -62,7 +63,7 @@ impl ClassSpec {
                 Some(_) => Some(card.saturating_sub(1)),
                 None => None,
             },
-            ClassSpec::Binned { binning } => cell.as_numeric().map(|x| binning.bin_of(x)),
+            ClassSpec::Binned { binning } => binned_code(binning, cell.as_numeric()),
         }
     }
 
@@ -77,6 +78,12 @@ impl ClassSpec {
             ClassSpec::Binned { binning } => binning.label_of(code),
         }
     }
+}
+
+/// The bin of an ordered cell; NULL and NaN have none.
+#[inline]
+fn binned_code(binning: &Binning, x: Option<f64>) -> Option<u32> {
+    x.filter(|x| !x.is_nan()).map(|x| binning.bin_of(x))
 }
 
 /// A classifier's view of a table: the class column coded as `u32`

@@ -68,7 +68,8 @@ impl Binning {
 /// Fit an equal-frequency binning on the non-NULL values of column
 /// `col` and return it. At most `n_bins` bins are produced; duplicate
 /// candidate edges are merged, so heavily tied columns yield fewer
-/// bins. NULLs are ignored (they stay NULL after mapping).
+/// bins. NULLs and NaNs are ignored (they stay missing after mapping:
+/// a NaN has no place in the order the bins cut).
 pub fn discretize_equal_frequency(table: &Table, col: AttrIdx, n_bins: usize) -> Binning {
     let mut values = ordered_values(table.column(col));
     values.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value in ordered column"));
@@ -115,7 +116,7 @@ pub fn discretize_equal_width(table: &Table, col: AttrIdx, n_bins: usize) -> Bin
 
 fn ordered_values(column: &Column) -> Vec<f64> {
     match column {
-        Column::Number(v) => v.iter().flatten().copied().collect(),
+        Column::Number(v) => v.iter().flatten().copied().filter(|x| !x.is_nan()).collect(),
         Column::Date(v) => v.iter().flatten().map(|&d| d as f64).collect(),
         Column::Nominal(_) => {
             panic!("discretization applies to numeric/date columns only")
@@ -171,6 +172,17 @@ mod tests {
         let b = discretize_equal_frequency(&t, 0, 4);
         assert_eq!(b.n_bins, 1);
         assert_eq!(b.bin_of(123.0), 0);
+    }
+
+    #[test]
+    fn nan_is_ignored_like_null() {
+        let vals: Vec<_> = (1..=12).map(|i| Some(i as f64)).collect();
+        let mut with_nan = vals.clone();
+        with_nan.extend([Some(f64::NAN), Some(-f64::NAN)]);
+        let (plain, nan) = (numeric_table(&vals), numeric_table(&with_nan));
+        for fit in [discretize_equal_frequency, discretize_equal_width] {
+            assert_eq!(fit(&nan, 0, 3), fit(&plain, 0, 3));
+        }
     }
 
     #[test]
