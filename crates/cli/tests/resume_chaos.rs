@@ -15,6 +15,8 @@
 //! --checkpoint-every 1` commits ~34 times, so the sampled k values
 //! cover first, dense-early, mid, and final commits of each stage.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -168,6 +170,73 @@ fn generate_killed_anywhere_resumes_byte_identical() {
         }
     }
     assert!(crashes >= 30, "expected ≥30 real generate crashes, got {crashes}");
+
+    // One-row batches at factor 20: the duplicator deletes whole
+    // batches, so the pollution stream pulls several clean batches
+    // before it emits a dirty one. The kill points are the commits
+    // right after such a pull.
+    let polluted = [
+        "--rows",
+        "300",
+        "--rules",
+        "6",
+        "--seed",
+        "13",
+        "--factor",
+        "20",
+        "--stream-chunk-rows",
+        "1",
+    ];
+    let after_deletions = saves_after_deleted_batches(300, 6, 13, 20.0);
+    assert!(after_deletions.len() >= 3, "too few deleted batches: {after_deletions:?}");
+    let kills = &after_deletions[..3];
+    let reference = dir.path("ref-f20");
+    dq_ok(&[&["generate", "tdg", "--out", &reference][..], &polluted].concat());
+    let mut crashes = 0;
+    for (var, ks) in [("DQ_CRASH_AFTER_COMMITS", kills), ("DQ_CRASH_BEFORE_COMMIT", kills)] {
+        for &k in ks {
+            let out = dir.path(&format!("out-f20-{var}-{k}"));
+            let ckpt = dir.path(&format!("ckpt-f20-{var}-{k}"));
+            let base = [
+                &["generate", "tdg", "--out", &out][..],
+                &polluted,
+                &["--checkpoint", &ckpt, "--checkpoint-every", "1"],
+            ]
+            .concat();
+            let resume_args = [&base[..], &["--resume"]].concat();
+            if crash_and_resume(&base, &resume_args, (var, k)) {
+                crashes += 1;
+            }
+            let context = format!("generate --factor 20 --stream-chunk-rows 1 {var}={k}");
+            for file in GENERATE_OUTPUTS {
+                assert_file_eq(&format!("{reference}/{file}"), &format!("{out}/{file}"), &context);
+            }
+        }
+    }
+    assert_eq!(crashes, 6, "every factor-20 kill point must crash");
+}
+
+/// The journal saves of a `--stream-chunk-rows 1 --checkpoint-every 1`
+/// `dq generate tdg` that follow a pull of several clean batches, found
+/// through the in-memory pipeline that run streams. Save 1 is the
+/// initial commit, and save `j + 1` follows the `j`-th dirty batch.
+fn saves_after_deleted_batches(rows: usize, rules: usize, seed: u64, factor: f64) -> Vec<u64> {
+    let env = dq_eval::Baseline::new(seed).environment(rules, rows, factor);
+    let schema = env.generator.schema.clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (rules, _) = dq_tdg::generate_rule_set(&schema, &env.generator.rules, &mut rng);
+    let (clean, _) = dq_tdg::generate_table(&schema, &rules, &env.generator.data, &mut rng);
+    let (_, log) = dq_pollute::pollute(&clean, &env.pollution, &mut rng);
+    let deleted: std::collections::BTreeSet<usize> = log.deleted_clean_rows.into_iter().collect();
+    let mut batches = 0;
+    let mut saves = Vec::new();
+    for row in (0..rows).filter(|row| !deleted.contains(row)) {
+        batches += 1;
+        if row > 0 && deleted.contains(&(row - 1)) {
+            saves.push(batches + 1);
+        }
+    }
+    saves
 }
 
 #[test]

@@ -310,6 +310,164 @@ mod tests {
         );
     }
 
+    /// FNV-1a, for frozen digests.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Drain `stream`, returning digests of the dirty CSV and of the
+    /// log (cells and deletions), and the RNG state after the first
+    /// batch.
+    fn drain_digest<S: BatchSource>(stream: &mut PolluteStream<S, StdRng>) -> (u64, u64, [u64; 4]) {
+        let mut dirty = Table::new(stream.schema().clone());
+        let mut after_first = None;
+        while let Some(batch) = stream.next_batch().unwrap() {
+            dirty.append_rows(&batch).unwrap();
+            after_first.get_or_insert(stream.rng().state());
+        }
+        let mut cells = String::new();
+        stream.log().render_cells_csv(dirty.schema(), 0, &mut cells);
+        for r in &stream.log().deleted_clean_rows {
+            cells.push_str(&format!("deleted {r}\n"));
+        }
+        (fnv1a(csv(&dirty).as_bytes()), fnv1a(cells.as_bytes()), after_first.unwrap())
+    }
+
+    #[test]
+    fn rng_walk_and_output_match_frozen_digests() {
+        // Recorded while every row was still rebuilt as a record: a
+        // row that no cell polluter touches is now copied, and neither
+        // its bytes, the log nor the RNG draws may move.
+        let clean = clean_table(997);
+        let cfg = PollutionConfig::standard().with_factor(3.0);
+        let mut stream = PolluteStream::new(clean.batches(64), cfg, StdRng::seed_from_u64(42));
+        let (dirty, log, rng_after_first) = drain_digest(&mut stream);
+        assert_eq!(
+            (dirty, log, rng_after_first, stream.rng().state()),
+            (
+                0x852b_525b_aeb9_c343,
+                0x33bd_8826_9ef1_50eb,
+                [
+                    4446261989609468971,
+                    7942532247440011068,
+                    10896333148143849262,
+                    12966738116617669912
+                ],
+                [
+                    7931608500783995633,
+                    13110560827403721303,
+                    14204626139407834025,
+                    7486716082327759160
+                ]
+            )
+        );
+    }
+
+    #[test]
+    fn a_row_whose_changes_cancel_out_is_not_a_copy() {
+        let clean = clean_table(30);
+        // Two switches of the same pair swap every row back.
+        let switch =
+            PollutionStep { polluter: Polluter::Switcher { attrs: Some((0, 1)) }, activation: 1.0 };
+        let cfg = PollutionConfig { steps: vec![switch.clone(), switch], factor: 1.0 };
+        let mut stream = PolluteStream::new(clean.batches(8), cfg, StdRng::seed_from_u64(3));
+        let mut dirty = Table::new(clean.schema().clone());
+        while let Some(batch) = stream.next_batch().unwrap() {
+            assert!(stream.clean_copies().iter().all(Option::is_none), "every row was touched");
+            dirty.append_rows(&batch).unwrap();
+        }
+        assert!(stream.log().cells.is_empty(), "the switches cancel out");
+        assert_eq!(csv(&dirty), csv(&clean));
+    }
+
+    #[test]
+    fn rows_only_the_duplicator_hit_and_their_copies_are_copies() {
+        let clean = clean_table(40);
+        let cfg = PollutionConfig {
+            steps: vec![
+                PollutionStep { polluter: Polluter::NullValue { attr: Some(2) }, activation: 0.3 },
+                PollutionStep { polluter: Polluter::Duplicator { p_delete: 0.0 }, activation: 1.0 },
+            ],
+            factor: 1.0,
+        };
+        let mut stream = PolluteStream::new(clean.batches(16), cfg, StdRng::seed_from_u64(5));
+        let (mut copies, mut nulled) = (0, 0);
+        while let Some(batch) = stream.next_batch().unwrap() {
+            let offset = stream.clean_rows_seen() - (batch.n_rows() / 2);
+            let log = stream.log();
+            for (r, copy) in stream.clean_copies().iter().enumerate() {
+                let global = log.n_rows() - batch.n_rows() + r;
+                let prov = log.provenance[global];
+                assert_eq!(prov.duplicate, r % 2 == 1, "every row is duplicated");
+                match copy {
+                    Some(c) => {
+                        copies += 1;
+                        assert_eq!(offset + c, prov.clean_row);
+                        assert_eq!(batch.row(r), clean.row(prov.clean_row));
+                    }
+                    None => {
+                        nulled += 1;
+                        assert_eq!(batch.get(r, 2), Value::Null);
+                    }
+                }
+            }
+        }
+        assert_eq!(copies + nulled, 80);
+        assert!(copies > 0 && nulled > 0, "copies {copies}, nulled {nulled}");
+        assert_eq!(copies % 2, 0, "a copy's duplicate is a copy too");
+    }
+
+    #[test]
+    fn a_touched_zero_keeps_its_rendered_sign() {
+        // An integer column whose clean cells are all -0: a wrong value
+        // below the limiter's lower cut (exactly 0 here) is limited to
+        // +0. The net change is nothing under `sql_eq`, so the log
+        // stays empty, but the row renders `0` where the clean row
+        // rendered `-0`: the row is touched, never a copy.
+        let schema = SchemaBuilder::new()
+            .integer("n", -10.0, 90.0)
+            .nominal("a", ["x", "y"])
+            .build()
+            .unwrap();
+        let mut clean = Table::new(schema);
+        for i in 0..200 {
+            clean.push_row(&[Value::Number(-0.0), Value::Nominal(i % 2)]).unwrap();
+        }
+        let cfg = PollutionConfig {
+            steps: vec![
+                PollutionStep {
+                    polluter: Polluter::WrongValue {
+                        attr: Some(0),
+                        dist: dq_stats::DistributionSpec::Uniform,
+                    },
+                    activation: 1.0,
+                },
+                PollutionStep {
+                    polluter: Polluter::Limiter { attr: Some(0), lower_frac: 0.1, upper_frac: 0.9 },
+                    activation: 1.0,
+                },
+            ],
+            factor: 1.0,
+        };
+        let mut stream = PolluteStream::new(clean.batches(50), cfg, StdRng::seed_from_u64(9));
+        let mut flipped = 0;
+        while let Some(batch) = stream.next_batch().unwrap() {
+            let base = stream.log().n_rows() - batch.n_rows();
+            let text = csv(&batch);
+            for (r, line) in text.lines().skip(1).enumerate() {
+                assert_eq!(stream.clean_copies()[r], None);
+                if !stream.log().cells.iter().any(|c| c.dirty_row == base + r) {
+                    flipped += 1;
+                    assert!(line.starts_with("0,"), "row {r} renders {line:?}");
+                }
+            }
+        }
+        assert!(flipped > 0, "some -0 must be limited to +0 with an empty log");
+        assert!(csv(&clean).lines().skip(1).all(|line| line.starts_with("-0,")));
+    }
+
     #[test]
     fn all_deleted_chunks_are_skipped_not_emitted() {
         let clean = clean_table(40);
