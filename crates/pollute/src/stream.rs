@@ -20,7 +20,11 @@ use std::sync::Arc;
 /// A [`BatchSource`] of dirty batches: each clean batch pulled from
 /// `source` is polluted as one chunk. The ground-truth log is complete
 /// once the stream is drained ([`PolluteStream::log`] /
-/// [`PolluteStream::into_log`]).
+/// [`PolluteStream::into_log`]). A row no cell polluter activated on
+/// is copied column by column, not rebuilt as a record, and
+/// [`PolluteStream::clean_copies`] names those rows of each batch, so
+/// a consumer that already rendered the clean batch can copy their
+/// bytes too.
 pub struct PolluteStream<S, R> {
     source: S,
     config: PollutionConfig,
