@@ -17,7 +17,7 @@
 use crate::args::{CliError, Flags};
 use crate::io_util::{at, create_file, say};
 use dq_job::{fnv1a, resume_file, CheckpointDir, CountingWriter, JobError, Journal, Watermark};
-use dq_table::{CsvWriter, Schema, Table};
+use dq_table::{CsvWriter, Schema};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -224,13 +224,6 @@ impl Job {
     pub fn write(&mut self, id: OutputId, bytes: &[u8]) -> Result<(), CliError> {
         let out = &mut self.outputs[id.0];
         out.file.write_all(bytes).map_err(|e| at(&out.path, e).into())
-    }
-
-    /// Append a batch to an output as CSV rows.
-    pub fn write_batch(&mut self, id: OutputId, batch: &Table) -> Result<(), CliError> {
-        let out = &mut self.outputs[id.0];
-        let mut csv = CsvWriter::append(batch.schema().clone(), &mut out.file);
-        csv.write_batch(batch).and_then(|()| csv.finish()).map_err(|e| at(&out.path, e).into())
     }
 
     /// Count one batch; every `--checkpoint-every` batches,

@@ -19,7 +19,7 @@
 //! for `clean.csv`: a dirty row that pollution left untouched (about
 //! 95 % of them at factor 1) is written as a copy of those bytes, and
 //! only touched rows are rendered again. `dq pollute` renders every
-//! dirty row, because its input need not be canonical CSV.
+//! dirty row, because it writes no clean CSV whose bytes it could reuse.
 
 use crate::args::{CliError, Flags};
 use crate::checkpoint::{
@@ -157,9 +157,9 @@ pub struct PollutionOutputs {
 /// pass. Each clean row is rendered once: the tee keeps where each row
 /// of the last batch ends in its rendered bytes, so [`pollute_into`]
 /// builds the dirty CSV from those bytes for every row pollution left
-/// untouched. Without an output, a plain pass-through, and the dirty
-/// CSV renders every row (`dq pollute` reads user CSV, which need not
-/// be canonical: `1.50` renders as `1.5`).
+/// untouched. Without an output (`dq pollute`) it is a plain
+/// pass-through: there are no clean bytes to reuse, so the dirty CSV
+/// renders every row.
 pub struct Tee<S> {
     inner: S,
     out: Option<OutputId>,
@@ -219,7 +219,7 @@ impl<S: BatchSource> BatchSource for Tee<S> {
 ///
 /// When the tee renders the clean rows, a dirty row that no polluter
 /// touched is a copy of its clean row's bytes (twice for a duplicate);
-/// only touched rows are rendered. The stream may pull several clean
+/// every other row is rendered. The stream may pull several clean
 /// batches before it returns a dirty one (pollution can delete a
 /// batch whole); all of them go to the tee's output, and the copies
 /// index the last, the batch that produced the dirty rows.
@@ -256,19 +256,15 @@ pub fn pollute_into<S: BatchSource>(
     loop {
         let batch = stream.next_batch().map_err(|e| at(input, e))?;
         if let Some(batch) = &batch {
-            if copying {
-                dirty_csv.clear();
-                let rows = CsvRows::new(batch);
-                for (r, copy) in stream.clean_copies().iter().enumerate() {
-                    match *copy {
-                        Some(clean_row) => dirty_csv.push_str(stream.source().row(clean_row)),
-                        None => rows.render(r, &mut dirty_csv),
-                    }
+            dirty_csv.clear();
+            let rows = CsvRows::new(batch);
+            for (r, copy) in stream.clean_copies().iter().enumerate() {
+                match copy.filter(|_| copying) {
+                    Some(clean_row) => dirty_csv.push_str(stream.source().row(clean_row)),
+                    None => rows.render(r, &mut dirty_csv),
                 }
-                job.write(outputs.dirty, dirty_csv.as_bytes())?;
-            } else {
-                job.write_batch(outputs.dirty, batch)?;
             }
+            job.write(outputs.dirty, dirty_csv.as_bytes())?;
         }
         // Hand over the tee'd clean rows before anything can commit:
         // the journal cursor counts every clean row pulled, including
